@@ -4,11 +4,10 @@ Measures the two optimization layers this repository ships for
 Algorithm 1 and writes machine-readable records for CI trend tracking:
 
 * ``BENCH_algorithm1.json`` — single-thread hot-path numbers: the legacy
-  (per-iteration validated) subproblem oracle vs the hoisted
-  (buffer-reusing) oracle vs the batched (vectorized-kernel) oracle, a
-  full ``solve_distributed`` run with its perf counters, a sequential
-  vs thread-pool Jacobi sweep, and exact three-way solution
-  cross-checks.
+  (per-iteration validated) subproblem oracle vs the batched
+  (vectorized-kernel) oracle with an exact solution cross-check, a full
+  ``solve_distributed`` run with its perf counters, and a sequential vs
+  thread-pool Jacobi sweep.
 * ``BENCH_sweeps.json`` — sweep-engine numbers on a figure-style
   epsilon sweep: the legacy serial engine (no dedup, validating solver),
   the optimized serial engine, and the process-parallel engine, with an
@@ -111,14 +110,14 @@ def _solutions_identical(a, b) -> bool:
 
 
 def bench_algorithm1(smoke: bool) -> tuple:
-    """Hot-path benchmark: legacy vs hoisted vs batched subproblem oracles.
+    """Hot-path benchmark: legacy vs batched subproblem oracle.
 
-    Times all three oracles on the same instance, cross-checks them
-    exactly against each other, runs one full ``solve_distributed``
-    under perf counters, and compares a sequential Jacobi sweep with the
-    thread-pool executor.  Returns ``(record, ok)`` where ``ok`` is
-    False when any oracle (or the Jacobi executor) disagrees with the
-    legacy reference on any component of the solution.
+    Times both oracles on the same instance, cross-checks them exactly,
+    runs one full ``solve_distributed`` under perf counters, and
+    compares a sequential Jacobi sweep with the thread-pool executor.
+    Returns ``(record, ok)`` where ``ok`` is False when the batched
+    oracle (or the Jacobi executor) disagrees with the legacy reference
+    on any component of the solution.
     """
     scenario = ScenarioConfig() if not smoke else ScenarioConfig(num_groups=12, num_links=16)
     problem = build_problem(scenario, rng=7)
@@ -129,24 +128,17 @@ def bench_algorithm1(smoke: bool) -> tuple:
     repeats = 5 if smoke else 8
 
     batched_cfg = SubproblemConfig(oracle="batched")
-    hoisted_cfg = SubproblemConfig(oracle="hoisted")
     legacy_cfg = SubproblemConfig(oracle="legacy")
     workspace = SubproblemWorkspace(problem)
 
     batched = solve_subproblem(problem, 0, aggregate, batched_cfg, workspace=workspace)
-    hoisted = solve_subproblem(problem, 0, aggregate, hoisted_cfg, workspace=workspace)
     legacy = solve_subproblem(problem, 0, aggregate, legacy_cfg)
-    identical = _solutions_identical(hoisted, legacy)
-    identical_batched = _solutions_identical(batched, legacy)
+    identical = _solutions_identical(batched, legacy)
 
-    def timed_oracle(cfg, reps):
-        return _time_repeated(
-            lambda: solve_subproblem(problem, 0, aggregate, cfg, workspace=workspace),
-            reps,
-        )
-
-    t_batched = timed_oracle(batched_cfg, repeats)
-    t_hoisted = timed_oracle(hoisted_cfg, repeats)
+    t_batched = _time_repeated(
+        lambda: solve_subproblem(problem, 0, aggregate, batched_cfg, workspace=workspace),
+        repeats,
+    )
     t_legacy = _time_repeated(
         lambda: solve_subproblem(problem, 0, aggregate, legacy_cfg), max(2, repeats // 2)
     )
@@ -190,13 +182,9 @@ def bench_algorithm1(smoke: bool) -> tuple:
         },
         "solve_subproblem": {
             "legacy_seconds": t_legacy,
-            "fast_seconds": t_hoisted,
             "batched_seconds": t_batched,
-            "speedup": t_legacy / t_hoisted if t_hoisted > 0 else float("inf"),
-            "batched_speedup": t_hoisted / t_batched if t_batched > 0 else float("inf"),
-            "cumulative_speedup": t_legacy / t_batched if t_batched > 0 else float("inf"),
+            "speedup": t_legacy / t_batched if t_batched > 0 else float("inf"),
             "identical": identical,
-            "identical_batched": identical_batched,
         },
         "jacobi_executor": {
             "sequential_seconds": t_jacobi_seq,
@@ -212,7 +200,7 @@ def bench_algorithm1(smoke: bool) -> tuple:
             "perf": registry.snapshot(),
         },
     }
-    return record, identical and identical_batched and jacobi_identical
+    return record, identical and jacobi_identical
 
 
 def bench_sweeps(smoke: bool, workers: int) -> tuple:
@@ -689,12 +677,8 @@ def _run_algorithm1(args) -> bool:
     jacobi = algo_record["jacobi_executor"]
     print(
         f"algorithm1: legacy {sub['legacy_seconds'] * 1e3:.1f} ms, "
-        f"hoisted {sub['fast_seconds'] * 1e3:.1f} ms "
-        f"({sub['speedup']:.2f}x), "
         f"batched {sub['batched_seconds'] * 1e3:.1f} ms "
-        f"({sub['batched_speedup']:.2f}x vs hoisted, "
-        f"{sub['cumulative_speedup']:.2f}x vs legacy, "
-        f"identical={sub['identical_batched']}); "
+        f"({sub['speedup']:.2f}x, identical={sub['identical']}); "
         f"jacobi pool {jacobi['threadpool_seconds']:.2f} s vs "
         f"seq {jacobi['sequential_seconds']:.2f} s "
         f"(identical={jacobi['identical']}) -> {path}"

@@ -16,37 +16,22 @@ two independent ways:
   too (CSR over ``u -> {f: lambda}``).
 
 :class:`SparseProblemInstance` stores exactly those two CSR structures
-plus the per-link transmission costs; everything the solvers need is
-derived from them.  Three consumption paths exist:
+plus the per-link transmission costs.  ``to_dense()`` materializes a
+:class:`ProblemInstance` (guarded by a cell budget), the bridge that
+runs the dense machinery on small instances *bit-for-bit*;
+``item_view(n)`` is SBS ``n``'s subproblem as a flat
+:class:`~repro.core.subproblem.ItemView` over the demand pairs it can
+serve, and :func:`solve_distributed_sparse` runs Algorithm 1 over those
+views with the base-station aggregate kept as a vector over the
+demand's nonzeros.  Per-phase work is ``O(nnz)``.
 
-1. ``to_dense()`` materializes a :class:`ProblemInstance` (guarded by a
-   cell budget) — :func:`repro.core.distributed.solve_distributed`
-   accepts a sparse instance through this bridge, making the dense
-   phase machinery available *bit-for-bit* on small instances.
-2. ``sub_instance(n)`` materializes only SBS ``n``'s local view: an
-   ``N=1`` dense block over its connected groups and candidate
-   contents.  The block is exactly what ``P_n`` of Eq. 10 sees — the
-   dual decomposition never looks outside the SBS's reach.
-3. :func:`solve_distributed_sparse` runs the paper's Gauss-Seidel sweep
-   (Algorithm 1) over those local blocks, reusing
-   :func:`repro.core.subproblem.solve_subproblem` verbatim, with the
-   base-station aggregate kept as a vector over the demand's nonzeros
-   instead of a ``(U, F)`` matrix.  Per-phase work is ``O(nnz)``.
-
-Equivalence with the dense solver
----------------------------------
-Each local block contains the SBS's demand-support contents *plus* the
-``C_n`` lowest-indexed contents outside the support, so the caching
-subproblem's zero-multiplier filler (see ``_select_cache_set``) picks
-exactly the files the dense solver would: cache sets match the dense
-run *set-for-set*.  Objective values are computed over the compact
-support instead of a zero-padded grid, so floating-point sums may
-differ from the dense solver in the last bits (numpy's pairwise
-summation trees differ); ``constant_offset`` re-anchors each local
-objective on the dense absolute scale so the dual ascent's relative
-tolerances see the same magnitudes.  The parity suite pins both: the
-densify bridge is bit-for-bit, the compact solver is cross-checked
-set-exact on caches and tight-tolerance on costs.
+Each view's file axis holds the SBS's demand support *plus* the ``C_n``
+lowest-indexed contents outside it, so the caching subproblem's
+zero-multiplier filler picks exactly the files the dense solver would,
+and the view's ``constant_offset`` puts the local objective on the
+dense absolute scale.  Cache sets therefore match the dense run
+set-for-set and routing bit-for-bit; objectives are sums over the
+compact support, equal to the dense ones up to the last float bits.
 """
 
 from __future__ import annotations
@@ -63,7 +48,7 @@ from .convergence import CostHistory, PhaseRecord
 from .distributed import DistributedConfig
 from .problem import ProblemInstance
 from .solution import ConstraintViolation, FeasibilityReport, Solution
-from .subproblem import SubproblemWorkspace, solve_subproblem
+from .subproblem import ItemView, SubproblemWorkspace, solve_subproblem
 
 __all__ = [
     "SparseProblemInstance",
@@ -521,14 +506,9 @@ class SparseProblemInstance:
         )
 
     def sub_instance(self, sbs: int) -> Tuple[ProblemInstance, SBSIndex]:
-        """SBS ``n``'s local view as an ``N=1`` dense :class:`ProblemInstance`.
-
-        The block spans the SBS's connected groups and candidate
-        contents (demand support plus cache-filler padding); it is the
-        exact input ``P_n`` of Eq. 10 needs, so
-        :func:`~repro.core.subproblem.solve_subproblem` runs on it
-        unchanged.  Raises when the SBS reaches no group — there is no
-        subproblem to solve (the sparse sweep shortcuts that case).
+        """SBS ``n``'s local view densified: the ``N=1`` block of
+        :meth:`item_view` over its connected groups and candidate contents.
+        Raises when the SBS reaches no group — there is no subproblem.
         """
         index = self.sbs_index(sbs)
         if index.groups.size == 0 or index.files.size == 0:
@@ -536,19 +516,31 @@ class SparseProblemInstance:
                 f"SBS {sbs} has no reachable groups or candidate contents; "
                 "its local subproblem is empty"
             )
-        demand = np.zeros((index.groups.size, index.files.size))
-        demand.ravel()[index.local_flat] = index.pair_weight
+        return self.item_view(sbs).to_problem(), index
+
+    def item_view(self, sbs: int) -> ItemView:
+        """SBS ``n``'s local view as an :class:`~repro.core.subproblem.ItemView`.
+
+        One item per reachable demand pair, aligned with
+        ``sbs_index(n).pair_ids``; rows and files index the
+        :meth:`sub_instance` block without materializing it.
+        """
+        index = self.sbs_index(sbs)
+        num_files = max(index.files.size, 1)
         indptr, _, csc_cost = self._reach_csc()
-        link_costs = csc_cost[indptr[sbs] : indptr[sbs + 1]]
-        problem = ProblemInstance(
-            demand=demand,
-            connectivity=np.ones((1, index.groups.size)),
-            cache_capacity=self.cache_capacity[sbs : sbs + 1].copy(),
-            bandwidth=self.bandwidth[sbs : sbs + 1].copy(),
-            sbs_cost=link_costs.reshape(1, -1).copy(),
-            bs_cost=self.bs_cost[index.groups].copy(),
+        return ItemView(
+            item_row=index.local_flat // num_files,
+            item_file=index.local_flat % num_files,
+            weight=index.pair_weight,
+            link_cost=csc_cost[indptr[sbs] : indptr[sbs + 1]],
+            reach=np.ones(index.groups.size),
+            bs_cost=self.bs_cost[index.groups],
+            num_files=index.files.size,
+            cache_capacity=float(self.cache_capacity[sbs]),
+            bandwidth=float(self.bandwidth[sbs]),
+            constant_offset=index.bs_offset,
+            shape=index.pair_ids.shape,
         )
-        return problem, index
 
     # ------------------------------------------------------------------
     # Reporting
@@ -838,11 +830,10 @@ def solve_distributed_sparse(
 ) -> SparseDistributedResult:
     """Run Algorithm 1's Gauss-Seidel sweep on the compact representation.
 
-    Per phase, the active SBS materializes only its local ``(U_n, F_n)``
-    block, solves ``P_n`` with the stock
-    :func:`~repro.core.subproblem.solve_subproblem` (one shared
-    workspace, ``constant_offset`` anchoring the local objective on the
-    dense scale), and uploads a vector over its reachable demand pairs;
+    Per phase, the active SBS solves ``P_n`` on its
+    :meth:`~SparseProblemInstance.item_view` with the stock
+    :func:`~repro.core.subproblem.solve_subproblem` — no local block is
+    materialized — and uploads a vector over its reachable demand pairs;
     the base station refreshes the aggregate on exactly those pairs and
     re-evaluates the system cost in ``O(nnz)``.  Convergence uses the
     same relative-cost test as the dense optimizer, and the run emits
@@ -853,9 +844,9 @@ def solve_distributed_sparse(
     Unsupported dense features raise: Jacobi mode, price coordination,
     restarts, privacy and fault injection all require the dense
     machinery — densify through :meth:`SparseProblemInstance.to_dense`
-    for those (guarded by the cell budget).  At city scale prefer
-    ``SubproblemConfig(polish=False)``: the swap-polish trial buffers
-    are the one allocation quadratic in the local block size.
+    for those (guarded by the cell budget).  Kernel scratch is one
+    workspace sized for the largest view; polish adds ``(32, P_n)``
+    trial buffers, linear in the SBS's demand pairs.
     """
     config = config or DistributedConfig()
     if config.mode != "gauss-seidel":
@@ -887,7 +878,11 @@ def solve_distributed_sparse(
     caching: List[np.ndarray] = [np.empty(0, dtype=np.int64) for _ in range(num_sbs)]
     local_caching: List[Optional[np.ndarray]] = [None] * num_sbs
     multipliers: List[Optional[np.ndarray]] = [None] * num_sbs
-    workspace: Optional[SubproblemWorkspace] = None
+    # One kernel workspace for the whole solve, sized for the largest
+    # local view, so no phase re-allocates it.
+    workspace = SubproblemWorkspace(
+        items=max((index.pair_ids.size for index in indexes), default=1)
+    )
     pair_bs_weight = instance.pair_bs_weight()
 
     history = CostHistory(initial_cost=instance.max_cost())
@@ -924,8 +919,7 @@ def solve_distributed_sparse(
     ).start()
     for iteration in range(config.max_iterations):
         perf.count("algorithm1.sparse_iterations")
-        sweep_gaps: List[float] = []
-        sweep_norms: List[float] = []
+        sweep_stats: List[Dict[str, float]] = []
         with obs.span(
             "iteration", category="iteration", iteration=iteration
         ), perf.timed("algorithm1.sparse_sweep"):
@@ -933,41 +927,31 @@ def solve_distributed_sparse(
                 index = indexes[sbs]
                 stats: Optional[Dict[str, float]] = None
                 if index.pair_ids.size:
-                    sub_problem, _ = instance.sub_instance(sbs)
-                    block = np.zeros((index.groups.size, index.files.size))
                     own = aggregate.reports[aggregate.slice_of(sbs)]
                     others = aggregate.values[index.pair_ids] - own
                     np.clip(others, 0.0, None, out=others)
-                    block.ravel()[index.local_flat] = others
-                    if workspace is None:
-                        perf.count("sparse.workspace_allocs")
-                        workspace = SubproblemWorkspace(sub_problem)
                     solution = solve_subproblem(
-                        sub_problem,
-                        0,
-                        block,
+                        instance.item_view(sbs),
+                        None,
+                        others,
                         config.subproblem,
-                        initial_multipliers=(
-                            multipliers[sbs] if config.warm_start else None
-                        ),
+                        initial_multipliers=multipliers[sbs],
                         candidate_caching=local_caching[sbs],
                         workspace=workspace,
-                        constant_offset=index.bs_offset,
                     )
-                    report = solution.routing.ravel()[index.local_flat].copy()
+                    report = solution.routing
                     aggregate.reports[aggregate.slice_of(sbs)] = report
                     aggregate.refresh(index.pair_ids)
                     f1_terms[sbs] = float(np.dot(index.pair_link_weight, report))
                     local_caching[sbs] = solution.caching
                     caching[sbs] = index.files[np.flatnonzero(solution.caching > 0.0)]
-                    if config.warm_start and solution.multipliers is not None:
-                        multipliers[sbs] = solution.multipliers.ravel()
-                    stats = {"dual_gap": float(solution.cost - solution.best_dual)}
-                    if solution.multipliers is not None:
-                        stats["mu_norm"] = float(np.linalg.norm(solution.multipliers))
-                    sweep_gaps.append(stats["dual_gap"])
-                    if "mu_norm" in stats:
-                        sweep_norms.append(stats["mu_norm"])
+                    if config.warm_start:
+                        multipliers[sbs] = solution.multipliers
+                    stats = {
+                        "dual_gap": float(solution.cost - solution.best_dual),
+                        "mu_norm": float(np.linalg.norm(solution.multipliers)),
+                    }
+                    sweep_stats.append(stats)
                 else:
                     # No reachable demand: nothing to route, and the dense
                     # filler would cache the lowest-indexed contents.
@@ -999,11 +983,11 @@ def solve_distributed_sparse(
                 "cost": float(cost),
                 "relative_change": float(relative_change),
             }
-            if sweep_gaps:
-                fields["dual_gap_max"] = max(sweep_gaps)
-            if sweep_norms:
-                fields["mu_norm_max"] = max(sweep_norms)
-                fields["mu_norm_mean"] = sum(sweep_norms) / len(sweep_norms)
+            if sweep_stats:
+                norms = [entry["mu_norm"] for entry in sweep_stats]
+                fields["dual_gap_max"] = max(entry["dual_gap"] for entry in sweep_stats)
+                fields["mu_norm_max"] = max(norms)
+                fields["mu_norm_mean"] = sum(norms) / len(norms)
             obs.emit("iteration", **fields)
         if relative_change <= config.accuracy:
             converged = True

@@ -25,26 +25,28 @@ optional local-search polish swaps files in/out of the best cache set
 until no single swap improves the cost, and an exhaustive solver is
 provided for validating optimality on tiny instances.
 
-Two oracle implementations back the dual ascent:
+Everything runs on a flat :class:`ItemView` with one item per ``(row,
+file)`` cell: dense callers get the full ``(U, F)`` grid, the sparse
+solver only an SBS's demand pairs.  Dropping zero-demand cells is exact:
+their routing cost is ``±0 + mu >= 0``, so they are never paid or free,
+their routing stays ``0`` and their multiplier ``+0.0``.
 
-* the **fast path** (``SubproblemConfig.fast=True``, the default) hoists
-  everything that does not change across dual iterations — routing cost
-  coefficients, knapsack weights, residual caps, the tie-break filler
-  order — out of the loop, validates arrays once at this API boundary
-  only, and reuses the preallocated buffers of a
-  :class:`SubproblemWorkspace`;
-* the **legacy path** (``fast=False``) routes every dual iteration
-  through the public, validating helpers (:func:`cache_subproblem`,
-  :func:`routing_subproblem`).  It is kept as the reference baseline for
-  the perf benchmarks and is cross-checked bit-for-bit against the fast
-  path in the tests.
+The dual ascent has two oracles.  The **batched kernel** (the default)
+hoists every loop invariant, validates arrays once at this API
+boundary, solves the dual routing subproblem and primal recovery as one
+two-row knapsack batch and runs in the buffers of a
+:class:`SubproblemWorkspace`.  The **legacy** oracle (``fast=False``)
+routes every dual iteration through the public, validating helpers
+(:func:`cache_subproblem`, :func:`routing_subproblem`) on the dense
+problem the view flattens; it is the reference the kernel is
+cross-checked against bit for bit.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -57,6 +59,7 @@ from .problem import ProblemInstance
 from .routing import optimal_routing_for_sbs, residual_caps
 
 __all__ = [
+    "ItemView",
     "SubproblemConfig",
     "SubproblemSolution",
     "SubproblemWorkspace",
@@ -72,6 +75,9 @@ __all__ = [
 # never materialized, and the chunk size bounds the trial scratch
 # buffers preallocated in :class:`SubproblemWorkspace`.
 _TRIAL_CHUNK = 32
+
+# The per-item vectors of :class:`SubproblemWorkspace`.
+_VECTORS = ("caps", "dual_costs", "mu", "subgrad", "priced_mu", "prod", "cache")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -90,19 +96,14 @@ class SubproblemConfig:
     polish:
         Run single-swap local search on the recovered cache set.
     fast:
-        Use a hoisted, buffer-reusing oracle (see the module
+        Use the batched, buffer-reusing kernel (see the module
         docstring).  ``False`` selects the legacy per-iteration
         validated helpers; both produce bit-identical solutions.
     oracle:
         Which implementation backs the dual ascent: ``"batched"`` (the
-        default — batched numpy kernels, one fused knapsack batch and an
-        allocation-free subgradient step per iteration), ``"hoisted"``
-        (the scalar fast path: hoisted invariants but one scalar
-        knapsack call per subproblem), or ``"legacy"`` (per-iteration
-        validated helpers).  ``None`` derives the choice from ``fast``
-        (``True`` → ``"batched"``, ``False`` → ``"legacy"``).  All three
-        produce bit-identical solutions; the tiers exist so the perf
-        benchmarks can measure each rung of the ladder.
+        kernel) or ``"legacy"`` (per-iteration validated helpers).
+        ``None`` derives the choice from ``fast`` (``True`` →
+        ``"batched"``, ``False`` → ``"legacy"``).
     """
 
     schedule: Optional[StepSchedule] = None
@@ -118,14 +119,13 @@ class SubproblemConfig:
         check_positive_int(self.patience, "patience")
         if self.tol < 0:
             raise ValidationError(f"tol must be nonnegative, got {self.tol}")
-        if self.oracle not in (None, "batched", "hoisted", "legacy"):
+        if self.oracle not in (None, "batched", "legacy"):
             raise ValidationError(
-                "oracle must be one of 'batched', 'hoisted', 'legacy' or None, "
-                f"got {self.oracle!r}"
+                f"oracle must be 'batched', 'legacy' or None, got {self.oracle!r}"
             )
 
     def resolved_oracle(self) -> str:
-        """The effective oracle tier after applying the ``fast`` default."""
+        """The effective oracle after applying the ``fast`` default."""
         if self.oracle is not None:
             return self.oracle
         return "batched" if self.fast else "legacy"
@@ -138,100 +138,158 @@ class SubproblemSolution:
     ``cost`` is the *local objective* ``f_n`` of Eq. 10 (it contains the
     constant BS term induced by ``y_{-n}``, so it is comparable across
     candidate policies of the same SBS but not across SBSs).
+
+    ``routing`` and ``multipliers`` follow the layout of the view solved
+    (``ItemView.shape``): ``(U, F)`` for a dense problem's full grid,
+    ``(P_n,)`` — one entry per demand pair — for the sparse solver.
     """
 
     caching: np.ndarray  # (F,)
-    routing: np.ndarray  # (U, F)
+    routing: np.ndarray  # ItemView.shape
     cost: float
     best_dual: float
     dual_history: Tuple[float, ...]
     iterations: int
     converged: bool
-    multipliers: Optional[np.ndarray] = None  # (U, F) final dual iterate
+    multipliers: Optional[np.ndarray] = None  # ItemView.shape, final dual iterate
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class ItemView:
+    """Flat item view of one SBS's subproblem ``P_n``.
+
+    An item is one ``(row, file)`` cell with its own routing ``y`` and
+    multiplier ``mu``; rows are the SBS's MU groups.  Items are listed
+    row-major, so every per-file sum adds in the order of the dense
+    grid's axis-0 reduction.  The item-aligned inputs and outputs of
+    :func:`solve_subproblem` are laid out as ``shape``: ``(U, F)`` for
+    a full grid, ``(P,)`` otherwise.
+
+    ``item_row`` / ``item_file`` / ``weight`` are ``(P,)``;
+    ``link_cost`` / ``reach`` / ``bs_cost`` are the per-row ``d[n, u]``,
+    ``l[n, u]`` and ``d_hat[u]``.  ``constant_offset`` is added to the
+    ``y``-independent part of the objective: the sparse solver passes
+    the BS cost of the demand outside the SBS's reach, so a local view
+    reports its objective on the dense solver's absolute scale.
+    """
+
+    item_row: np.ndarray
+    item_file: np.ndarray
+    weight: np.ndarray
+    link_cost: np.ndarray
+    reach: np.ndarray
+    bs_cost: np.ndarray
+    num_files: int
+    cache_capacity: float
+    bandwidth: float
+    constant_offset: float
+    shape: Tuple[int, ...]
+
+    @classmethod
+    def grid(
+        cls, problem: ProblemInstance, sbs: int, *, constant_offset: float = 0.0
+    ) -> "ItemView":
+        """The full-grid view of SBS ``sbs``: every cell, row-major."""
+        num_groups, num_files = problem.num_groups, problem.num_files
+        return cls(
+            item_row=np.repeat(np.arange(num_groups), num_files),
+            item_file=np.tile(np.arange(num_files), num_groups),
+            weight=problem.demand_flat(),
+            link_cost=problem.sbs_cost[sbs],
+            reach=problem.connectivity[sbs],
+            bs_cost=problem.bs_cost,
+            num_files=num_files,
+            cache_capacity=float(problem.cache_capacity[sbs]),
+            bandwidth=float(problem.bandwidth[sbs]),
+            constant_offset=constant_offset,
+            shape=(num_groups, num_files),
+        )
+
+    @property
+    def num_items(self) -> int:
+        """Number of items ``P``."""
+        return self.item_row.size
+
+    def to_problem(self) -> ProblemInstance:
+        """The dense one-SBS :class:`ProblemInstance` the view flattens."""
+        demand = np.zeros((self.reach.size, self.num_files))
+        demand[self.item_row, self.item_file] = self.weight
+        return ProblemInstance(
+            demand=demand,
+            connectivity=self.reach[np.newaxis, :].copy(),
+            cache_capacity=np.array([self.cache_capacity]),
+            bandwidth=np.array([self.bandwidth]),
+            sbs_cost=self.link_cost[np.newaxis, :].copy(),
+            bs_cost=self.bs_cost.copy(),
+        )
+
+    def file_sums(self, values: np.ndarray) -> np.ndarray:
+        """``(F,)`` per-file sums of an item vector, each added in row order:
+        ``bincount`` adds sequentially, exactly like the axis-0 reduction a
+        full grid runs directly (several times faster, bit for bit equal)."""
+        if len(self.shape) == 2:
+            return np.add.reduce(values.reshape(self.shape), axis=0)
+        return np.bincount(self.item_file, weights=values, minlength=self.num_files)
+
+    def per_item(self, file_values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``file_values`` at each item's file, broadcastable against an
+        item vector reshaped to ``shape`` (``out`` is the scratch)."""
+        if len(self.shape) == 2:
+            return file_values
+        return file_values.take(self.item_file, out=out)
 
 
 class SubproblemWorkspace:
-    """Preallocated scratch buffers for the fast subproblem oracles.
+    """Preallocated scratch buffers for the batched subproblem kernel.
 
-    One workspace holds every ``(U, F)``-sized buffer the dual-ascent
-    inner loop needs, so a caller that solves repeatedly — an
-    :class:`~repro.core.distributed.SBSAgent` runs one solve per
-    Gauss-Seidel round — pays the allocations once per run instead of
-    once per dual iteration.  The batched oracle additionally keeps its
-    2-row :class:`~repro.solvers.fractional_knapsack.KnapsackBatchWorkspace`
-    (row 0: the dual routing subproblem, row 1: primal recovery) and the
-    flat multiplier/subgradient iterates here, so a whole dual iteration
-    runs without allocating.
-
-    A workspace adapts to the problem shape it is used with:
-    :func:`solve_subproblem` calls :meth:`ensure_shape`, which
-    re-allocates every buffer when the ``(U, F)`` shape changed since
-    the last solve (sweep cells of different sizes can safely share one
-    workspace).
+    Holds every per-item buffer of a dual iteration, including the 2-row
+    :class:`~repro.solvers.fractional_knapsack.KnapsackBatchWorkspace`
+    (row 0: the dual routing subproblem, row 1: primal recovery), so a
+    repeat caller pays the allocations once.  Buffers only grow: a solve
+    takes prefix views of its item count, so one workspace serves views
+    of different sizes — the sparse sweep sizes it for its largest SBS
+    view.  Every allocation bumps ``subproblem.workspace_allocs``.
     """
 
-    __slots__ = (
-        "shape",
-        "caps",
-        "effective_caps",
-        "costs_flat",
-        "priced_mu_flat",
-        "mu_flat",
-        "subgrad_flat",
-        "prod_flat",
-        "aggregated",
-        "batch_costs",
-        "batch_caps",
-        "knapsack",
-        "_trial_prod",
-        "_trial_scratch",
-    )
+    def __init__(self, problem: Optional[ProblemInstance] = None, *, items: int = 1) -> None:
+        if problem is not None:
+            items = max(items, problem.num_groups * problem.num_files)
+        self.capacity = 0
+        self.bind(max(items, 1))
 
-    def __init__(self, problem: ProblemInstance) -> None:
-        self._allocate((problem.num_groups, problem.num_files))
+    def bind(self, items: int) -> None:
+        """Point every buffer at its first ``items`` entries, growing if needed."""
+        if items > self.capacity:
+            perf.count("subproblem.workspace_allocs")
+            self.capacity = items
+            self._vectors = [np.empty(items) for _ in _VECTORS]
+            self.knapsack = KnapsackBatchWorkspace(2, items)
+            self._trials: Optional[Tuple[np.ndarray, KnapsackBatchWorkspace]] = None
+        self.items = items
+        (
+            self.caps,
+            self.dual_costs,
+            self.mu,
+            self.subgrad,
+            self.priced_mu,
+            self.prod,
+            self.cache,
+        ) = [vector[:items] for vector in self._vectors]
+        self.knapsack.resize(items)
+        if self._trials is not None:
+            self._trials[1].resize(items)
 
-    def _allocate(self, shape: Tuple[int, int]) -> None:
-        size = shape[0] * shape[1]
-        self.shape = shape
-        self.caps = np.empty(shape)
-        self.effective_caps = np.empty(shape)
-        self.costs_flat = np.empty(size)
-        self.priced_mu_flat = np.empty(size)
-        self.mu_flat = np.empty(size)
-        self.subgrad_flat = np.empty(size)
-        self.prod_flat = np.empty(size)
-        self.aggregated = np.empty(shape[1])
-        self.batch_costs = np.empty((2, size))
-        self.batch_caps = np.empty((2, size))
-        self.knapsack = KnapsackBatchWorkspace(2, size)
-        # The polish trial buffers are (_TRIAL_CHUNK, U*F)-sized — by far
-        # the largest scratch in the workspace — and are only touched when
-        # the polish pass actually evaluates swap candidates, so they are
-        # allocated lazily; sparse-path solves with polish disabled never
-        # pay for them.
-        self._trial_prod: Optional[np.ndarray] = None
-        self._trial_scratch: Optional[KnapsackBatchWorkspace] = None
-
-    @property
-    def trial_prod(self) -> np.ndarray:
-        """Lazily allocated ``(_TRIAL_CHUNK, U*F)`` polish product scratch."""
-        if self._trial_prod is None:
-            self._trial_prod = np.empty((_TRIAL_CHUNK, self.shape[0] * self.shape[1]))
-        return self._trial_prod
-
-    @property
-    def trial_scratch(self) -> KnapsackBatchWorkspace:
-        """Lazily allocated ``_TRIAL_CHUNK``-row polish knapsack workspace."""
-        if self._trial_scratch is None:
-            self._trial_scratch = KnapsackBatchWorkspace(
-                _TRIAL_CHUNK, self.shape[0] * self.shape[1]
-            )
-        return self._trial_scratch
-
-    def ensure_shape(self, shape: Tuple[int, int]) -> None:
-        """Re-allocate every buffer if ``shape`` differs from the last solve."""
-        if self.shape != shape:
-            self._allocate(shape)
+    def trials(self) -> Tuple[np.ndarray, KnapsackBatchWorkspace]:
+        """Polish trial scratch: ``(_TRIAL_CHUNK, items)`` products and a
+        ``_TRIAL_CHUNK``-row knapsack workspace — the largest buffers
+        here, so they are allocated on first use only."""
+        if self._trials is None:
+            perf.count("subproblem.workspace_allocs")
+            scratch = KnapsackBatchWorkspace(_TRIAL_CHUNK, self.capacity)
+            scratch.resize(self.items)
+            self._trials = (np.empty(_TRIAL_CHUNK * self.capacity), scratch)
+        products, scratch = self._trials
+        return products[: _TRIAL_CHUNK * self.items].reshape(_TRIAL_CHUNK, -1), scratch
 
 
 def _routing_coefficients(problem: ProblemInstance, sbs: int) -> np.ndarray:
@@ -379,7 +437,7 @@ def _polish_cache_set(
     oracles supply their own evaluator.
 
     ``batch_evaluate`` (batched oracle only) maps a ``(T, F)`` matrix of
-    trial cache vectors to ``(routings (T, U, F), costs (T,))`` in one
+    trial cache vectors to ``(routings (T, P), costs (T,))`` in one
     shared-order knapsack batch.  Within one pass every swap trial
     derives from the same incumbent (the scalar loop accepts at most one
     swap and then restarts the pass), so evaluating all trials up front
@@ -450,8 +508,8 @@ def _polish_cache_set(
 
 
 def solve_subproblem(
-    problem: ProblemInstance,
-    sbs: int,
+    problem: Union[ProblemInstance, ItemView],
+    sbs: Optional[int],
     aggregate_others: np.ndarray,
     config: Optional[SubproblemConfig] = None,
     *,
@@ -460,18 +518,22 @@ def solve_subproblem(
     initial_multipliers: Optional[np.ndarray] = None,
     candidate_caching: Optional[np.ndarray] = None,
     workspace: Optional[SubproblemWorkspace] = None,
-    constant_offset: float = 0.0,
 ) -> SubproblemSolution:
     """Solve ``P_n`` by the paper's dual decomposition with primal recovery.
 
-    ``prices`` (shape ``(U, F)``) and ``cap_slack`` support the enhanced
-    price-coordination mode of the distributed optimizer: prices add a
-    per-unit congestion charge to the routing coefficients, and
-    ``cap_slack`` loosens the residual caps by a constant so contested
-    pairs can be transiently over-served while the prices equilibrate.
-    With the defaults (no prices, zero slack) this is exactly the
-    paper's subproblem; the reported ``cost`` is the (price-augmented)
-    local objective.
+    ``problem`` is a dense :class:`ProblemInstance` with ``sbs``
+    selecting the SBS (solved on its full-grid view), or an
+    :class:`ItemView` with ``sbs=None``.  ``aggregate_others``,
+    ``prices``, ``initial_multipliers`` and the returned routing and
+    multipliers are laid out as the view's ``shape``.
+
+    ``prices`` and ``cap_slack`` support the enhanced price-coordination
+    mode of the distributed optimizer: prices add a per-unit congestion
+    charge to the routing coefficients, and ``cap_slack`` loosens the
+    residual caps by a constant so contested pairs can be transiently
+    over-served while the prices equilibrate.  With the defaults (no
+    prices, zero slack) this is exactly the paper's subproblem; the
+    reported ``cost`` is the (price-augmented) local objective.
 
     ``initial_multipliers`` warm-starts the dual ascent — across
     Gauss-Seidel iterations the aggregate changes little, so reusing the
@@ -484,58 +546,124 @@ def solve_subproblem(
     which is what makes every Gauss-Seidel phase non-increasing
     regardless of dual-ascent noise.
 
-    ``workspace`` supplies preallocated scratch buffers for the fast
-    oracle (one is created per call when omitted); repeat callers should
-    hold one :class:`SubproblemWorkspace` per SBS and pass it in.
-
-    ``constant_offset`` is added to the ``y``-independent constant term.
-    The sparse solver passes the BS cost of the demand *outside* the
-    SBS's reach so a compact local view reports its objective on the
-    same absolute scale as the dense solver — the dual ascent's
-    relative stall tolerances then see (up to summation order) the same
-    magnitudes and take the same trajectory.  The default ``0.0`` is a
-    bit-exact no-op.
+    ``workspace`` supplies the batched kernel's scratch (one is created
+    per call when omitted); repeat callers should pass one in.
     """
     config = config or SubproblemConfig()
-    problem._check_sbs(sbs)
-    num_groups, num_files = problem.num_groups, problem.num_files
+    if isinstance(problem, ItemView):
+        if sbs is not None:
+            raise ValidationError("an ItemView is one SBS's subproblem; pass sbs=None")
+        view = problem
+    else:
+        problem._check_sbs(sbs)
+        view = ItemView.grid(problem, sbs)
     perf.count("subproblem.solves")
     # Arrays are validated once here, at the API boundary; the oracles
     # below trust them for the whole dual ascent.
-    aggregate_others = as_float_array(
-        aggregate_others, "aggregate_others", shape=(num_groups, num_files)
-    )
-    mode = config.resolved_oracle()
-    use_fast = mode != "legacy"
-    if workspace is not None:
-        # Buffers adapt to the problem at hand: a workspace reused across
-        # sweep cells of different (U, F) shapes is re-allocated, never
-        # trusted blindly.
-        workspace.ensure_shape((num_groups, num_files))
-    if use_fast and workspace is None:
-        workspace = SubproblemWorkspace(problem)
-    caps = residual_caps(
-        problem,
-        sbs,
-        aggregate_others,
-        out=workspace.caps if use_fast else None,
-        validate=False,
-    )
+    others = as_float_array(aggregate_others, "aggregate_others", shape=view.shape).ravel()
     if cap_slack < 0:
         raise ValidationError(f"cap_slack must be nonnegative, got {cap_slack}")
-    if cap_slack > 0:
-        reach = problem.connectivity[sbs][:, np.newaxis]
-        caps = np.minimum(caps + cap_slack * reach, reach)
     if prices is not None:
         prices = np.asarray(prices, dtype=np.float64)
-        if prices.shape != (num_groups, num_files):
+        if prices.shape != view.shape:
+            raise ValidationError(f"prices must have shape {view.shape}")
+        prices = prices.ravel()
+    start = None
+    if initial_multipliers is not None:
+        start = np.asarray(initial_multipliers, dtype=np.float64).ravel()
+        if start.size != view.num_items:
             raise ValidationError(
-                f"prices must have shape {(num_groups, num_files)}"
+                f"initial_multipliers must have {view.num_items} entries, got {start.size}"
             )
-    constant = _constant_term(problem, sbs, aggregate_others) + constant_offset
-    coefficients = _routing_coefficients(problem, sbs)
-    tie_break = (problem.savings_margin()[sbs][:, np.newaxis] * problem.demand * caps).sum(axis=0)
-    capacity = int(problem.cache_slots()[sbs])
+        start = np.maximum(start, 0.0)
+    seed = None
+    if candidate_caching is not None:
+        seed = as_float_array(candidate_caching, "candidate_caching", shape=(view.num_files,))
+
+    if config.resolved_oracle() == "batched":
+        if workspace is None:
+            workspace = SubproblemWorkspace(items=view.num_items)
+        caching, routing, cost, result = _dual_decomposition(
+            view, others, prices, cap_slack, start, seed, config, workspace=workspace
+        )
+    else:
+        # The legacy oracle is the dense reference: it solves the grid of
+        # the one-SBS problem the view flattens, and the outcome is
+        # gathered back onto the view's items.
+        dense = view.to_problem()
+        grid = ItemView.grid(dense, 0, constant_offset=view.constant_offset)
+        cells = view.item_row * view.num_files + view.item_file
+
+        def on_grid(values: Optional[np.ndarray]) -> Optional[np.ndarray]:
+            if values is None:
+                return None
+            spread = np.zeros(grid.num_items)
+            np.put(spread, cells, values)
+            return spread
+
+        caching, routing, cost, result = _dual_decomposition(
+            grid,
+            on_grid(others),
+            on_grid(prices),
+            cap_slack,
+            on_grid(start),
+            seed,
+            config,
+            dense=dense,
+        )
+        routing = routing[cells]
+        result = dataclasses.replace(result, multipliers=result.multipliers[cells])
+    return SubproblemSolution(
+        caching=caching,
+        routing=routing.reshape(view.shape),
+        cost=cost,
+        best_dual=result.best_dual,
+        dual_history=tuple(result.dual_history),
+        iterations=result.iterations,
+        converged=result.converged,
+        multipliers=result.multipliers.reshape(view.shape),
+    )
+
+
+def _dual_decomposition(
+    view: ItemView,
+    others: np.ndarray,
+    prices: Optional[np.ndarray],
+    cap_slack: float,
+    start: Optional[np.ndarray],
+    seed: Optional[np.ndarray],
+    config: SubproblemConfig,
+    *,
+    workspace: Optional[SubproblemWorkspace] = None,
+    dense: Optional[ProblemInstance] = None,
+) -> Tuple[np.ndarray, np.ndarray, float, SubgradientResult]:
+    """The dual ascent on validated item vectors: the batched kernel in
+    ``workspace``, or the legacy oracle on ``dense``, the one-SBS problem
+    whose full grid ``view`` is.  Routing and multipliers are ``(P,)``."""
+    num_files, bandwidth = view.num_files, view.bandwidth
+    item_row, item_file, weights = view.item_row, view.item_file, view.weight
+    capacity = int(np.floor(view.cache_capacity + 1e-9))
+    ws = workspace
+    if ws is not None:
+        ws.bind(view.num_items)
+    # Residual caps, exactly as :func:`repro.core.routing.residual_caps`.
+    reach = view.reach.take(item_row)
+    caps = np.subtract(1.0, others, out=None if ws is None else ws.caps)
+    np.clip(caps, 0.0, 1.0, out=caps)
+    caps *= reach
+    if cap_slack > 0:
+        caps = np.minimum(caps + cap_slack * reach, reach)
+    # The y-independent BS cost of what the others leave, Eq. 10.
+    residual = 1.0 - np.clip(others, 0.0, 1.0) * reach
+    constant = (
+        float(np.sum(view.bs_cost.take(item_row) * residual * weights)) + view.constant_offset
+    )
+    # Routing coefficients c = -(d_hat - d) * l * lambda, nonpositive
+    # wherever offloading pays.
+    row_margin = (view.bs_cost - view.link_cost) * view.reach
+    coefficients = np.negative(row_margin).take(item_row) * weights
+    priced = coefficients if prices is None else coefficients + prices
+    tie_break = view.file_sums(row_margin.take(item_row) * weights * caps)
 
     schedule = config.schedule
     if schedule is None:
@@ -543,220 +671,136 @@ def solve_subproblem(
         # Warm-started duals sit near the optimum already: restart with a
         # quarter of the cold step so successive Gauss-Seidel iterations
         # don't re-inject oscillation into an almost-converged dual.
-        eta0_factor = 0.125 if initial_multipliers is not None else 0.5
+        eta0_factor = 0.125 if start is not None else 0.5
         schedule = StepSchedule(eta0=max(scale, 1e-12) * eta0_factor, alpha=0.25)
 
-    priced = coefficients if prices is None else coefficients + prices
+    best: dict = {"cost": np.inf, "caching": None, "routing": None}
+
+    def consider(caching: np.ndarray, routing: np.ndarray, cost: float) -> None:
+        if cost < best["cost"]:
+            best.update(cost=cost, caching=caching, routing=routing.copy())
 
     batch_evaluate: Optional[Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]] = None
-    if use_fast:
-        # Everything invariant across dual iterations, hoisted out of the
-        # loop: flat views of the priced coefficients and caps, the shared
-        # demand weights, and the tie-break filler order.
-        ws = workspace
-        coefficients_flat = coefficients.ravel()
-        priced_flat = priced.ravel()
-        prices_flat = None if prices is None else prices.ravel()
-        caps_flat = caps.ravel()
-        weights_flat = problem.demand_flat()
-        bandwidth = float(problem.bandwidth[sbs])
-        filler_order = np.argsort(-tie_break, kind="stable")
-
-    if mode == "batched":
-        # Row 0 of the knapsack batch is the dual routing subproblem
-        # (costs change with mu each iteration), row 1 is primal
-        # recovery (costs are the fixed priced coefficients, only the
-        # cache-masked caps change) — row 1's value-density sort is paid
-        # exactly once per solve, and every polish trial reuses it too.
-        kw = ws.knapsack
-        kw.bind_weights(weights_flat)
-        np.copyto(ws.batch_costs[1], priced_flat)
-        kw.prepare_row(1, ws.batch_costs[1])
-        caps_eff_flat = ws.batch_caps[1]
-        caps_eff = caps_eff_flat.reshape(num_groups, num_files)
+    if dense is not None:
+        grid = view.shape
+        caps_grid = caps.reshape(grid)
+        prices_grid = None if prices is None else prices.reshape(grid)
+        priced_grid = priced.reshape(grid)
 
         def evaluate(caching: np.ndarray) -> Tuple[np.ndarray, float]:
-            np.multiply(caps, caching[np.newaxis, :], out=caps_eff)
-            alloc = kw.solve_row(1, caps_eff_flat, bandwidth)
-            np.multiply(priced_flat, alloc, out=ws.prod_flat)
-            cost = constant + float(np.add.reduce(ws.prod_flat))
-            return alloc.reshape(num_groups, num_files).copy(), cost
-
-        # The recovery row's costs (the priced coefficients) are fixed
-        # for the whole solve, so its paid prefix, greedy order and the
-        # caps gathered along it are hoisted here; a polish trial then
-        # only contributes its (F,)-sized cache mask, gathered from the
-        # tiny trial matrix instead of a (T, U*F) effective-caps build.
-        recovery_paid = int(kw.paid_count[1])
-        recovery_order = kw.order[1, :recovery_paid]
-        recovery_file = recovery_order % num_files
-        recovery_caps = caps_flat.take(recovery_order)
-        recovery_w_eff = kw.w_eff[1, :recovery_paid]
-        recovery_w = kw.w_sorted[1, :recovery_paid]
-
-        def recover(caching: np.ndarray) -> Tuple[np.ndarray, float]:
-            """Recovery evaluation of one cache set — the T=1 kernel."""
-            perf.count("knapsack.batched_rows")
-            allocation = kw.allocation[1]
-            allocation.fill(0.0)
-            if recovery_paid:
-                sorted_full = kw.sorted_full[1, :recovery_paid]
-                np.multiply(recovery_caps, caching.take(recovery_file), out=sorted_full)
-                np.multiply(sorted_full, recovery_w_eff, out=sorted_full)
-                before = kw.before[1, :recovery_paid]
-                before[0] = 0.0
-                sorted_full[:-1].cumsum(out=before[1:])
-                take = kw.take[1, :recovery_paid]
-                np.subtract(bandwidth, before, out=take)
-                np.maximum(take, 0.0, out=take)
-                np.minimum(take, sorted_full, out=take)
-                positive = kw.positive[1, :recovery_paid]
-                np.greater(take, 0.0, out=positive)
-                vals = kw.vals[1, :recovery_paid]
-                vals.fill(0.0)
-                np.divide(take, recovery_w, out=vals, where=positive)
-                allocation[recovery_order] = vals
-            if kw.has_free(1):
-                free_cols = np.flatnonzero(kw.free[1])
-                allocation[free_cols] = caps_flat[free_cols] * caching[free_cols % num_files]
-            np.multiply(priced_flat, allocation, out=ws.prod_flat)
-            return allocation, constant + float(np.add.reduce(ws.prod_flat))
-
-        def batch_evaluate(trials: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            count = trials.shape[0]
-            perf.count("knapsack.batched_rows", count)
-            scratch = ws.trial_scratch
-            allocation = scratch.allocation[:count]
-            allocation.fill(0.0)
-            if recovery_paid:
-                sorted_full = scratch.sorted_full[:count, :recovery_paid]
-                # Same grouping as the scalar path: (cap * trial) * w.
-                np.multiply(recovery_caps, trials[:, recovery_file], out=sorted_full)
-                np.multiply(sorted_full, recovery_w_eff, out=sorted_full)
-                before = scratch.before[:count, :recovery_paid]
-                before[:, 0] = 0.0
-                sorted_full[:, :-1].cumsum(axis=1, out=before[:, 1:])
-                take = scratch.take[:count, :recovery_paid]
-                np.subtract(bandwidth, before, out=take)
-                np.maximum(take, 0.0, out=take)
-                np.minimum(take, sorted_full, out=take)
-                positive = scratch.positive[:count, :recovery_paid]
-                np.greater(take, 0.0, out=positive)
-                vals = scratch.vals[:count, :recovery_paid]
-                vals.fill(0.0)
-                np.divide(take, recovery_w, out=vals, where=positive)
-                allocation[:, recovery_order] = vals
-            if kw.has_free(1):
-                free = kw.free[1]
-                free_cols = np.flatnonzero(free)
-                allocation[:, free_cols] = (
-                    caps_flat[free_cols] * trials[:, free_cols % num_files]
-                )
-            products = ws.trial_prod[:count]
-            np.multiply(allocation, priced_flat, out=products)
-            costs_of_trials = constant + np.add.reduce(products, axis=1)
-            return allocation.reshape(-1, num_groups, num_files), costs_of_trials
-
-    elif use_fast:
-
-        def evaluate(caching: np.ndarray) -> Tuple[np.ndarray, float]:
-            np.multiply(caps, caching[np.newaxis, :], out=ws.effective_caps)
-            result = solve_fractional_knapsack(
-                priced_flat,
-                weights_flat,
-                bandwidth,
-                ws.effective_caps.ravel(),
-                validate=False,
-            )
-            routing = result.allocation.reshape(num_groups, num_files)
-            return routing, constant + float(np.sum(priced * routing))
-
-    else:
-
-        def evaluate(caching: np.ndarray) -> Tuple[np.ndarray, float]:
-            return _evaluate_cache_set(problem, sbs, caching, caps, constant, prices)
-
-    best: dict = {"cost": np.inf, "caching": None, "routing": None}
-    if candidate_caching is not None:
-        seed_caching = as_float_array(
-            candidate_caching, "candidate_caching", shape=(num_files,)
-        )
-        seed_routing, seed_cost = evaluate(seed_caching)
-        best.update(cost=seed_cost, caching=seed_caching, routing=seed_routing)
-
-    if mode == "hoisted":
+            routing, cost = _evaluate_cache_set(dense, 0, caching, caps_grid, constant, prices_grid)
+            return routing.ravel(), cost
 
         def oracle(multipliers: np.ndarray):
-            mu = multipliers.reshape(num_groups, num_files)
-            aggregated = mu.sum(axis=0)
-            caching = _select_cache_set(num_files, capacity, aggregated, filler_order)
-            np.add(coefficients_flat, multipliers, out=ws.costs_flat)
-            if prices_flat is not None:
-                ws.costs_flat += prices_flat
-            result = solve_fractional_knapsack(
-                ws.costs_flat, weights_flat, bandwidth, caps_flat, validate=False
-            )
-            routing = result.allocation.reshape(num_groups, num_files)
-            np.add(priced_flat, multipliers, out=ws.priced_mu_flat)
+            mu = multipliers.reshape(grid)
+            caching = cache_subproblem(dense, 0, mu, tie_break_value=tie_break)
+            routing = routing_subproblem(dense, 0, mu, caps_grid, extra_cost=prices_grid)
             dual_value = (
                 constant
-                + float(np.sum(ws.priced_mu_flat * result.allocation))
-                - float(np.sum(aggregated * caching))
-            )
-            subgradient = routing - caching[np.newaxis, :]
-            # Primal recovery: evaluate the candidate cache set exactly.
-            recovered_routing, recovered_cost = evaluate(caching)
-            if recovered_cost < best["cost"]:
-                best["cost"] = recovered_cost
-                best["caching"] = caching
-                best["routing"] = recovered_routing
-            return dual_value, subgradient.ravel(), None
-
-    elif mode == "legacy":
-
-        def oracle(multipliers: np.ndarray):
-            mu = multipliers.reshape(num_groups, num_files)
-            caching = cache_subproblem(problem, sbs, mu, tie_break_value=tie_break)
-            routing = routing_subproblem(problem, sbs, mu, caps, extra_cost=prices)
-            dual_value = (
-                constant
-                + float(np.sum((priced + mu) * routing))
+                + float(np.sum((priced_grid + mu) * routing))
                 - float(np.sum(mu.sum(axis=0) * caching))
             )
             subgradient = routing - caching[np.newaxis, :]
             # Primal recovery: evaluate the candidate cache set exactly.
-            recovered_routing, recovered_cost = evaluate(caching)
-            if recovered_cost < best["cost"]:
-                best["cost"] = recovered_cost
-                best["caching"] = caching
-                best["routing"] = recovered_routing
+            consider(caching, *evaluate(caching))
             return dual_value, subgradient.ravel(), None
 
-    if initial_multipliers is None:
-        start = np.zeros(num_groups * num_files)
+        if seed is not None:
+            consider(seed, *evaluate(seed))
+        result = subgradient_ascent(
+            oracle,
+            np.zeros(view.num_items) if start is None else start,
+            schedule=schedule,
+            max_iter=config.max_iter,
+            tol=config.tol,
+            patience=config.patience,
+        )
     else:
-        start = np.asarray(initial_multipliers, dtype=np.float64).ravel()
-        if start.size != num_groups * num_files:
-            raise ValidationError(
-                "initial_multipliers must have U*F entries, got "
-                f"{start.size}"
-            )
-        start = np.maximum(start, 0.0)
-    if mode == "batched":
+        assert ws is not None
+        # Row 0 of the knapsack batch is the dual routing subproblem
+        # (costs change with mu each iteration), row 1 is primal
+        # recovery: its costs are the fixed priced coefficients, so its
+        # greedy order and the caps along it are hoisted here, and a
+        # candidate cache set (every polish trial too) only contributes
+        # its (F,)-sized mask, gathered along the paid prefix.
+        kw = ws.knapsack
+        kw.bind_weights(weights)
+        kw.prepare_row(1, priced)
+        filler_order = np.argsort(-tie_break, kind="stable")
+        recovery_paid = int(kw.paid_count[1])
+        recovery_order = kw.order[1, :recovery_paid]
+        recovery_file = item_file.take(recovery_order)
+        recovery_caps = caps.take(recovery_order)
+        recovery_w_eff = kw.w_eff[1, :recovery_paid]
+        recovery_w = kw.w_sorted[1, :recovery_paid]
+        free_items = np.flatnonzero(kw.free[1]) if kw.has_free(1) else None
+
+        def recover(
+            trials: np.ndarray, scratch: KnapsackBatchWorkspace, rows: Union[int, slice]
+        ) -> np.ndarray:
+            """Recovery allocation of one ``(F,)`` cache set, or of each of
+            ``(T, F)`` trials, along row 1's order in ``scratch[rows]``."""
+            perf.count("knapsack.batched_rows", 1 if trials.ndim == 1 else trials.shape[0])
+            allocation = scratch.allocation[rows]
+            allocation.fill(0.0)
+            if recovery_paid:
+                sorted_full = scratch.sorted_full[rows, :recovery_paid]
+                # Same grouping as the scalar solver: (cap * mask) * w.
+                np.multiply(recovery_caps, trials.take(recovery_file, axis=-1), out=sorted_full)
+                np.multiply(sorted_full, recovery_w_eff, out=sorted_full)
+                before = scratch.before[rows, :recovery_paid]
+                before[..., 0] = 0.0
+                sorted_full[..., :-1].cumsum(axis=-1, out=before[..., 1:])
+                take = scratch.take[rows, :recovery_paid]
+                np.subtract(bandwidth, before, out=take)
+                np.maximum(take, 0.0, out=take)
+                np.minimum(take, sorted_full, out=take)
+                positive = scratch.positive[rows, :recovery_paid]
+                np.greater(take, 0.0, out=positive)
+                vals = scratch.vals[rows, :recovery_paid]
+                vals.fill(0.0)
+                np.divide(take, recovery_w, out=vals, where=positive)
+                allocation[..., recovery_order] = vals
+            if free_items is not None:
+                allocation[..., free_items] = (
+                    caps[free_items] * trials.take(item_file.take(free_items), axis=-1)
+                )
+            return allocation
+
+        def recovered(caching: np.ndarray) -> Tuple[np.ndarray, float]:
+            """Routing (a buffer view) and cost of one cache set."""
+            allocation = recover(caching, kw, 1)
+            np.multiply(priced, allocation, out=ws.prod)
+            return allocation, constant + float(np.add.reduce(ws.prod))
+
+        def evaluate(caching: np.ndarray) -> Tuple[np.ndarray, float]:
+            routing, cost = recovered(caching)
+            return routing.copy(), cost
+
+        def batch_evaluate(trials: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            products, scratch = ws.trials()
+            products = products[: trials.shape[0]]
+            allocation = recover(trials, scratch, slice(0, trials.shape[0]))
+            np.multiply(allocation, priced, out=products)
+            return allocation, constant + np.add.reduce(products, axis=1)
+
+        if seed is not None:
+            consider(seed, *evaluate(seed))
         # Inlined projected-subgradient ascent: the exact control flow of
         # :func:`repro.solvers.subgradient.subgradient_ascent` with the
         # oracle fused in.  One knapsack batch (dual routing + primal
-        # recovery) and three in-place array ops per multiplier update —
-        # nothing allocated per iteration beyond the argsort of row 0 and
-        # the (F,)-sized cache-set selection.
-        mu = ws.mu_flat
-        np.copyto(mu, start)
+        # recovery) and a handful of in-place array ops per multiplier
+        # update — nothing allocated per iteration beyond the argsort of
+        # row 0 and the (F,)-sized cache-set selection.
+        mu = ws.mu
+        if start is None:
+            mu.fill(0.0)
+        else:
+            np.copyto(mu, start)
         np.maximum(mu, 0.0, out=mu)
         # Row 0's caps never change during the ascent, so the greedy's
         # ``caps * weights`` products are computed exactly once.
-        cw_flat = caps_flat * weights_flat
-        mu2 = mu.reshape(num_groups, num_files)
-        sub2 = ws.subgrad_flat.reshape(num_groups, num_files)
+        caps_weights = caps * weights
         best_dual = -np.inf
         dual_history = []
         stall = 0
@@ -768,32 +812,23 @@ def solve_subproblem(
         # equal cost never changes the incumbent.
         seen_cache_sets: set = set()
         for iteration in range(config.max_iter):
-            # ``np.add.reduce`` is what ``np.sum`` dispatches to — same
-            # pairwise summation, minus the wrapper overhead that shows
-            # up at this call frequency.
-            np.add.reduce(mu2, axis=0, out=ws.aggregated)
-            caching = _select_cache_set(num_files, capacity, ws.aggregated, filler_order)
-            np.add(coefficients_flat, mu, out=ws.batch_costs[0])
-            if prices_flat is not None:
-                ws.batch_costs[0] += prices_flat
-            kw.prepare_row(0, ws.batch_costs[0])
-            alloc0 = kw.solve_row_scaled(0, cw_flat, caps_flat, bandwidth)
+            aggregated = view.file_sums(mu)
+            caching = _select_cache_set(num_files, capacity, aggregated, filler_order)
+            np.add(coefficients, mu, out=ws.dual_costs)
+            if prices is not None:
+                ws.dual_costs += prices
+            kw.prepare_row(0, ws.dual_costs)
+            alloc0 = kw.solve_row_scaled(0, caps_weights, caps, bandwidth)
             cache_key = caching.tobytes()
             if cache_key not in seen_cache_sets:
                 seen_cache_sets.add(cache_key)
-                recovered_routing, recovered_cost = recover(caching)
-                if recovered_cost < best["cost"]:
-                    best["cost"] = recovered_cost
-                    best["caching"] = caching
-                    best["routing"] = recovered_routing.reshape(
-                        num_groups, num_files
-                    ).copy()
-            np.add(priced_flat, mu, out=ws.priced_mu_flat)
-            np.multiply(ws.priced_mu_flat, alloc0, out=ws.prod_flat)
+                consider(caching, *recovered(caching))
+            np.add(priced, mu, out=ws.priced_mu)
+            np.multiply(ws.priced_mu, alloc0, out=ws.prod)
             dual_value = (
                 constant
-                + float(np.add.reduce(ws.prod_flat))
-                - float(np.add.reduce(ws.aggregated * caching))
+                + float(np.add.reduce(ws.prod))
+                - float(np.add.reduce(aggregated * caching))
             )
             dual_history.append(float(dual_value))
             improved = dual_value > best_dual + config.tol * max(1.0, abs(best_dual))
@@ -804,27 +839,15 @@ def solve_subproblem(
                 converged = True
                 break
             np.subtract(
-                alloc0.reshape(num_groups, num_files), caching[np.newaxis, :], out=sub2
+                alloc0.reshape(view.shape),
+                view.per_item(caching, ws.cache),
+                out=ws.subgrad.reshape(view.shape),
             )
-            np.multiply(ws.subgrad_flat, schedule(iteration), out=ws.subgrad_flat)
-            np.add(mu, ws.subgrad_flat, out=mu)
+            np.multiply(ws.subgrad, schedule(iteration), out=ws.subgrad)
+            np.add(mu, ws.subgrad, out=mu)
             np.maximum(mu, 0.0, out=mu)
         result = SubgradientResult(
-            multipliers=mu.copy(),
-            best_dual=best_dual,
-            best_payload=None,
-            dual_history=dual_history,
-            iterations=len(dual_history),
-            converged=converged,
-        )
-    else:
-        result = subgradient_ascent(
-            oracle,
-            start,
-            schedule=schedule,
-            max_iter=config.max_iter,
-            tol=config.tol,
-            patience=config.patience,
+            mu.copy(), best_dual, None, dual_history, len(dual_history), converged
         )
     perf.count("subgradient.iterations", result.iterations)
 
@@ -841,18 +864,7 @@ def solve_subproblem(
             capacity=capacity,
             batch_evaluate=batch_evaluate,
         )
-    return SubproblemSolution(
-        caching=caching,
-        routing=routing,
-        cost=cost,
-        best_dual=result.best_dual,
-        dual_history=tuple(result.dual_history),
-        iterations=result.iterations,
-        converged=result.converged,
-        multipliers=result.multipliers.reshape(
-            num_groups, num_files
-        ),
-    )
+    return caching, routing, cost, result
 
 
 def solve_subproblem_exhaustive(

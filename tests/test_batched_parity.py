@@ -117,6 +117,26 @@ class TestKnapsackBatchParity:
                 assert np.array_equal(result.allocations[b], scalar.allocation)
 
 
+    def test_workspace_resize_reuses_buffers_and_stays_exact(self):
+        """Below capacity, resize() re-views the same buffers; every size
+        still solves exactly like the scalar solver."""
+        rng = np.random.default_rng(5)
+        workspace = KnapsackBatchWorkspace(2, 40)
+        buffer = workspace.allocation
+        for items in (40, 7, 1, 23, 40):
+            workspace.resize(items)
+            assert np.shares_memory(workspace.allocation, buffer)
+            costs, weights, caps, budget = _random_knapsack(rng, 2, items)
+            workspace.bind_weights(weights)
+            for row in range(2):
+                workspace.prepare_row(row, costs[row])
+                allocation = workspace.solve_row(row, caps[row], budget)
+                scalar = solve_fractional_knapsack(costs[row], weights, budget, caps[row])
+                assert np.array_equal(allocation, scalar.allocation)
+        workspace.resize(60)
+        assert not np.shares_memory(workspace.allocation, buffer)
+
+
 class TestSubgradientStepParity:
     """Batched multiplier updates vs the scalar ascent: exact trajectories."""
 
@@ -136,7 +156,7 @@ class TestSubgradientStepParity:
 
     @pytest.mark.parametrize("polish", [True, False])
     def test_full_ascent_parity_random_instances(self, polish):
-        """Batched dual ascent == hoisted == legacy on random subproblems.
+        """Batched dual ascent == legacy on random subproblems.
 
         This is the end-to-end guarantee: same dual history (every
         iterate), same multipliers, same primal solution — so
@@ -145,7 +165,6 @@ class TestSubgradientStepParity:
         """
         rng = np.random.default_rng(2024)
         ws_batched = None
-        ws_hoisted = None
         for case in range(12):
             problem = random_problem(
                 rng,
@@ -155,7 +174,6 @@ class TestSubgradientStepParity:
             )
             if ws_batched is None:
                 ws_batched = SubproblemWorkspace(problem)
-                ws_hoisted = SubproblemWorkspace(problem)
             shape = (problem.num_groups, problem.num_files)
             aggregate = np.clip(rng.uniform(size=shape) * 1.2 - 0.1, 0.0, None)
             kwargs = {}
@@ -172,25 +190,20 @@ class TestSubgradientStepParity:
                     0,
                     aggregate,
                     SubproblemConfig(oracle=oracle, polish=polish, max_iter=30),
-                    workspace={
-                        "batched": ws_batched,
-                        "hoisted": ws_hoisted,
-                        "legacy": None,
-                    }[oracle],
+                    workspace={"batched": ws_batched, "legacy": None}[oracle],
                     **kwargs,
                 )
-                for oracle in ("batched", "hoisted", "legacy")
+                for oracle in ("batched", "legacy")
             }
             reference = solutions["legacy"]
-            for oracle in ("batched", "hoisted"):
-                candidate = solutions[oracle]
-                assert np.array_equal(candidate.caching, reference.caching), (
-                    f"case {case}: {oracle} caching differs"
-                )
-                assert np.array_equal(candidate.routing, reference.routing)
-                assert candidate.cost == reference.cost
-                assert candidate.best_dual == reference.best_dual
-                assert candidate.dual_history == reference.dual_history
-                assert candidate.iterations == reference.iterations
-                assert candidate.converged == reference.converged
-                assert np.array_equal(candidate.multipliers, reference.multipliers)
+            candidate = solutions["batched"]
+            assert np.array_equal(candidate.caching, reference.caching), (
+                f"case {case}: batched caching differs"
+            )
+            assert np.array_equal(candidate.routing, reference.routing)
+            assert candidate.cost == reference.cost
+            assert candidate.best_dual == reference.best_dual
+            assert candidate.dual_history == reference.dual_history
+            assert candidate.iterations == reference.iterations
+            assert candidate.converged == reference.converged
+            assert np.array_equal(candidate.multipliers, reference.multipliers)

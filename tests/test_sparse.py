@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from conftest import random_problem
-from repro import obs
+from repro import obs, perf
 from repro.core import (
     DistributedConfig,
     ProblemInstance,
@@ -35,6 +35,7 @@ from repro.core import (
     total_cost_sparse,
 )
 from repro.core.sparse import _expand_ranges, as_dense_problem
+from repro.core.subproblem import ItemView
 from repro.exceptions import ValidationError
 from repro.obs.trace import TraceReader, validate_events
 from repro.workload import generate_city_instance
@@ -448,12 +449,46 @@ class TestCityScale:
     def test_small_city_instance_solves_and_matches_dense(self):
         sparse = generate_city_instance(5, 30, 200, reach=2, files_per_group=12, rng=3)
         config = DistributedConfig(max_iterations=4, accuracy=1e-3)
-        compact = solve_distributed_sparse(sparse, config)
-        dense = solve_distributed(sparse.to_dense(), config)
-        np.testing.assert_array_equal(
-            compact.solution.to_dense(sparse).caching, dense.solution.caching
+        TestCompactParity().assert_parity(sparse.to_dense(), config)
+
+    def test_realistic_fill_city_parity(self):
+        """A city block at realistic fill (a few percent of its cells carry
+        demand), polish on and warm-started: the pair-view sweep still
+        matches the dense run iteration for iteration, bit for bit on
+        routing."""
+        sparse = generate_city_instance(6, 40, 500, rng=11)
+        config = DistributedConfig(max_iterations=6, warm_start=True)
+        TestCompactParity().assert_parity(sparse.to_dense(), config)
+
+    def test_batched_sweep_never_materializes_blocks(self, monkeypatch):
+        """The batched kernel runs on item views; no phase builds the
+        zero-padded local block (only the legacy reference does)."""
+        sparse = generate_city_instance(5, 30, 200, reach=2, files_per_group=12, rng=3)
+
+        def refuse(self, sbs):
+            raise AssertionError("the batched sparse sweep built a local block")
+
+        monkeypatch.setattr(SparseProblemInstance, "sub_instance", refuse)
+        monkeypatch.setattr(ItemView, "to_problem", lambda self: refuse(self, None))
+        result = solve_distributed_sparse(sparse, DistributedConfig(max_iterations=3))
+        assert result.solution.check_feasibility(sparse).feasible
+        legacy = DistributedConfig(
+            max_iterations=3, subproblem=SubproblemConfig(fast=False)
         )
-        assert compact.cost == pytest.approx(dense.cost, rel=1e-12)
+        with pytest.raises(AssertionError, match="local block"):
+            solve_distributed_sparse(sparse, legacy)
+
+    def test_kernel_scratch_allocated_at_most_once_per_sbs(self):
+        """One workspace serves every SBS view of a sparse solve, polish
+        trial buffers included — blocks of different sizes never force a
+        per-phase re-allocation."""
+        sparse = generate_city_instance(6, 40, 500, rng=11)
+        with perf.collecting() as registry:
+            result = solve_distributed_sparse(sparse, DistributedConfig(max_iterations=3))
+        counters = registry.snapshot()["counters"]
+        assert counters["subproblem.solves"] >= 2 * sparse.num_sbs
+        assert counters["subproblem.workspace_allocs"] <= sparse.num_sbs
+        assert result.iterations >= 2
 
     def test_city_scale_acceptance(self):
         """The ISSUE's acceptance instance: >= 100 SBSs, >= 1000 MU

@@ -3,14 +3,18 @@
 import numpy as np
 import pytest
 
+from repro import perf
 from repro.core.subproblem import (
+    ItemView,
     SubproblemConfig,
+    SubproblemWorkspace,
     cache_subproblem,
     routing_subproblem,
     solve_subproblem,
     solve_subproblem_exhaustive,
 )
 from repro.exceptions import ValidationError
+from repro.workload import generate_city_instance
 
 from conftest import random_problem
 
@@ -145,7 +149,7 @@ class TestExhaustive:
 
 
 class TestFastOracleParity:
-    """The hoisted fast oracle must be indistinguishable from the legacy one."""
+    """The batched kernel must be indistinguishable from the legacy oracle."""
 
     def _parity(self, problem, sbs, aggregate, prices=None, cap_slack=0.0):
         from repro.core.subproblem import SubproblemWorkspace
@@ -241,3 +245,88 @@ class TestFastOracleParity:
         again = solve_subproblem(other, 0, agg_other, workspace=workspace)
         assert again.cost == first.cost
         assert np.array_equal(again.routing, first.routing)
+
+
+class TestItemView:
+    """The flat item view: zero-demand cells can be dropped exactly."""
+
+    @staticmethod
+    def pair_view(grid: np.ndarray) -> ItemView:
+        rows, files = grid.shape
+        row, file = np.nonzero(grid)
+        return ItemView(
+            item_row=row,
+            item_file=file,
+            weight=grid[row, file],
+            link_cost=np.zeros(rows),
+            reach=np.ones(rows),
+            bs_cost=np.ones(rows),
+            num_files=files,
+            cache_capacity=1.0,
+            bandwidth=1.0,
+            constant_offset=0.0,
+            shape=row.shape,
+        )
+
+    def test_pair_file_sums_equal_grid_reduction(self):
+        """bincount over the demand cells == axis-0 reduction of the
+        zero-padded grid, bit for bit."""
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            shape = (int(rng.integers(1, 60)), int(rng.integers(1, 400)))
+            grid = rng.uniform(0.0, 5.0, size=shape) * (rng.random(shape) < 0.08)
+            view = self.pair_view(grid)
+            assert np.array_equal(
+                view.file_sums(view.weight), np.add.reduce(grid, axis=0)
+            )
+
+    def test_pair_view_solve_equals_padded_block_solve(self):
+        """Solving only the demand pairs reproduces the zero-padded block
+        solve: same cache set, iterations and routing; zero cells keep
+        +0.0 multipliers; objectives agree to the last bits."""
+        sparse = generate_city_instance(4, 24, 300, reach=2, files_per_group=12, rng=5)
+        rng = np.random.default_rng(3)
+        for sbs in range(sparse.num_sbs):
+            index = sparse.sbs_index(sbs)
+            if not index.pair_ids.size:
+                continue
+            others = rng.uniform(0.0, 0.7, size=index.pair_ids.size)
+            block, _ = sparse.sub_instance(sbs)
+            padded = np.zeros(block.demand.shape)
+            padded.ravel()[index.local_flat] = others
+            grid = ItemView.grid(block, 0, constant_offset=index.bs_offset)
+            pairs = solve_subproblem(sparse.item_view(sbs), None, others)
+            cells = solve_subproblem(grid, None, padded)
+            assert np.array_equal(pairs.caching, cells.caching)
+            assert pairs.iterations == cells.iterations
+            assert np.array_equal(pairs.routing, cells.routing.ravel()[index.local_flat])
+            mu = cells.multipliers.ravel()
+            assert np.array_equal(pairs.multipliers, mu[index.local_flat])
+            off_items = np.delete(mu, index.local_flat)
+            assert np.all(off_items == 0.0) and not np.any(np.signbit(off_items))
+            assert pairs.cost == pytest.approx(cells.cost, rel=1e-12)
+            # The legacy reference solves the padded block itself.
+            legacy = solve_subproblem(
+                sparse.item_view(sbs), None, others, SubproblemConfig(fast=False)
+            )
+            assert np.array_equal(legacy.routing, pairs.routing)
+            assert legacy.dual_history == cells.dual_history
+        with pytest.raises(ValidationError, match="sbs=None"):
+            solve_subproblem(sparse.item_view(sbs), sbs, others)
+
+    def test_workspace_grows_only(self, rng):
+        """A workspace sized for the largest view serves smaller ones
+        without allocating again."""
+        big = random_problem(rng, num_groups=7, num_files=9)
+        small = random_problem(rng, num_groups=3, num_files=4)
+        with perf.collecting() as registry:
+            workspace = SubproblemWorkspace(big)
+            for problem in (small, big, small):
+                solve_subproblem(
+                    problem,
+                    0,
+                    np.zeros((problem.num_groups, problem.num_files)),
+                    SubproblemConfig(polish=False),
+                    workspace=workspace,
+                )
+        assert registry.snapshot()["counters"]["subproblem.workspace_allocs"] == 1
