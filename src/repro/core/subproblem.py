@@ -18,12 +18,15 @@ The paper solves this by Lagrangian dual decomposition:
    (Eq. 23).
 
 Because the dual iterates' primal pairs need not be jointly feasible, we
-add standard *primal recovery*: at every dual iteration the candidate
-cache set is evaluated exactly (best feasible routing for that set via
-the knapsack) and the cheapest feasible pair seen is returned.  An
-optional local-search polish swaps files in/out of the best cache set
-until no single swap improves the cost, and an exhaustive solver is
-provided for validating optimality on tiny instances.
+add standard *primal recovery*: the cache set of each dual iterate is
+paired with its best feasible routing (the knapsack restricted to that
+set), and the cheapest pair seen is returned.  The legacy oracle
+recovers every new set exactly; the batched kernel skips the sets whose
+weak-duality lower bound already proves they cannot beat the incumbent
+(:class:`_RecoveryScreen`).  An optional local-search polish swaps files
+in/out of the best cache set until no single swap improves the cost,
+and an exhaustive solver is provided for validating optimality on tiny
+instances.
 
 Everything runs on a flat :class:`ItemView` with one item per ``(row,
 file)`` cell: dense callers get the full ``(U, F)`` grid, the sparse
@@ -34,12 +37,12 @@ their routing stays ``0`` and their multiplier ``+0.0``.
 The dual ascent has two oracles.  The **batched kernel** (the default)
 hoists every loop invariant, validates arrays once at this API
 boundary, solves the dual routing subproblem and primal recovery as one
-two-row knapsack batch and runs in the buffers of a
-:class:`SubproblemWorkspace`.  The **legacy** oracle (``fast=False``)
-routes every dual iteration through the public, validating helpers
-(:func:`cache_subproblem`, :func:`routing_subproblem`) on the dense
-problem the view flattens; it is the reference the kernel is
-cross-checked against bit for bit.
+two-row knapsack batch, screens recoveries by weak duality and runs in
+the buffers of a :class:`SubproblemWorkspace`.  The **legacy** oracle
+(``fast=False``) routes every dual iteration through the public,
+validating helpers (:func:`cache_subproblem`, :func:`routing_subproblem`)
+on the dense problem the view flattens; it is the reference the kernel
+is cross-checked against bit for bit.
 """
 
 from __future__ import annotations
@@ -76,8 +79,10 @@ __all__ = [
 # buffers preallocated in :class:`SubproblemWorkspace`.
 _TRIAL_CHUNK = 32
 
+_EPS = float(np.finfo(np.float64).eps)
+
 # The per-item vectors of :class:`SubproblemWorkspace`.
-_VECTORS = ("caps", "dual_costs", "mu", "subgrad", "priced_mu", "prod", "cache")
+_VECTORS = ("caps", "dual_costs", "mu", "subgrad", "priced_mu", "prod", "cache", "terms", "gap")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -274,6 +279,8 @@ class SubproblemWorkspace:
             self.priced_mu,
             self.prod,
             self.cache,
+            self.terms,
+            self.gap,
         ) = [vector[:items] for vector in self._vectors]
         self.knapsack.resize(items)
         if self._trials is not None:
@@ -416,6 +423,107 @@ def _evaluate_cache_set(
     return routing, cost
 
 
+class _RecoveryScreen:
+    """Weak-duality lower bounds on the cost of primal recovery.
+
+    Recovering a cache set ``x`` is the LP ``min p.y`` subject to
+    ``w.y <= B`` and ``0 <= y_i <= cap_i * x[file_i]`` (``p`` the priced
+    coefficients, ``w`` the demand weights).  Pricing the budget at any
+    ``lam >= 0`` bounds it from below for every ``x`` at once::
+
+        cost(x) >= LB(x) = constant - lam*B + sum_f x[f] * g[f],
+        g[f] = sum_{items i of f} min(0, p_i + lam*w_i) * cap_i,
+
+    because ``p.y = sum (p_i + lam*w_i) y_i - lam*w.y``, ``w.y <= B``, and
+    each term of the sum is smallest at ``y_i = cap_i x[f]`` when its
+    coefficient is negative, at ``y_i = 0`` otherwise.
+
+    ``lam`` comes from the incumbent (:meth:`refresh`): the value density
+    ``-p_i/w_i`` of its first paid item along the greedy order that is
+    not at its cap — the split item where the budget ran out, the LP's
+    optimal budget price, so the bound is tight at the incumbent — or
+    ``0`` when every available item is at its cap.
+
+    :meth:`bound` returns ``LB(x) - margin``, a floating-point safe lower
+    bound on the cost the kernel *computes*.  With ``eps`` the machine
+    epsilon, ``S = sum_{p_i < 0} |p_i| cap_i`` and ``P`` items:
+
+    * the recovery's allocations exceed their caps by at most ``2 eps``
+      relatively (``(cap*w)/w``), which moves the capped terms by at
+      most ``2 eps S`` (only items with ``p_i < 0`` are ever allocated,
+      and ``|min(0, p_i + lam*w_i)| <= |p_i|``);
+    * its sequential cumulative budget carries at most ``(P+1) eps``
+      relative error, so the greedy spends at most ``B (1 + 2(P+1) eps)``
+      and the priced budget term moves by at most ``2(P+1) eps lam B``;
+    * the cost's and the bound's own reductions (``P`` and ``F`` products,
+      ``g`` vanishing on files without items) each err by at most
+      ``(P+1) eps (|constant| + S + lam B)``, and a swap bound's two
+      extra additions by ``3 eps`` of the same.
+
+    ``margin = 8 (P+1) eps (|constant| + S + lam B)`` covers their sum,
+    ``(4P + 9) eps (|constant| + S + lam B)``.  A set whose bound is at
+    least the incumbent's cost therefore cannot compute a strictly
+    smaller cost, and skipping its recovery changes nothing.  Before an
+    incumbent exists the bound is ``-inf``.
+    """
+
+    def __init__(
+        self,
+        view: ItemView,
+        priced: np.ndarray,
+        caps: np.ndarray,
+        constant: float,
+        order: np.ndarray,
+        order_file: np.ndarray,
+        order_caps: np.ndarray,
+        scratch: Tuple[np.ndarray, np.ndarray],
+    ) -> None:
+        self.view, self.priced, self.caps, self.constant = view, priced, caps, constant
+        self.order, self.order_file, self.order_caps = order, order_file, order_caps
+        self.terms, self.gap = scratch
+        np.minimum(priced, 0.0, out=self.terms)
+        np.multiply(self.terms, caps, out=self.terms)
+        self.scale = abs(constant) - float(np.add.reduce(self.terms))
+        self.slack = 8.0 * (view.num_items + 1) * _EPS
+        self.offset = -np.inf
+        self.g = np.zeros(view.num_files)
+
+    def refresh(self, caching: np.ndarray, routing: np.ndarray) -> None:
+        """Re-derive ``lam`` and ``g`` from a new incumbent."""
+        lam = 0.0
+        paid = self.order.size
+        if paid:
+            available, gap = self.terms[:paid], self.gap[:paid]
+            np.take(caching, self.order_file, out=available)
+            np.multiply(available, self.order_caps, out=available)
+            # Items at their cap sit within a few ulps of it; one clearly
+            # below is where the budget ran out.
+            available *= 1.0 - 4.0 * _EPS
+            np.take(routing, self.order, out=gap)
+            np.less(gap, available, out=gap)
+            split = int(np.argmax(gap))
+            if gap[split]:
+                item = self.order[split]
+                lam = -float(self.priced[item]) / float(self.view.weight[item])
+        np.multiply(self.view.weight, lam, out=self.terms)
+        np.add(self.terms, self.priced, out=self.terms)
+        np.minimum(self.terms, 0.0, out=self.terms)
+        np.multiply(self.terms, self.caps, out=self.terms)
+        self.g = self.view.file_sums(self.terms)
+        budget = lam * self.view.bandwidth
+        self.offset = self.constant - budget - self.slack * (self.scale + budget)
+
+    def bound(self, caching: np.ndarray) -> float:
+        """``LB(caching) - margin``."""
+        return self.offset + float(np.dot(caching, self.g))
+
+    def swap_bounds(
+        self, caching: np.ndarray, outs: np.ndarray, ins: np.ndarray
+    ) -> np.ndarray:
+        """Bounds of the single swaps ``caching - e[outs] + e[ins]``."""
+        return self.bound(caching) - self.g.take(outs) + self.g.take(ins)
+
+
 def _polish_cache_set(
     caching: np.ndarray,
     best_routing: np.ndarray,
@@ -427,6 +535,7 @@ def _polish_cache_set(
     max_passes: int = 4,
     max_candidates: int = 12,
     batch_evaluate: Optional[Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]] = None,
+    screen: Optional[_RecoveryScreen] = None,
 ) -> Tuple[np.ndarray, np.ndarray, float]:
     """First-improvement single-swap local search over the cache set.
 
@@ -440,11 +549,15 @@ def _polish_cache_set(
     trial cache vectors to ``(routings (T, P), costs (T,))`` in one
     shared-order knapsack batch.  Within one pass every swap trial
     derives from the same incumbent (the scalar loop accepts at most one
-    swap and then restarts the pass), so evaluating all trials up front
-    and accepting the first improving one visits the exact same accept
-    sequence as the scalar double loop — results are bit-identical, only
-    the final no-improvement pass stops paying one scalar knapsack per
-    trial.
+    swap and then restarts the pass), so evaluating the trials in order,
+    chunk by chunk, and accepting the first improving one visits the
+    exact same accept sequence as the scalar double loop.
+
+    ``screen`` (batched oracle only) first drops every trial whose
+    weak-duality bound proves it cannot improve by more than ``1e-12``;
+    the survivors keep their order, so the first improving trial, and
+    the whole accept sequence, stay the same — results are
+    bit-identical, only provably losing trials stop paying a knapsack.
     """
     caching = caching.copy()
     for _ in range(max_passes):
@@ -460,20 +573,32 @@ def _polish_cache_set(
             for f_in in candidates[:empty_slots]:
                 trial = caching.copy()
                 trial[f_in] = 1.0
+                if screen is not None and screen.bound(trial) >= best_cost - 1e-12:
+                    perf.count("subproblem.recoveries_screened")
+                    continue
                 routing, cost = evaluate(trial)
                 if cost < best_cost - 1e-12:
                     caching, best_routing, best_cost = trial, routing, cost
                     improved = True
+                    if screen is not None:
+                        screen.refresh(caching, best_routing)
         if batch_evaluate is not None:
             # The scalar loop scans only the first cached file once the
             # add phase already improved; mirror that exactly.
             outs = cached_files[:1] if improved else cached_files
             if outs.size and candidates.size:
-                num_in = candidates.size
-                trials = np.tile(caching, (outs.size * num_in, 1))
-                rows = np.arange(outs.size * num_in)
-                trials[rows, np.repeat(outs, num_in)] = 0.0
-                trials[rows, np.tile(candidates, outs.size)] = 1.0
+                swap_out = np.repeat(outs, candidates.size)
+                swap_in = np.tile(candidates, outs.size)
+                if screen is not None:
+                    bounds = screen.swap_bounds(caching, swap_out, swap_in)
+                    keep = np.flatnonzero(bounds < best_cost - 1e-12)
+                    if keep.size < bounds.size:
+                        perf.count("subproblem.recoveries_screened", bounds.size - keep.size)
+                        swap_out, swap_in = swap_out[keep], swap_in[keep]
+                trials = np.tile(caching, (swap_out.size, 1))
+                rows = np.arange(swap_out.size)
+                trials[rows, swap_out] = 0.0
+                trials[rows, swap_in] = 1.0
                 # Chunked evaluation with early exit: the first improving
                 # trial ends the pass (exactly where the scalar loop
                 # stops), so improving passes usually pay for one chunk
@@ -488,6 +613,8 @@ def _polish_cache_set(
                         best_routing = routings[pick].copy()
                         best_cost = float(costs[pick])
                         improved = True
+                        if screen is not None:
+                            screen.refresh(caching, best_routing)
                         break
         else:
             for f_out in cached_files:
@@ -564,13 +691,10 @@ def solve_subproblem(
     if cap_slack < 0:
         raise ValidationError(f"cap_slack must be nonnegative, got {cap_slack}")
     if prices is not None:
-        prices = np.asarray(prices, dtype=np.float64)
-        if prices.shape != view.shape:
-            raise ValidationError(f"prices must have shape {view.shape}")
-        prices = prices.ravel()
+        prices = as_float_array(prices, "prices", shape=view.shape).ravel()
     start = None
     if initial_multipliers is not None:
-        start = np.asarray(initial_multipliers, dtype=np.float64).ravel()
+        start = as_float_array(initial_multipliers, "initial_multipliers").ravel()
         if start.size != view.num_items:
             raise ValidationError(
                 f"initial_multipliers must have {view.num_items} entries, got {start.size}"
@@ -675,10 +799,13 @@ def _dual_decomposition(
         schedule = StepSchedule(eta0=max(scale, 1e-12) * eta0_factor, alpha=0.25)
 
     best: dict = {"cost": np.inf, "caching": None, "routing": None}
+    screen: Optional[_RecoveryScreen] = None
 
     def consider(caching: np.ndarray, routing: np.ndarray, cost: float) -> None:
         if cost < best["cost"]:
             best.update(cost=cost, caching=caching, routing=routing.copy())
+            if screen is not None:
+                screen.refresh(caching, best["routing"])
 
     batch_evaluate: Optional[Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]] = None
     if dense is not None:
@@ -734,6 +861,16 @@ def _dual_decomposition(
         recovery_w_eff = kw.w_eff[1, :recovery_paid]
         recovery_w = kw.w_sorted[1, :recovery_paid]
         free_items = np.flatnonzero(kw.free[1]) if kw.has_free(1) else None
+        screen = _RecoveryScreen(
+            view,
+            priced,
+            caps,
+            constant,
+            recovery_order,
+            recovery_file,
+            recovery_caps,
+            (ws.terms, ws.gap),
+        )
 
         def recover(
             trials: np.ndarray, scratch: KnapsackBatchWorkspace, rows: Union[int, slice]
@@ -809,7 +946,9 @@ def _dual_decomposition(
         # the dual iterates oscillate between a handful of sets: any set
         # seen before is skipped outright — its evaluation is
         # deterministic, and the strict < of the best-update means an
-        # equal cost never changes the incumbent.
+        # equal cost never changes the incumbent.  A new set is skipped
+        # too when its weak-duality bound already reaches the incumbent's
+        # cost: the incumbent only decreases, so it can never win later.
         seen_cache_sets: set = set()
         for iteration in range(config.max_iter):
             aggregated = view.file_sums(mu)
@@ -822,7 +961,10 @@ def _dual_decomposition(
             cache_key = caching.tobytes()
             if cache_key not in seen_cache_sets:
                 seen_cache_sets.add(cache_key)
-                consider(caching, *recovered(caching))
+                if screen.bound(caching) < best["cost"]:
+                    consider(caching, *recovered(caching))
+                else:
+                    perf.count("subproblem.recoveries_screened")
             np.add(priced, mu, out=ws.priced_mu)
             np.multiply(ws.priced_mu, alloc0, out=ws.prod)
             dual_value = (
@@ -863,6 +1005,7 @@ def _dual_decomposition(
             potential=tie_break,
             capacity=capacity,
             batch_evaluate=batch_evaluate,
+            screen=screen,
         )
     return caching, routing, cost, result
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import perf
 from repro.core.subproblem import (
     SubproblemConfig,
     SubproblemWorkspace,
@@ -22,6 +23,8 @@ from repro.solvers.fractional_knapsack import (
     solve_fractional_knapsack,
     solve_fractional_knapsack_batch,
 )
+
+from repro.workload import generate_city_instance
 
 from conftest import random_problem
 
@@ -207,3 +210,46 @@ class TestSubgradientStepParity:
             assert candidate.iterations == reference.iterations
             assert candidate.converged == reference.converged
             assert np.array_equal(candidate.multipliers, reference.multipliers)
+
+    def test_screened_city_parity_warm_start(self):
+        """Batched == legacy on a dense city instance where the
+        weak-duality screen fires: polish on, and a second call
+        warm-started from the first call's multipliers and cache set."""
+        problem = generate_city_instance(6, 40, 500, rng=14).to_dense()
+        shape = (problem.num_groups, problem.num_files)
+        rng = np.random.default_rng(7)
+        workspace = SubproblemWorkspace(problem)
+        with perf.collecting() as registry:
+            for sbs in (0, 3):
+                aggregate = np.zeros(shape)
+                previous = None
+                for _ in range(2):
+                    warm = {}
+                    if previous is not None:
+                        warm = {
+                            "initial_multipliers": previous.multipliers,
+                            "candidate_caching": previous.caching,
+                        }
+                    solutions = [
+                        solve_subproblem(
+                            problem,
+                            sbs,
+                            aggregate,
+                            SubproblemConfig(oracle=oracle, polish=True),
+                            workspace=workspace if oracle == "batched" else None,
+                            **warm,
+                        )
+                        for oracle in ("batched", "legacy")
+                    ]
+                    candidate, reference = solutions
+                    assert np.array_equal(candidate.caching, reference.caching)
+                    assert np.array_equal(candidate.routing, reference.routing)
+                    assert candidate.cost == reference.cost
+                    assert candidate.dual_history == reference.dual_history
+                    assert candidate.iterations == reference.iterations
+                    assert np.array_equal(candidate.multipliers, reference.multipliers)
+                    previous = reference
+                    aggregate = np.clip(
+                        aggregate + rng.uniform(0.0, 0.3, size=shape), 0.0, 1.0
+                    )
+        assert registry.snapshot()["counters"]["subproblem.recoveries_screened"] > 0

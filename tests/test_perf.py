@@ -1,6 +1,8 @@
 """Tests for the perf instrumentation registry (repro.perf)."""
 
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,3 +173,20 @@ class TestSolverInstrumentation:
         with perf.collecting():
             collected = solve_distributed(problem, config, rng=0)
         assert plain.cost == collected.cost
+
+
+class TestCounterGlossary:
+    def test_every_counter_has_a_glossary_row(self):
+        """Each literal ``perf.count("...")`` name in the package is
+        documented in the counter glossary of docs/performance.md."""
+        root = Path(__file__).resolve().parent.parent
+        emitted = {
+            name
+            for path in (root / "src" / "repro").rglob("*.py")
+            for name in re.findall(r'perf\.count\(\s*"([^"]+)"', path.read_text(encoding="utf-8"))
+        }
+        doc = (root / "docs" / "performance.md").read_text(encoding="utf-8")
+        glossary = doc.split("Counter glossary:", 1)[1].split("\n\n")[1]
+        documented = set(re.findall(r"^\| `([^`]+)` \|", glossary, flags=re.MULTILINE))
+        assert "subproblem.solves" in emitted
+        assert sorted(emitted - documented) == []

@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 from repro import perf
+from repro.core.problem import ProblemInstance
+from repro.core.routing import residual_caps
 from repro.core.subproblem import (
     ItemView,
     SubproblemConfig,
     SubproblemWorkspace,
+    _constant_term,
+    _evaluate_cache_set,
+    _RecoveryScreen,
+    _routing_coefficients,
     cache_subproblem,
     routing_subproblem,
     solve_subproblem,
@@ -330,3 +336,151 @@ class TestItemView:
                     workspace=workspace,
                 )
         assert registry.snapshot()["counters"]["subproblem.workspace_allocs"] == 1
+
+
+class TestBoundaryValidation:
+    """Both oracles reject non-finite prices and warm starts up front."""
+
+    @pytest.mark.parametrize("oracle", ["batched", "legacy"])
+    @pytest.mark.parametrize("argument", ["prices", "initial_multipliers"])
+    def test_nan_rejected(self, tiny_problem, oracle, argument):
+        bad = np.zeros((3, 4))
+        bad[1, 2] = np.nan
+        with pytest.raises(ValidationError, match=f"{argument} must be finite"):
+            solve_subproblem(
+                tiny_problem,
+                0,
+                np.zeros((3, 4)),
+                SubproblemConfig(oracle=oracle),
+                **{argument: bad},
+            )
+
+    @pytest.mark.parametrize("oracle", ["batched", "legacy"])
+    def test_prices_shape_checked(self, tiny_problem, oracle):
+        with pytest.raises(ValidationError, match="prices must have shape"):
+            solve_subproblem(
+                tiny_problem,
+                0,
+                np.zeros((3, 4)),
+                SubproblemConfig(oracle=oracle),
+                prices=np.zeros((4, 3)),
+            )
+
+
+def _screen_case(rng, case):
+    """One random recovery instance exercising a screen edge case, with
+    the inputs the batched kernel builds, from the reference helpers."""
+    problem = random_problem(
+        rng,
+        num_sbs=2,
+        num_groups=int(rng.integers(2, 8)),
+        num_files=int(rng.integers(3, 12)),
+        scarce_bandwidth=case % 5 != 1,  # 1: unsaturated budget
+    )
+    shape = (problem.num_groups, problem.num_files)
+    if case % 5 == 2:  # zero-weight cells (never paid)
+        demand = problem.demand * (rng.random(shape) < 0.6)
+        problem = ProblemInstance(
+            demand=demand,
+            connectivity=problem.connectivity,
+            cache_capacity=problem.cache_capacity,
+            bandwidth=problem.bandwidth,
+            sbs_cost=problem.sbs_cost,
+            bs_cost=problem.bs_cost,
+        )
+    if case % 5 == 3:  # zero budget: only free items are taken
+        problem = problem.with_bandwidth(np.zeros(problem.num_sbs))
+    aggregate = np.clip(rng.uniform(-0.1, 1.1, size=shape), 0.0, 1.0)
+    caps = residual_caps(problem, 0, aggregate)
+    prices = None
+    if case % 2:
+        prices = rng.uniform(0.0, 0.3, size=shape)
+        reach = problem.connectivity[0][:, np.newaxis]
+        caps = np.minimum(caps + 0.2 * reach, reach)  # cap_slack
+    if case % 5 == 4:  # free items: negative price on zero-weight cells
+        problem = ProblemInstance(
+            demand=problem.demand * (rng.random(shape) < 0.7),
+            connectivity=problem.connectivity,
+            cache_capacity=problem.cache_capacity,
+            bandwidth=problem.bandwidth,
+            sbs_cost=problem.sbs_cost,
+            bs_cost=problem.bs_cost,
+        )
+        prices = np.where(problem.demand == 0, -rng.uniform(0.0, 2.0, size=shape), 0.0)
+    constant = _constant_term(problem, 0, aggregate)
+    priced = _routing_coefficients(problem, 0)
+    if prices is not None:
+        priced = priced + prices
+    priced = priced.ravel()
+    view = ItemView.grid(problem, 0)
+    weight = view.weight
+    paid = np.flatnonzero((priced < 0) & (weight > 0))
+    order = paid[np.argsort(priced[paid] / weight[paid], kind="stable")]
+    flat_caps = caps.ravel()
+    screen = _RecoveryScreen(
+        view,
+        priced,
+        flat_caps,
+        constant,
+        order,
+        view.item_file.take(order),
+        flat_caps.take(order),
+        (np.empty(view.num_items), np.empty(view.num_items)),
+    )
+
+    def exact(caching):
+        return _evaluate_cache_set(problem, 0, caching, caps, constant, prices)
+
+    return problem, screen, exact
+
+
+class TestRecoveryScreen:
+    """The weak-duality screen never claims more than the exact cost."""
+
+    @staticmethod
+    def random_set(rng, num_files):
+        caching = np.zeros(num_files)
+        size = int(rng.integers(0, num_files + 1))
+        caching[rng.choice(num_files, size=size, replace=False)] = 1.0
+        return caching
+
+    def test_bound_below_exact_cost(self):
+        """``LB(x) - margin <= cost(x)`` for random sets and swaps on 60
+        seeded instances (prices, cap slack, zero-weight cells, free
+        items, zero and unsaturated budgets), and tight at the incumbent."""
+        rng = np.random.default_rng(20201)
+        for case in range(60):
+            problem, screen, exact = _screen_case(rng, case)
+            num_files = problem.num_files
+            assert screen.bound(np.ones(num_files)) == -np.inf
+            incumbent = self.random_set(rng, num_files)
+            routing, cost = exact(incumbent)
+            screen.refresh(incumbent, routing.ravel())
+            assert screen.bound(incumbent) <= cost
+            assert screen.bound(incumbent) == pytest.approx(cost, rel=1e-9, abs=1e-9)
+            for _ in range(15):
+                caching = self.random_set(rng, num_files)
+                assert screen.bound(caching) <= exact(caching)[1], f"case {case}"
+            outs = np.flatnonzero(incumbent > 0)
+            ins = np.flatnonzero(incumbent == 0)
+            if outs.size and ins.size:
+                swap_out = np.repeat(outs, ins.size)
+                swap_in = np.tile(ins, outs.size)
+                bounds = screen.swap_bounds(incumbent, swap_out, swap_in)
+                for out, into, bound in zip(swap_out, swap_in, bounds):
+                    trial = incumbent.copy()
+                    trial[out], trial[into] = 0.0, 1.0
+                    assert bound <= exact(trial)[1], f"case {case}"
+
+    def test_nothing_screened_before_an_incumbent(self, rng):
+        """Without a seed the first dual iterate's set is always recovered."""
+        problem = random_problem(rng)
+        shape = (problem.num_groups, problem.num_files)
+        with perf.collecting() as registry:
+            solution = solve_subproblem(
+                problem, 0, np.zeros(shape), SubproblemConfig(max_iter=1, polish=False)
+            )
+        counters = registry.snapshot()["counters"]
+        assert np.isfinite(solution.cost)
+        assert counters.get("subproblem.recoveries_screened", 0) == 0
+        assert counters["knapsack.batched_rows"] == 2  # dual row + one recovery
