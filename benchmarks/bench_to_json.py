@@ -5,9 +5,8 @@ Algorithm 1 and writes machine-readable records for CI trend tracking:
 
 * ``BENCH_algorithm1.json`` — single-thread hot-path numbers: the legacy
   (per-iteration validated) subproblem oracle vs the batched
-  (vectorized-kernel) oracle with an exact solution cross-check, a full
-  ``solve_distributed`` run with its perf counters, and a sequential vs
-  thread-pool Jacobi sweep.
+  (vectorized-kernel) oracle with an exact solution cross-check, and a
+  full ``solve_distributed`` run with its perf counters.
 * ``BENCH_sweeps.json`` — sweep-engine numbers on a figure-style
   epsilon sweep: the legacy serial engine (no dedup, validating solver),
   the optimized serial engine, and the process-parallel engine, with an
@@ -113,11 +112,10 @@ def bench_algorithm1(smoke: bool) -> tuple:
     """Hot-path benchmark: legacy vs batched subproblem oracle.
 
     Times both oracles on the same instance, cross-checks them exactly,
-    runs one full ``solve_distributed`` under perf counters, and
-    compares a sequential Jacobi sweep with the thread-pool executor.
+    and runs one full ``solve_distributed`` under perf counters.
     Returns ``(record, ok)`` where ``ok`` is False when the batched
-    oracle (or the Jacobi executor) disagrees with the legacy reference
-    on any component of the solution.
+    oracle disagrees with the legacy reference on any component of the
+    solution.
     """
     scenario = ScenarioConfig() if not smoke else ScenarioConfig(num_groups=12, num_links=16)
     problem = build_problem(scenario, rng=7)
@@ -150,27 +148,6 @@ def bench_algorithm1(smoke: bool) -> tuple:
         result = solve_distributed(problem, config, rng=0)
     run_wall = time.perf_counter() - t0
 
-    # Jacobi executor: sequential vs thread pool, exact cross-check.
-    jacobi_seq_cfg = DistributedConfig(
-        accuracy=1e-3, max_iterations=3, mode="jacobi", damping=0.7
-    )
-    jacobi_par_cfg = DistributedConfig(
-        accuracy=1e-3, max_iterations=3, mode="jacobi", damping=0.7, jacobi_workers=4
-    )
-    jacobi_seq = solve_distributed(problem, jacobi_seq_cfg, rng=0)
-    jacobi_par = solve_distributed(problem, jacobi_par_cfg, rng=0)
-    jacobi_identical = bool(
-        jacobi_seq.cost == jacobi_par.cost
-        and np.array_equal(jacobi_seq.solution.caching, jacobi_par.solution.caching)
-        and np.array_equal(jacobi_seq.solution.routing, jacobi_par.solution.routing)
-    )
-    t_jacobi_seq = _time_repeated(
-        lambda: solve_distributed(problem, jacobi_seq_cfg, rng=0), 2
-    )
-    t_jacobi_par = _time_repeated(
-        lambda: solve_distributed(problem, jacobi_par_cfg, rng=0), 2
-    )
-
     record = {
         "benchmark": "algorithm1_hot_path",
         "smoke": smoke,
@@ -186,12 +163,6 @@ def bench_algorithm1(smoke: bool) -> tuple:
             "speedup": t_legacy / t_batched if t_batched > 0 else float("inf"),
             "identical": identical,
         },
-        "jacobi_executor": {
-            "sequential_seconds": t_jacobi_seq,
-            "threadpool_seconds": t_jacobi_par,
-            "workers": 4,
-            "identical": jacobi_identical,
-        },
         "solve_distributed": {
             "wall_seconds": run_wall,
             "cost": result.cost,
@@ -200,7 +171,7 @@ def bench_algorithm1(smoke: bool) -> tuple:
             "perf": registry.snapshot(),
         },
     }
-    return record, identical and jacobi_identical
+    return record, identical
 
 
 def bench_sweeps(smoke: bool, workers: int) -> tuple:
@@ -674,14 +645,10 @@ def _run_algorithm1(args) -> bool:
     path = args.out_dir / "BENCH_algorithm1.json"
     path.write_text(json.dumps(algo_record, indent=2) + "\n")
     sub = algo_record["solve_subproblem"]
-    jacobi = algo_record["jacobi_executor"]
     print(
         f"algorithm1: legacy {sub['legacy_seconds'] * 1e3:.1f} ms, "
         f"batched {sub['batched_seconds'] * 1e3:.1f} ms "
-        f"({sub['speedup']:.2f}x, identical={sub['identical']}); "
-        f"jacobi pool {jacobi['threadpool_seconds']:.2f} s vs "
-        f"seq {jacobi['sequential_seconds']:.2f} s "
-        f"(identical={jacobi['identical']}) -> {path}"
+        f"({sub['speedup']:.2f}x, identical={sub['identical']}) -> {path}"
     )
     return bool(algo_ok)
 

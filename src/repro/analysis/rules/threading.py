@@ -1,9 +1,9 @@
 """Threading rule: shared state in pool-reachable modules needs locks.
 
-The Jacobi sweep fans ``solve_phase`` out over a ``ThreadPoolExecutor``
-(``core.distributed``), and everything it can reach — the subproblem
-oracle, the solver kernels, the perf registry that instruments them,
-the trace recorder they emit into — executes concurrently.  In those
+Per-SBS subproblem solves are independent, so callers may run them on a
+thread pool, and everything a solve can reach — the subproblem oracle,
+the solver kernels, the perf registry that instruments them, the trace
+recorder they emit into — then executes concurrently.  In those
 modules, mutating state that threads share (module globals, or ``self``
 attributes on a class that owns a lock) without holding a lock is the
 PR 7 perf-registry race class: usually invisible, occasionally a lost
@@ -31,9 +31,9 @@ __all__ = ["UnguardedSharedMutation"]
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
-#: Modules whose functions run under (or alongside) the Jacobi thread
-#: pool: the sweep itself, everything solve_phase calls, and the
-#: process-global instrumentation sinks those calls write to.
+#: Modules whose functions a threaded caller reaches: the agents and
+#: sweeps, everything a per-SBS solve calls, and the process-global
+#: instrumentation sinks those calls write to.
 THREADED_MODULES = frozenset(
     {
         "repro.core.distributed",

@@ -19,6 +19,10 @@ The result records the cost trajectory over simulated time, per-SBS
 staleness statistics (how old the acted-upon aggregate was), and the
 final policy — letting the benchmarks quantify how much asynchrony
 actually costs relative to Theorem 2's synchronized ideal.
+
+The simulation does not run on :class:`~repro.core.convergence.RunLoop`,
+the outer loop the synchronous solvers share: it is event-driven over
+simulated time, so it has no sweep or iteration boundary to close.
 """
 
 from __future__ import annotations

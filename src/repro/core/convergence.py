@@ -1,20 +1,30 @@
-"""Convergence tracking for the distributed algorithm.
+"""Convergence tracking and the outer loop of the distributed algorithm.
 
 Theorem 2 guarantees the Gauss-Seidel cost sequence converges to the
 optimum; Theorem 3 shows each phase's update is non-increasing even with
 LPPM noise.  :class:`CostHistory` records the cost after every phase and
 iteration so tests can assert those properties and the benchmarks can
-report convergence speed.
+report convergence speed.  :class:`RunLoop` is Algorithm 1's outer loop
+(sweep, evaluate, stop at ``gamma`` or ``T``), written once for every
+synchronous solver.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
-from typing import List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Union
 
 import numpy as np
 
-__all__ = ["PhaseRecord", "CostHistory"]
+from .. import obs, perf
+
+if TYPE_CHECKING:
+    from .distributed import DistributedConfig
+    from .problem import ProblemInstance
+    from .sparse import SparseProblemInstance
+
+__all__ = ["PhaseRecord", "CostHistory", "Sweep", "RunLoop"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -114,3 +124,237 @@ class CostHistory:
             "stale_phases": self.stale_phase_count(),
             "retries": self.total_retries(),
         }
+
+
+@dataclasses.dataclass(frozen=True)
+class Sweep:
+    """One pass over the SBSs, as :meth:`RunLoop.sweeps` hands it out.
+
+    ``slack`` and ``price_step`` follow the prices-mode schedule (``0.0``
+    and ``None`` in caps mode); ``restoration`` marks the final
+    zero-slack, frozen-price sweep of a prices-mode run.
+    """
+
+    iteration: int
+    slack: float
+    price_step: Optional[float]
+    restoration: bool = False
+
+
+class RunLoop:
+    """Algorithm 1's outer loop, shared by every synchronous solver.
+
+    The in-process optimizer, the sparse solver and the socket server
+    differ only in how one sweep visits the SBSs.  Everything around the
+    sweep lives here, once: the ``run_start`` / ``phase`` / ``iteration``
+    / ``run_end`` events, the root and per-iteration spans, the
+    prices-mode slack and step schedule, the convergence test and the
+    restoration sweep.  The caller drives the loop with its own ``for``
+    (so an ``async`` sweep body can ``await``)::
+
+        loop = RunLoop(config, problem)
+        loop.start()
+        for sweep in loop.sweeps():
+            for phase, sbs in enumerate(order):
+                ...  # solve, upload, fold
+                loop.phase(phase, sbs, cost)
+        loop.finish()
+
+    Every sweep body reports one :meth:`phase` per SBS, and an
+    iteration's cost is the cost after its last phase.  The run stops
+    once the relative cost change is at most ``config.accuracy``, the
+    prices-mode slack has settled below 0.02 (immature prices say
+    nothing about optimality) and the iteration has at most
+    ``allowed_stale`` stale phases (a frozen cost certifies nothing);
+    ``allowed_stale`` is 0 in process and the quorum on sockets.
+
+    ``span`` is the span factory (the ambient :func:`repro.obs.span`, or
+    a node tracker's ``span``); ``root_attrs`` the root span's
+    attributes; ``counter`` / ``timer`` the :mod:`repro.perf` names
+    counting iterations and timing sweeps (restoration excluded).
+    """
+
+    def __init__(
+        self,
+        config: "DistributedConfig",
+        problem: Union["ProblemInstance", "SparseProblemInstance"],
+        *,
+        private: bool = False,
+        resilient: bool = False,
+        allowed_stale: int = 0,
+        span: Optional[Callable[..., Any]] = None,
+        root_attrs: Optional[Dict[str, Any]] = None,
+        counter: Optional[str] = None,
+        timer: Optional[str] = None,
+    ) -> None:
+        self.config = config
+        self.problem = problem
+        self.history = CostHistory(initial_cost=problem.max_cost())
+        self.iterations = 0
+        self.converged = False
+        self._private = private
+        self._resilient = resilient
+        self._allowed_stale = allowed_stale
+        self._span = span or obs.span
+        self._root_attrs = root_attrs or {"mode": config.mode}
+        self._counter = counter
+        self._timer = timer
+        self._root: Any = None
+        self._iteration = -1
+        self._gaps: List[float] = []
+        self._norms: List[float] = []
+
+    def start(self, **fields: Any) -> None:
+        """Emit ``run_start`` (plus the caller's ``fields``), open the root span."""
+        config, problem = self.config, self.problem
+        if obs.enabled():
+            obs.emit(
+                "run_start",
+                run="algorithm1",
+                num_sbs=problem.num_sbs,
+                num_groups=problem.num_groups,
+                num_files=problem.num_files,
+                mode=config.mode,
+                coordination=config.coordination,
+                accuracy=config.accuracy,
+                max_iterations=config.max_iterations,
+                private=self._private,
+                resilient=self._resilient,
+                warm_start=config.warm_start,
+                initial_cost=float(self.history.initial_cost),
+                **fields,
+            )
+        # Explicit start/finish (not ``with``): the root closes before
+        # the ``run_end`` emit so its event stays inside the run bracket.
+        self._root = self._span("run", category="run", **self._root_attrs).start()
+
+    def sweeps(self) -> Iterator[Sweep]:
+        """Yield each sweep inside its ``iteration`` span until the run stops."""
+        config = self.config
+        with_prices = config.coordination == "prices"
+        previous_cost = self.history.initial_cost
+        for iteration in range(config.max_iterations):
+            slack = config.slack0 * config.slack_decay**iteration if with_prices else 0.0
+            price_step = (
+                config.price_eta0 / (1.0 + config.price_alpha * iteration)
+                if with_prices
+                else None
+            )
+            if self._counter is not None:
+                perf.count(self._counter)
+            self._begin(iteration)
+            timer = contextlib.nullcontext() if self._timer is None else perf.timed(self._timer)
+            with self._span("iteration", category="iteration", iteration=iteration), timer:
+                yield Sweep(iteration, slack, price_step)
+            cost = self._close()
+            self.iterations = iteration + 1
+            relative_change = abs(previous_cost - cost) / (abs(cost) if cost != 0 else 1.0)
+            self._emit_iteration(cost, relative_change=float(relative_change))
+            if (
+                relative_change <= config.accuracy
+                and ((not with_prices) or slack < 0.02)
+                and self.history.stale_phase_count(iteration) <= self._allowed_stale
+            ):
+                self.converged = True
+                break
+            previous_cost = cost
+        if with_prices:
+            # Feasibility restoration: one zero-slack sweep with frozen
+            # prices removes any residual over-service left by the slack.
+            self._begin(self.iterations)
+            with self._span(
+                "iteration",
+                category="iteration",
+                iteration=self.iterations,
+                restoration=True,
+            ):
+                yield Sweep(self.iterations, 0.0, None, restoration=True)
+            self._emit_iteration(self._close(), restoration=True)
+
+    def phase(
+        self,
+        phase: int,
+        sbs: int,
+        cost: float,
+        *,
+        stats: Optional[Dict[str, float]] = None,
+        noise_l1: float = 0.0,
+        retries: int = 0,
+        stale: bool = False,
+    ) -> None:
+        """Record one phase of the current sweep and emit its ``phase`` event.
+
+        ``stats`` are the solve's trace extras (``dual_gap``, ``mu_norm``
+        and, with timings on, ``solve_seconds``); the iteration event
+        aggregates the first two over the sweep.
+        """
+        record = PhaseRecord(
+            iteration=self._iteration,
+            phase=phase,
+            sbs=sbs,
+            cost=cost,
+            noise_l1=noise_l1,
+            retries=retries,
+            stale=stale,
+        )
+        self.history.record_phase(record)
+        if not obs.enabled():
+            return
+        fields: Dict[str, object] = dataclasses.asdict(record)
+        if stats:
+            fields["dual_gap"] = stats["dual_gap"]
+            fields["mu_norm"] = stats["mu_norm"]
+            self._gaps.append(stats["dual_gap"])
+            self._norms.append(stats["mu_norm"])
+            if "solve_seconds" in stats:
+                fields["solve_seconds"] = stats["solve_seconds"]
+        obs.emit("phase", **fields)
+
+    def finish(self, *, total_epsilon: Optional[float] = None, **fields: Any) -> None:
+        """Close the root span, then emit ``run_end`` (plus the caller's ``fields``)."""
+        if obs.spans_enabled():
+            self._root.annotate(**obs.resource_attrs(obs.timings_enabled()))
+        self._root.finish()
+        if obs.enabled():
+            history = self.history
+            obs.emit(
+                "run_end",
+                final_cost=float(history.final_cost),
+                iterations=self.iterations,
+                converged=self.converged,
+                total_epsilon=total_epsilon,
+                stale_phases=history.stale_phase_count(),
+                total_retries=history.total_retries(),
+                phases=len(history.phases),
+                **fields,
+            )
+
+    def _begin(self, iteration: int) -> None:
+        self._iteration = iteration
+        self._gaps, self._norms = [], []
+
+    def _close(self) -> float:
+        cost = self.history.phases[-1].cost
+        self.history.close_iteration(cost)
+        return cost
+
+    def _emit_iteration(
+        self,
+        cost: float,
+        *,
+        relative_change: Optional[float] = None,
+        restoration: bool = False,
+    ) -> None:
+        if not obs.enabled():
+            return
+        fields: Dict[str, object] = {"iteration": self._iteration, "cost": float(cost)}
+        if relative_change is not None:
+            fields["relative_change"] = relative_change
+        if restoration:
+            fields["restoration"] = True
+        if self._gaps:
+            fields["dual_gap_max"] = max(self._gaps)
+        if self._norms:
+            fields["mu_norm_max"] = max(self._norms)
+            fields["mu_norm_mean"] = sum(self._norms) / len(self._norms)
+        obs.emit("iteration", **fields)

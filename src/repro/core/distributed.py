@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Protocol, Sequence, Union
 
 import numpy as np
@@ -44,7 +43,7 @@ from ..network.messaging import Channel, Message, MessageKind
 from ..privacy.accountant import PrivacyAccountant
 from ..privacy.factory import MechanismConfig, build_mechanism
 from ..privacy.mechanism import LaplacePrivacyMechanism
-from .convergence import CostHistory, PhaseRecord
+from .convergence import CostHistory, RunLoop, Sweep
 from .cost import total_cost
 from .problem import ProblemInstance
 from .solution import Solution
@@ -119,15 +118,6 @@ class DistributedConfig:
         Jacobi damping factor in ``(0, 1]``; the uploaded policy is
         ``damping * new + (1 - damping) * previous``.  Ignored in
         Gauss-Seidel mode.
-    jacobi_workers:
-        Intra-solve parallelism for Jacobi sweeps: the N subproblems of
-        one iteration are independent, so values above 1 dispatch them
-        across a thread pool over the GIL-releasing numpy kernels.
-        Mailbox drains run before the fan-out and privacy/trace
-        bookkeeping after it (both in sweep order), so results are
-        bit-identical to the sequential Jacobi sweep.  Default 1
-        (sequential); rejected in Gauss-Seidel mode, whose sweeps are
-        order-dependent by construction.
     coordination:
         ``"caps"`` — the paper-literal scheme: each SBS caps its routing
         at the residual ``1 - y_{-n}``.  Block-coordinate descent over
@@ -174,7 +164,6 @@ class DistributedConfig:
     subproblem: SubproblemConfig = dataclasses.field(default_factory=SubproblemConfig)
     mode: str = "gauss-seidel"
     damping: float = 1.0
-    jacobi_workers: int = 1
     coordination: str = "caps"
     price_eta0: float = 0.5
     price_alpha: float = 0.5
@@ -193,12 +182,6 @@ class DistributedConfig:
         if self.mode not in ("gauss-seidel", "jacobi"):
             raise ValidationError(f"mode must be 'gauss-seidel' or 'jacobi', got {self.mode!r}")
         check_in_interval(self.damping, "damping", low=0.0, high=1.0, low_open=True)
-        check_positive_int(self.jacobi_workers, "jacobi_workers")
-        if self.jacobi_workers > 1 and self.mode != "jacobi":
-            raise ValidationError(
-                "jacobi_workers > 1 requires mode='jacobi'; Gauss-Seidel sweeps "
-                "are order-dependent and stay sequential"
-            )
         if self.coordination not in ("caps", "prices"):
             raise ValidationError(
                 f"coordination must be 'caps' or 'prices', got {self.coordination!r}"
@@ -566,30 +549,24 @@ class SBSAgent:
         return payload, None
 
     def begin_phase(self) -> tuple:
-        """Stage 1 of a phase: drain the mailbox, form ``y_{-n}``.
+        """Drain the mailbox and form ``y_{-n}`` (counts one phase).
 
-        Touches the shared channel, so the Jacobi executor runs this
-        stage sequentially before fanning the solves out.  Returns
-        ``(aggregate_others, prices)`` for :meth:`solve_phase`.
+        Returns ``(aggregate_others, prices)`` for the solve.
         """
         perf.count("algorithm1.phases")
         aggregate, prices = self.read_latest_aggregate()
         aggregate_others = np.clip(aggregate - self.last_report, 0.0, None)
         return aggregate_others, prices
 
-    def solve_phase(
-        self,
-        aggregate_others: np.ndarray,
-        prices: Optional[np.ndarray],
-        *,
-        cap_slack: float = 0.0,
-    ) -> None:
-        """Stage 2: solve ``P_n`` against a pre-read aggregate.
+    def compute_phase(self, iteration: int, phase: int, *, cap_slack: float = 0.0) -> tuple:
+        """Read the aggregate, solve ``P_n``, apply LPPM; no upload yet.
 
-        Pure per-agent computation over GIL-releasing numpy kernels —
-        mutates only this agent's own state (workspace, multipliers,
-        caching, routing), so distinct agents can run concurrently.
+        Returns ``(report, noise_l1)`` — the (possibly perturbed) policy
+        block to upload and the L1 mass of privacy noise injected.  The
+        caller is responsible for delivering the report (reliably or via
+        the ARQ layer).
         """
+        aggregate_others, prices = self.begin_phase()
         # Inline wall-clock timing: tracing alone (no perf registry)
         # records per-phase solve durations, gated on the recorder's
         # timings flag so deterministic traces stay byte-identical.
@@ -626,15 +603,6 @@ class SBSAgent:
                 self.last_solve_stats["solve_seconds"] = (
                     time.perf_counter() - solve_started
                 )
-
-    def finish_phase(self, iteration: int, phase: int) -> tuple:
-        """Stage 3: apply the LPPM and book the report; no upload yet.
-
-        Draws privacy noise and appends to the shared accountant/trace,
-        so the Jacobi executor runs this stage sequentially (in sweep
-        order) to keep runs bit-identical with the serial path.  Returns
-        ``(report, noise_l1)``.
-        """
         report = self.true_routing
         noise_l1 = 0.0
         if self._mechanism is not None:
@@ -659,20 +627,6 @@ class SBSAgent:
                 )
         self.last_report = report
         return report, noise_l1
-
-    def compute_phase(self, iteration: int, phase: int, *, cap_slack: float = 0.0) -> tuple:
-        """Read the aggregate, solve ``P_n``, apply LPPM; no upload yet.
-
-        Returns ``(report, noise_l1)`` — the (possibly perturbed) policy
-        block to upload and the L1 mass of privacy noise injected.  The
-        caller is responsible for delivering the report (reliably or via
-        the ARQ layer).  Composed of :meth:`begin_phase`,
-        :meth:`solve_phase`, and :meth:`finish_phase` so the Jacobi
-        executor can interleave the middle stage across agents.
-        """
-        aggregate_others, prices = self.begin_phase()
-        self.solve_phase(aggregate_others, prices, cap_slack=cap_slack)
-        return self.finish_phase(iteration, phase)
 
     def send_upload(
         self, report: np.ndarray, iteration: int, phase: int, *, seq: int = 0
@@ -863,159 +817,30 @@ class DistributedOptimizer:
             )
             agent.resilient = faults is not None
             self.sbss.append(agent)
-        # Per-sweep trace aggregates (populated only while tracing).
-        self._sweep_gaps: List[float] = []
-        self._sweep_norms: List[float] = []
-
-    # -- trace hooks ---------------------------------------------------
-    def _trace_phase(self, record: PhaseRecord, agent: SBSAgent) -> None:
-        """Emit one ``phase`` event mirroring ``record`` (tracing only).
-
-        Per-phase ``solve_seconds`` are measured inline by
-        :meth:`SBSAgent.compute_phase` whenever the active recorder has
-        timings on — tracing alone records phase timings; no
-        :mod:`repro.perf` registry is required.
-        """
-        if not obs.enabled():
-            return
-        fields: Dict[str, object] = {
-            "iteration": record.iteration,
-            "phase": record.phase,
-            "sbs": record.sbs,
-            "cost": record.cost,
-            "noise_l1": record.noise_l1,
-            "retries": record.retries,
-            "stale": record.stale,
-        }
-        stats = agent.last_solve_stats
-        if stats is not None:
-            fields["dual_gap"] = stats["dual_gap"]
-            fields["mu_norm"] = stats["mu_norm"]
-            self._sweep_gaps.append(stats["dual_gap"])
-            self._sweep_norms.append(stats["mu_norm"])
-            if "solve_seconds" in stats:
-                fields["solve_seconds"] = stats["solve_seconds"]
-        obs.emit("phase", **fields)
-
-    def _trace_iteration(
-        self,
-        iteration: int,
-        cost: float,
-        relative_change: Optional[float] = None,
-        *,
-        restoration: bool = False,
-    ) -> None:
-        """Emit one ``iteration`` event with the sweep's aggregates."""
-        if not obs.enabled():
-            return
-        fields: Dict[str, object] = {"iteration": iteration, "cost": float(cost)}
-        if relative_change is not None:
-            fields["relative_change"] = float(relative_change)
-        if restoration:
-            fields["restoration"] = True
-        if self._sweep_gaps:
-            fields["dual_gap_max"] = max(self._sweep_gaps)
-        if self._sweep_norms:
-            fields["mu_norm_max"] = max(self._sweep_norms)
-            fields["mu_norm_mean"] = sum(self._sweep_norms) / len(self._sweep_norms)
-        obs.emit("iteration", **fields)
 
     # ------------------------------------------------------------------
     def run(self) -> DistributedResult:
         """Execute Algorithm 1 until the accuracy level or iteration cap."""
-        problem, config = self.problem, self.config
-        history = CostHistory(initial_cost=problem.max_cost())
-        previous_cost = history.initial_cost
-        converged = False
-        iterations = 0
-        if obs.enabled():
-            obs.emit(
-                "run_start",
-                run="algorithm1",
-                num_sbs=problem.num_sbs,
-                num_groups=problem.num_groups,
-                num_files=problem.num_files,
-                mode=config.mode,
-                coordination=config.coordination,
-                accuracy=config.accuracy,
-                max_iterations=config.max_iterations,
-                private=self.accountant is not None,
-                resilient=self.faults is not None,
-                warm_start=config.warm_start,
-                initial_cost=float(history.initial_cost),
-            )
-
-        # Root causal span: explicit start/finish (not ``with``) so it
-        # closes before the ``run_end`` emit and its event stays inside
-        # the run bracket.  No-op unless the recorder enables spans.
-        run_span = obs.span("run", category="run", mode=config.mode).start()
-
+        resilient = self.faults is not None
+        loop = RunLoop(
+            self.config,
+            self.problem,
+            private=self.accountant is not None,
+            resilient=resilient,
+            counter="algorithm1.iterations",
+            timer="algorithm1.sweep",
+        )
+        loop.start()
         # Initial broadcast: the all-zero aggregate every SBS starts from
         # (the paper's y_{-n}(tau=0) = 0 initialisation).
         self.base_station.broadcast_aggregate(iteration=-1, phase=-1)
-
-        with_prices = config.coordination == "prices"
-        resilient = self.faults is not None
-        for iteration in range(config.max_iterations):
-            slack = config.slack0 * config.slack_decay**iteration if with_prices else 0.0
-            price_step = (
-                config.price_eta0 / (1.0 + config.price_alpha * iteration)
-                if with_prices
-                else None
-            )
-            perf.count("algorithm1.iterations")
-            self._sweep_gaps, self._sweep_norms = [], []
-            with obs.span("iteration", category="iteration", iteration=iteration), perf.timed("algorithm1.sweep"):
-                if resilient:
-                    self.channel.set_time(iteration)
-                    self._resilient_sweep(iteration, history, slack, price_step)
-                elif config.mode == "gauss-seidel":
-                    self._gauss_seidel_sweep(iteration, history, slack, price_step)
-                else:
-                    self._jacobi_sweep(iteration, history, slack, price_step)
-            cost = self.base_station.system_cost()
-            history.close_iteration(cost)
-            iterations = iteration + 1
-            denominator = abs(cost) if cost != 0 else 1.0
-            relative_change = abs(previous_cost - cost) / denominator
-            self._trace_iteration(iteration, cost, relative_change)
-            # In prices mode the early sweeps run with a loose slack and
-            # immature prices; a stable cost there says nothing about
-            # optimality, so hold off the convergence test until the
-            # slack has essentially vanished.  Likewise an iteration with
-            # stale phases (crashes, exhausted retries) can leave the cost
-            # frozen without having optimized anything — never let such an
-            # iteration certify convergence.
-            slack_settled = (not with_prices) or slack < 0.02
-            clean_iteration = (not resilient) or history.stale_phase_count(iteration) == 0
-            if slack_settled and clean_iteration and relative_change <= config.accuracy:
-                converged = True
-                break
-            previous_cost = cost
-
-        if with_prices:
-            # Feasibility restoration: one zero-slack sweep with frozen
-            # prices removes any residual over-service left by the
-            # transient slack.
-            self._sweep_gaps, self._sweep_norms = [], []
-            with obs.span(
-                "iteration",
-                category="iteration",
-                iteration=iterations,
-                restoration=True,
-            ):
-                if resilient:
-                    self.channel.set_time(iterations)
-                    self._resilient_sweep(
-                        iterations, history, slack=0.0, price_step=None
-                    )
-                else:
-                    self._gauss_seidel_sweep(
-                        iterations, history, slack=0.0, price_step=None
-                    )
-            restoration_cost = self.base_station.system_cost()
-            history.close_iteration(restoration_cost)
-            self._trace_iteration(iterations, restoration_cost, restoration=True)
+        for sweep in loop.sweeps():
+            if resilient:
+                self._resilient_sweep(loop, sweep)
+            elif self.config.mode == "jacobi" and not sweep.restoration:
+                self._jacobi_sweep(loop, sweep)
+            else:  # Jacobi runs restore feasibility with a Gauss-Seidel sweep
+                self._gauss_seidel_sweep(loop, sweep)
 
         unperturbed = np.stack([agent.true_routing for agent in self.sbss])
         solution = Solution(
@@ -1024,42 +849,38 @@ class DistributedOptimizer:
         )
         result = DistributedResult(
             solution=solution,
-            cost=history.final_cost,
-            iterations=iterations,
-            converged=converged,
-            history=history,
+            cost=loop.history.final_cost,
+            iterations=loop.iterations,
+            converged=loop.converged,
+            history=loop.history,
             channel=self.channel,
             unperturbed_routing=unperturbed,
-            unperturbed_cost=total_cost(problem, unperturbed),
+            unperturbed_cost=total_cost(self.problem, unperturbed),
             accountant=self.accountant,
         )
-        if obs.spans_enabled():
-            run_span.annotate(**obs.resource_attrs(obs.timings_enabled()))
-        run_span.finish()
-        if obs.enabled():
-            # repro-taint: disable=REPRO701 -- deliberate accuracy-loss reporting: pre-noise cost is a scalar system aggregate (Fig. 5)
-            obs.emit(
-                "run_end",
-                final_cost=float(result.cost),
-                iterations=result.iterations,
-                converged=result.converged,
-                total_epsilon=result.total_epsilon,
-                stale_phases=result.stale_phases,
-                total_retries=result.total_retries,
-                phases=len(history.phases),
-                unperturbed_cost=result.unperturbed_cost,
-                channel=dataclasses.asdict(self.channel.stats),
-            )
+        # repro-taint: disable=REPRO701 -- deliberate accuracy-loss reporting: pre-noise cost is a scalar system aggregate (Fig. 5)
+        loop.finish(
+            total_epsilon=result.total_epsilon,
+            unperturbed_cost=result.unperturbed_cost,
+            channel=dataclasses.asdict(self.channel.stats),
+        )
         return result
 
     # ------------------------------------------------------------------
-    def _gauss_seidel_sweep(
-        self,
-        iteration: int,
-        history: CostHistory,
-        slack: float = 0.0,
-        price_step: Optional[float] = None,
-    ) -> None:
+    def _broadcast(self, sweep: Sweep, sbs: int, phase: int) -> None:
+        """Line 5 of Algorithm 1: update congestion prices, then broadcast."""
+        with obs.span(
+            "aggregate",
+            category="aggregate",
+            sbs=sbs,
+            iteration=sweep.iteration,
+            phase=phase,
+        ):
+            if sweep.price_step is not None:
+                self.base_station.update_prices(sweep.price_step)
+            self.base_station.broadcast_aggregate(sweep.iteration, phase)
+
+    def _gauss_seidel_sweep(self, loop: RunLoop, sweep: Sweep) -> None:
         """One iteration, following Algorithm 1's lines 2-5 exactly.
 
         For each phase: the active SBS reads the latest aggregate
@@ -1075,39 +896,22 @@ class DistributedOptimizer:
             with obs.span(
                 "phase",
                 category="solve",
-                sbs=agent.index,
-                iteration=iteration,
+                sbs=index,
+                iteration=sweep.iteration,
                 phase=phase,
             ):
-                noise_l1 = agent.run_phase(iteration, phase, cap_slack=slack)
-                self.base_station.collect_upload(agent.index)
-                with obs.span(
-                    "aggregate",
-                    category="aggregate",
-                    sbs=agent.index,
-                    iteration=iteration,
-                    phase=phase,
-                ):
-                    if price_step is not None:
-                        self.base_station.update_prices(price_step)
-                    self.base_station.broadcast_aggregate(iteration, phase)
-                record = PhaseRecord(
-                    iteration=iteration,
-                    phase=phase,
-                    sbs=agent.index,
-                    cost=self.base_station.system_cost(),
+                noise_l1 = agent.run_phase(sweep.iteration, phase, cap_slack=sweep.slack)
+                self.base_station.collect_upload(index)
+                self._broadcast(sweep, index, phase)
+                loop.phase(
+                    phase,
+                    index,
+                    self.base_station.system_cost(),
+                    stats=agent.last_solve_stats,
                     noise_l1=noise_l1,
                 )
-                history.record_phase(record)
-                self._trace_phase(record, agent)
 
-    def _resilient_sweep(
-        self,
-        iteration: int,
-        history: CostHistory,
-        slack: float = 0.0,
-        price_step: Optional[float] = None,
-    ) -> None:
+    def _resilient_sweep(self, loop: RunLoop, sweep: Sweep) -> None:
         """One Gauss-Seidel iteration over an unreliable channel.
 
         The same phase structure as :meth:`_gauss_seidel_sweep`, but each
@@ -1117,13 +921,14 @@ class DistributedOptimizer:
         recovered SBSs are restored from their last checkpoint so they
         rejoin mid-run instead of restarting the sweep.
         """
-        channel = self.channel
+        channel, iteration = self.channel, sweep.iteration
+        channel.set_time(iteration)
         for phase, index in enumerate(self._order):
             agent = self.sbss[index]
             with obs.span(
                 "phase",
                 category="solve",
-                sbs=agent.index,
+                sbs=index,
                 iteration=iteration,
                 phase=phase,
             ) as phase_span:
@@ -1132,29 +937,21 @@ class DistributedOptimizer:
                     obs.emit(
                         "protocol",
                         event="crash_skip",
-                        sbs=agent.index,
+                        sbs=index,
                         iteration=iteration,
                         phase=phase,
                     )
                     phase_span.annotate(category="straggler", crashed=True)
-                    record = PhaseRecord(
-                        iteration=iteration,
-                        phase=phase,
-                        sbs=agent.index,
-                        cost=self.base_station.system_cost(),
-                        stale=True,
-                    )
-                    history.record_phase(record)
-                    self._trace_phase(record, agent)
+                    loop.phase(phase, index, self.base_station.system_cost(), stale=True)
                     continue
                 agent.recover(self.checkpoints)
                 report, noise_l1 = agent.compute_phase(
-                    iteration, phase, cap_slack=slack
+                    iteration, phase, cap_slack=sweep.slack
                 )
                 upload_span = obs.span(
                     "upload",
                     category="network",
-                    sbs=agent.index,
+                    sbs=index,
                     iteration=iteration,
                     phase=phase,
                 )
@@ -1181,45 +978,32 @@ class DistributedOptimizer:
                     obs.emit(
                         "protocol",
                         event="degrade",
-                        sbs=agent.index,
+                        sbs=index,
                         iteration=iteration,
                         phase=phase,
                         retries=self.config.max_retries,
                     )
-                    record = PhaseRecord(
-                        iteration=iteration,
-                        phase=phase,
-                        sbs=agent.index,
-                        cost=self.base_station.system_cost(),
+                    loop.phase(
+                        phase,
+                        index,
+                        self.base_station.system_cost(),
+                        stats=agent.last_solve_stats,
                         noise_l1=noise_l1,
                         retries=self.config.max_retries,
                         stale=True,
                     )
-                    history.record_phase(record)
-                    self._trace_phase(record, agent)
                     continue
                 agent.commit_report()
                 agent.save_checkpoint(self.checkpoints, iteration)
-                with obs.span(
-                    "aggregate",
-                    category="aggregate",
-                    sbs=agent.index,
-                    iteration=iteration,
-                    phase=phase,
-                ):
-                    if price_step is not None:
-                        self.base_station.update_prices(price_step)
-                    self.base_station.broadcast_aggregate(iteration, phase)
-                record = PhaseRecord(
-                    iteration=iteration,
-                    phase=phase,
-                    sbs=agent.index,
-                    cost=self.base_station.system_cost(),
+                self._broadcast(sweep, index, phase)
+                loop.phase(
+                    phase,
+                    index,
+                    self.base_station.system_cost(),
+                    stats=agent.last_solve_stats,
                     noise_l1=noise_l1,
                     retries=retries,
                 )
-                history.record_phase(record)
-                self._trace_phase(record, agent)
 
     def _upload_with_retries(
         self, agent: SBSAgent, report: np.ndarray, iteration: int, phase: int
@@ -1278,73 +1062,35 @@ class DistributedOptimizer:
             )
         return None
 
-    def _jacobi_sweep(
-        self,
-        iteration: int,
-        history: CostHistory,
-        slack: float = 0.0,
-        price_step: Optional[float] = None,
-    ) -> None:
+    def _jacobi_sweep(self, loop: RunLoop, sweep: Sweep) -> None:
         """All SBSs best-respond to the same (stale) aggregate, with damping.
 
-        Each SBS's subproblem solve is timed inside
-        :meth:`SBSAgent.compute_phase`, so the per-phase events carry
-        per-SBS ``solve_seconds`` here too (the solves all happen before
-        the fold loop, but each duration is attributable to its SBS).
+        Every SBS solves and uploads before the BS folds anything; the
+        BS then folds the uploads in sweep order (phase ``k`` is the
+        ``k``-th SBS of the order) and broadcasts once.
         """
-        uploads: Dict[int, float] = {}
-        workers = min(self.config.jacobi_workers, len(self._order))
-        if workers > 1:
-            # Intra-solve fan-out: every stage that touches shared state
-            # (mailbox drains, privacy noise, accountant, traces, BS
-            # uploads) runs sequentially in sweep order; only the pure
-            # per-agent numpy solves run on the pool.  The solves are
-            # deterministic and mutate disjoint state, so the sweep is
-            # bit-identical to the sequential branch below.
-            inputs = {}
-            for index in self._order:
-                inputs[index] = self.sbss[index].begin_phase()
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    index: pool.submit(
-                        self.sbss[index].solve_phase,
-                        inputs[index][0],
-                        inputs[index][1],
-                        cap_slack=slack,
-                    )
-                    for index in self._order
-                }
-                for index in self._order:
-                    futures[index].result()
-            for index in self._order:
-                agent = self.sbss[index]
-                report, noise_l1 = agent.finish_phase(iteration, phase=0)
-                # repro-taint: disable=REPRO701,REPRO702 -- sanctioned upload release on the Jacobi sweep (same contract as run_phase)
-                agent.send_upload(report, iteration, phase=0)
-                uploads[agent.index] = noise_l1
-        else:
-            for index in self._order:
-                agent = self.sbss[index]
-                noise_l1 = agent.run_phase(iteration, phase=0, cap_slack=slack)
-                uploads[agent.index] = noise_l1
-        for phase, agent in enumerate(self.sbss):
-            previous = self.base_station.reports[agent.index].copy()
-            block = self.base_station.collect_upload(agent.index)
+        iteration = sweep.iteration
+        noise = [
+            self.sbss[index].run_phase(iteration, phase=0, cap_slack=sweep.slack)
+            for index in self._order
+        ]
+        for phase, index in enumerate(self._order):
+            agent = self.sbss[index]
+            previous = self.base_station.reports[index].copy()
+            block = self.base_station.collect_upload(index)
             if self.config.damping < 1.0:
                 damped = self.config.damping * block + (1.0 - self.config.damping) * previous
-                self.base_station.reports[agent.index] = damped
+                self.base_station.reports[index] = damped
                 agent.last_report = damped
-            record = PhaseRecord(
-                iteration=iteration,
-                phase=phase,
-                sbs=agent.index,
-                cost=self.base_station.system_cost(),
-                noise_l1=uploads[agent.index],
+            loop.phase(
+                phase,
+                index,
+                self.base_station.system_cost(),
+                stats=agent.last_solve_stats,
+                noise_l1=noise[phase],
             )
-            history.record_phase(record)
-            self._trace_phase(record, agent)
-        if price_step is not None:
-            self.base_station.update_prices(price_step)
+        if sweep.price_step is not None:
+            self.base_station.update_prices(sweep.price_step)
         self.base_station.broadcast_aggregate(iteration, phase=len(self.sbss))
 
 

@@ -121,11 +121,11 @@ class ProblemInstance:
         changing.  ``dataclasses.replace`` builds a new instance and
         therefore a fresh, empty cache.
 
-        The Jacobi executor (``DistributedConfig(jacobi_workers=N)``) fans
-        ``solve_phase`` out over a thread pool, so first touch of any
-        derived array can race: the lock makes the check-compute-store
-        sequence atomic and guarantees every caller shares the one stored
-        (read-only) value.  The fast path stays lock-free — a hit reads an
+        One instance may be shared by threads (for example, callers
+        solving independent per-SBS subproblems on a thread pool), so
+        first touch of any derived array can race: the lock makes the
+        check-compute-store sequence atomic and guarantees every caller
+        shares the one stored (read-only) value.  The fast path stays lock-free — a hit reads an
         already-published immutable entry.
         """
         cache = self._derived

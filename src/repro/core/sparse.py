@@ -41,10 +41,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .. import obs, perf
+from .. import obs
 from .._validation import as_float_array, require
 from ..exceptions import ValidationError
-from .convergence import CostHistory, PhaseRecord
+from .convergence import CostHistory, RunLoop
 from .distributed import DistributedConfig
 from .problem import ProblemInstance
 from .solution import ConstraintViolation, FeasibilityReport, Solution
@@ -835,11 +835,11 @@ def solve_distributed_sparse(
     :func:`~repro.core.subproblem.solve_subproblem` — no local block is
     materialized — and uploads a vector over its reachable demand pairs;
     the base station refreshes the aggregate on exactly those pairs and
-    re-evaluates the system cost in ``O(nnz)``.  Convergence uses the
-    same relative-cost test as the dense optimizer, and the run emits
-    the same ``run_start`` / ``phase`` / ``iteration`` / ``run_end``
-    trace events (tagged ``sparse=True``) so ``repro-trace validate``
-    applies unchanged.
+    re-evaluates the system cost in ``O(nnz)``.  The outer loop is the
+    dense optimizer's :class:`~repro.core.convergence.RunLoop`, so the
+    convergence test and the ``run_start`` / ``phase`` / ``iteration`` /
+    ``run_end`` trace events (tagged ``sparse=True``) are the dense
+    run's, and ``repro-trace validate`` applies unchanged.
 
     Unsupported dense features raise: Jacobi mode, price coordination,
     restarts, privacy and fault injection all require the dense
@@ -885,114 +885,53 @@ def solve_distributed_sparse(
     )
     pair_bs_weight = instance.pair_bs_weight()
 
-    history = CostHistory(initial_cost=instance.max_cost())
-    previous_cost = history.initial_cost
-    cost = history.initial_cost
-    converged = False
-    iterations = 0
-    if obs.enabled():
-        obs.emit(
-            "run_start",
-            run="algorithm1",
-            num_sbs=num_sbs,
-            num_groups=instance.num_groups,
-            num_files=instance.num_files,
-            mode=config.mode,
-            coordination=config.coordination,
-            accuracy=config.accuracy,
-            max_iterations=config.max_iterations,
-            private=False,
-            resilient=False,
-            warm_start=config.warm_start,
-            initial_cost=float(history.initial_cost),
-            sparse=True,
-            demand_nnz=instance.demand_nnz,
-            num_links=instance.num_links,
-        )
-
     def system_cost() -> float:
         residual = np.maximum(1.0 - aggregate.values, 0.0)
         return float(np.sum(f1_terms)) + float(np.dot(pair_bs_weight, residual))
 
-    run_span = obs.span(
-        "run", category="run", mode=config.mode, sparse=True
-    ).start()
-    for iteration in range(config.max_iterations):
-        perf.count("algorithm1.sparse_iterations")
-        sweep_stats: List[Dict[str, float]] = []
-        with obs.span(
-            "iteration", category="iteration", iteration=iteration
-        ), perf.timed("algorithm1.sparse_sweep"):
-            for phase, sbs in enumerate(order):
-                index = indexes[sbs]
-                stats: Optional[Dict[str, float]] = None
-                if index.pair_ids.size:
-                    own = aggregate.reports[aggregate.slice_of(sbs)]
-                    others = aggregate.values[index.pair_ids] - own
-                    np.clip(others, 0.0, None, out=others)
-                    solution = solve_subproblem(
-                        instance.item_view(sbs),
-                        None,
-                        others,
-                        config.subproblem,
-                        initial_multipliers=multipliers[sbs],
-                        candidate_caching=local_caching[sbs],
-                        workspace=workspace,
-                    )
-                    report = solution.routing
-                    aggregate.reports[aggregate.slice_of(sbs)] = report
-                    aggregate.refresh(index.pair_ids)
-                    f1_terms[sbs] = float(np.dot(index.pair_link_weight, report))
-                    local_caching[sbs] = solution.caching
-                    caching[sbs] = index.files[np.flatnonzero(solution.caching > 0.0)]
-                    if config.warm_start:
-                        multipliers[sbs] = solution.multipliers
+    loop = RunLoop(
+        config,
+        instance,
+        root_attrs={"mode": config.mode, "sparse": True},
+        counter="algorithm1.sparse_iterations",
+        timer="algorithm1.sparse_sweep",
+    )
+    loop.start(sparse=True, demand_nnz=instance.demand_nnz, num_links=instance.num_links)
+    for sweep in loop.sweeps():
+        for phase, sbs in enumerate(order):
+            index = indexes[sbs]
+            stats: Optional[Dict[str, float]] = None
+            if index.pair_ids.size:
+                own = aggregate.reports[aggregate.slice_of(sbs)]
+                others = aggregate.values[index.pair_ids] - own
+                np.clip(others, 0.0, None, out=others)
+                solution = solve_subproblem(
+                    instance.item_view(sbs),
+                    None,
+                    others,
+                    config.subproblem,
+                    initial_multipliers=multipliers[sbs],
+                    candidate_caching=local_caching[sbs],
+                    workspace=workspace,
+                )
+                report = solution.routing
+                aggregate.reports[aggregate.slice_of(sbs)] = report
+                aggregate.refresh(index.pair_ids)
+                f1_terms[sbs] = float(np.dot(index.pair_link_weight, report))
+                local_caching[sbs] = solution.caching
+                caching[sbs] = index.files[np.flatnonzero(solution.caching > 0.0)]
+                if config.warm_start:
+                    multipliers[sbs] = solution.multipliers
+                if obs.enabled():
                     stats = {
                         "dual_gap": float(solution.cost - solution.best_dual),
                         "mu_norm": float(np.linalg.norm(solution.multipliers)),
                     }
-                    sweep_stats.append(stats)
-                else:
-                    # No reachable demand: nothing to route, and the dense
-                    # filler would cache the lowest-indexed contents.
-                    caching[sbs] = index.files[: index.capacity]
-                cost = system_cost()
-                history.record_phase(
-                    PhaseRecord(iteration=iteration, phase=phase, sbs=sbs, cost=cost)
-                )
-                if obs.enabled():
-                    fields: Dict[str, object] = {
-                        "iteration": iteration,
-                        "phase": phase,
-                        "sbs": sbs,
-                        "cost": cost,
-                        "noise_l1": 0.0,
-                        "retries": 0,
-                        "stale": False,
-                    }
-                    if stats is not None:
-                        fields.update(stats)
-                    obs.emit("phase", **fields)
-        history.close_iteration(cost)
-        iterations = iteration + 1
-        denominator = abs(cost) if cost != 0 else 1.0
-        relative_change = abs(previous_cost - cost) / denominator
-        if obs.enabled():
-            fields = {
-                "iteration": iteration,
-                "cost": float(cost),
-                "relative_change": float(relative_change),
-            }
-            if sweep_stats:
-                norms = [entry["mu_norm"] for entry in sweep_stats]
-                fields["dual_gap_max"] = max(entry["dual_gap"] for entry in sweep_stats)
-                fields["mu_norm_max"] = max(norms)
-                fields["mu_norm_mean"] = sum(norms) / len(norms)
-            obs.emit("iteration", **fields)
-        if relative_change <= config.accuracy:
-            converged = True
-            break
-        previous_cost = cost
+            else:
+                # No reachable demand: nothing to route, and the dense
+                # filler would cache the lowest-indexed contents.
+                caching[sbs] = index.files[: index.capacity]
+            loop.phase(phase, sbs, system_cost(), stats=stats)
 
     solution = SparseSolution(
         num_sbs=num_sbs,
@@ -1005,23 +944,10 @@ def solve_distributed_sparse(
     )
     result = SparseDistributedResult(
         solution=solution,
-        cost=history.final_cost,
-        iterations=iterations,
-        converged=converged,
-        history=history,
+        cost=loop.history.final_cost,
+        iterations=loop.iterations,
+        converged=loop.converged,
+        history=loop.history,
     )
-    if obs.spans_enabled():
-        run_span.annotate(**obs.resource_attrs(obs.timings_enabled()))
-    run_span.finish()
-    if obs.enabled():
-        obs.emit(
-            "run_end",
-            final_cost=float(result.cost),
-            iterations=result.iterations,
-            converged=result.converged,
-            total_epsilon=None,
-            stale_phases=0,
-            total_retries=0,
-            phases=len(history.phases),
-        )
+    loop.finish()
     return result

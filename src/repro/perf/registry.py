@@ -86,8 +86,8 @@ class PerfRegistry:
 
     All methods are cheap enough for inner loops; none allocate beyond
     the dictionary entry for a first-seen name.  Updates are guarded by
-    a lock so the Jacobi thread-pool executor can instrument concurrent
-    solves without losing increments to read-modify-write races.
+    a lock so solves instrumented from several threads never lose
+    increments to read-modify-write races.
     """
 
     __slots__ = ("counters", "timings", "_lock")

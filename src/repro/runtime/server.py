@@ -12,11 +12,12 @@ moves frames between that bus and the TCP clients:
 * acks and aggregate broadcasts queued on the bus are flushed back out
   as wire frames.
 
-The Gauss-Seidel sweep itself mirrors
+The outer loop is the in-process optimizer's own
+:class:`~repro.core.convergence.RunLoop` (same run/iteration events and
+convergence test), and the sweep mirrors
 ``DistributedOptimizer._resilient_sweep`` phase by phase — same event
-order, same :class:`~repro.core.convergence.PhaseRecord` fields, same
-convergence test — which is what makes a fault-free socket run's trace
-and :class:`~repro.core.solution.Solution` bit-identical to
+order, same phase records — which is what makes a fault-free socket
+run's trace and :class:`~repro.core.solution.Solution` bit-identical to
 ``solve_distributed(problem, config, faults=FaultConfig())``.
 
 On top of that parity baseline the server adds what only a real
@@ -52,7 +53,7 @@ import numpy as np
 from .. import obs
 from ..obs import spans
 from .._validation import rng_from
-from ..core.convergence import CostHistory, PhaseRecord
+from ..core.convergence import RunLoop, Sweep
 from ..core.cost import total_cost
 from ..core.distributed import (
     BaseStationAgent,
@@ -61,6 +62,7 @@ from ..core.distributed import (
 )
 from ..core.problem import ProblemInstance
 from ..core.solution import Solution
+from ..core.sparse import SparseProblemInstance, as_dense_problem
 from ..exceptions import ProtocolTimeout, ValidationError
 from ..network.messaging import Channel, Message, MessageKind
 from ..privacy.accountant import PrivacyAccountant
@@ -148,8 +150,6 @@ class RuntimeServer:
         self._fold_count: Dict[int, int] = {index: 0 for index in problem.sbs_indices()}
         self._final_caching: Dict[int, np.ndarray] = {}
         self._final_routing: Dict[int, np.ndarray] = {}
-        self._sweep_gaps: List[float] = []
-        self._sweep_norms: List[float] = []
         self._slack = 0.0
         self._server: Optional[asyncio.base_events.Server] = None
         self.port: Optional[int] = None
@@ -466,60 +466,32 @@ class RuntimeServer:
                         return meta
                     await self._replay_late(link, meta)
 
-    # -- trace hooks (mirrors DistributedOptimizer) --------------------
-    def _emit_phase(
-        self, record: PhaseRecord, stats: Optional[Dict[str, float]]
-    ) -> None:
-        if not obs.enabled():
-            return
-        fields: Dict[str, object] = {
-            "iteration": record.iteration,
-            "phase": record.phase,
-            "sbs": record.sbs,
-            "cost": record.cost,
-            "noise_l1": record.noise_l1,
-            "retries": record.retries,
-            "stale": record.stale,
-        }
-        if stats:
-            fields["dual_gap"] = stats["dual_gap"]
-            fields["mu_norm"] = stats["mu_norm"]
-            self._sweep_gaps.append(stats["dual_gap"])
-            self._sweep_norms.append(stats["mu_norm"])
-            if "solve_seconds" in stats:
-                fields["solve_seconds"] = stats["solve_seconds"]
-        obs.emit("phase", **fields)
-
-    def _emit_iteration(
-        self,
-        iteration: int,
-        cost: float,
-        relative_change: Optional[float] = None,
-        *,
-        restoration: bool = False,
-    ) -> None:
-        if not obs.enabled():
-            return
-        fields: Dict[str, object] = {"iteration": iteration, "cost": float(cost)}
-        if relative_change is not None:
-            fields["relative_change"] = float(relative_change)
-        if restoration:
-            fields["restoration"] = True
-        if self._sweep_gaps:
-            fields["dual_gap_max"] = max(self._sweep_gaps)
-        if self._sweep_norms:
-            fields["mu_norm_max"] = max(self._sweep_norms)
-            fields["mu_norm_mean"] = sum(self._sweep_norms) / len(self._sweep_norms)
-        obs.emit("iteration", **fields)
-
     # -- the sweep -----------------------------------------------------
-    async def _sweep(
-        self,
-        iteration: int,
-        history: CostHistory,
-        slack: float,
-        price_step: Optional[float],
-    ) -> None:
+    def _aggregate(self, sweep: Sweep, index: int, phase: int) -> None:
+        """Line 5 of Algorithm 1 on the bus: update prices, queue the broadcast."""
+        with self._spans.span(
+            "aggregate",
+            category="aggregate",
+            sbs=index,
+            iteration=sweep.iteration,
+            phase=phase,
+        ):
+            if sweep.price_step is not None:
+                self.base_station.update_prices(sweep.price_step)
+            self.base_station.broadcast_aggregate(sweep.iteration, phase)
+
+    async def _broadcast(self, iteration: int, index: int, phase: int) -> None:
+        """Flush the queued broadcast (and acks) out to every client."""
+        with self._spans.span(
+            "broadcast",
+            category="broadcast",
+            sbs=index,
+            iteration=iteration,
+            phase=phase,
+        ):
+            await self._flush_all()
+
+    async def _sweep(self, run_loop: RunLoop, sweep: Sweep) -> None:
         """One Gauss-Seidel iteration over the socket clients.
 
         Phase-for-phase the event and record sequence of
@@ -529,7 +501,8 @@ class RuntimeServer:
         trace-context rides the solve grant, so the client-side solve
         and upload-attempt spans stitch in under it.
         """
-        self._slack = slack
+        iteration = sweep.iteration
+        self._slack = sweep.slack
         schedule = self.runtime.faults.schedule if self.runtime.faults else None
         for phase, index in enumerate(self.problem.sbs_indices()):
             link = self._links[index]
@@ -552,15 +525,7 @@ class RuntimeServer:
                         phase=phase,
                     )
                     phase_span.annotate(category="straggler", crashed=True)
-                    record = PhaseRecord(
-                        iteration=iteration,
-                        phase=phase,
-                        sbs=index,
-                        cost=self.base_station.system_cost(),
-                        stale=True,
-                    )
-                    history.record_phase(record)
-                    self._emit_phase(record, None)
+                    run_loop.phase(phase, index, self.base_station.system_cost(), stale=True)
                     continue
                 await self._drain_backlog(link)
                 meta: Optional[Dict[str, Any]] = None
@@ -577,7 +542,7 @@ class RuntimeServer:
                             "action": "solve",
                             "iteration": iteration,
                             "phase": phase,
-                            "cap_slack": slack,
+                            "cap_slack": sweep.slack,
                         },
                         trace_ctx=phase_span.context(),
                     )
@@ -588,41 +553,11 @@ class RuntimeServer:
                     # phase is *delivered* — mirroring the in-process
                     # exclusive boundary rule — otherwise it is stale.
                     folded = link.alive and self._fold_count[index] > fold_before
+                    verdict = "delivered" if folded else "degraded"
                     if folded:
-                        verdict = "delivered"
-                        with self._spans.span(
-                            "aggregate",
-                            category="aggregate",
-                            sbs=index,
-                            iteration=iteration,
-                            phase=phase,
-                        ):
-                            if price_step is not None:
-                                self.base_station.update_prices(price_step)
-                            self.base_station.broadcast_aggregate(iteration, phase)
-                        with self._spans.span(
-                            "broadcast",
-                            category="broadcast",
-                            sbs=index,
-                            iteration=iteration,
-                            phase=phase,
-                        ):
-                            await self._flush_all()
-                        record = PhaseRecord(
-                            iteration=iteration,
-                            phase=phase,
-                            sbs=index,
-                            cost=self.base_station.system_cost(),
-                        )
-                    else:
-                        verdict = "degraded"
-                        record = PhaseRecord(
-                            iteration=iteration,
-                            phase=phase,
-                            sbs=index,
-                            cost=self.base_station.system_cost(),
-                            stale=True,
-                        )
+                        self._aggregate(sweep, index, phase)
+                        await self._broadcast(iteration, index, phase)
+                    cost = self.base_station.system_cost()
                     if link.alive:
                         self.bus.stats.deadline_expired += 1
                         obs.emit(
@@ -639,8 +574,7 @@ class RuntimeServer:
                             folded=folded,
                         )
                     link.resolved[(iteration, phase)] = verdict
-                    history.record_phase(record)
-                    self._emit_phase(record, None)
+                    run_loop.phase(phase, index, cost, stale=not folded)
                     continue
                 # Normal completion: replay the client's in-phase events,
                 # then synthesize the retry events its ARQ loop needed.
@@ -666,28 +600,10 @@ class RuntimeServer:
                 delivered = bool(meta.get("delivered")) or self.base_station.has_folded(
                     index, seq
                 )
+                verdict = "delivered" if delivered else "degraded"
                 if delivered:
-                    verdict = "delivered"
-                    with self._spans.span(
-                        "aggregate",
-                        category="aggregate",
-                        sbs=index,
-                        iteration=iteration,
-                        phase=phase,
-                    ):
-                        if price_step is not None:
-                            self.base_station.update_prices(price_step)
-                        self.base_station.broadcast_aggregate(iteration, phase)
-                    record = PhaseRecord(
-                        iteration=iteration,
-                        phase=phase,
-                        sbs=index,
-                        cost=self.base_station.system_cost(),
-                        noise_l1=noise_l1,
-                        retries=retries,
-                    )
+                    self._aggregate(sweep, index, phase)
                 else:
-                    verdict = "degraded"
                     obs.emit(
                         "protocol",
                         event="degrade",
@@ -702,15 +618,8 @@ class RuntimeServer:
                             f"{self.config.max_retries} retries (iteration "
                             f"{iteration}, phase {phase})"
                         )
-                    record = PhaseRecord(
-                        iteration=iteration,
-                        phase=phase,
-                        sbs=index,
-                        cost=self.base_station.system_cost(),
-                        noise_l1=noise_l1,
-                        retries=self.config.max_retries,
-                        stale=True,
-                    )
+                    retries = self.config.max_retries
+                cost = self.base_station.system_cost()
                 await self._send_control(
                     link,
                     iteration,
@@ -722,17 +631,17 @@ class RuntimeServer:
                         "verdict": verdict,
                     },
                 )
-                if verdict == "delivered":
-                    with self._spans.span(
-                        "broadcast",
-                        category="broadcast",
-                        sbs=index,
-                        iteration=iteration,
-                        phase=phase,
-                    ):
-                        await self._flush_all()
-                history.record_phase(record)
-                self._emit_phase(record, stats)
+                if delivered:
+                    await self._broadcast(iteration, index, phase)
+                run_loop.phase(
+                    phase,
+                    index,
+                    cost,
+                    stats=stats,
+                    noise_l1=noise_l1,
+                    retries=retries,
+                    stale=not delivered,
+                )
 
     # -- run orchestration ---------------------------------------------
     async def _shutdown_clients(self) -> None:
@@ -782,77 +691,23 @@ class RuntimeServer:
             spans.SpanTracker("bs") if obs.spans_enabled() else spans.NOOP_TRACKER
         )
         await self._await_hellos()
-        problem, config = self.problem, self.config
-        history = CostHistory(initial_cost=problem.max_cost())
-        previous_cost = history.initial_cost
-        converged = False
-        iterations = 0
-        if obs.enabled():
-            obs.emit(
-                "run_start",
-                run="algorithm1",
-                num_sbs=problem.num_sbs,
-                num_groups=problem.num_groups,
-                num_files=problem.num_files,
-                mode=config.mode,
-                coordination=config.coordination,
-                accuracy=config.accuracy,
-                max_iterations=config.max_iterations,
-                private=self.accountant is not None,
-                resilient=True,
-                warm_start=config.warm_start,
-                initial_cost=float(history.initial_cost),
-            )
-        run_span = self._spans.span(
-            "run",
-            category="run",
-            mode=self.runtime.mode,
-            num_sbs=problem.num_sbs,
-        ).start()
+        problem = self.problem
+        run_loop = RunLoop(
+            self.config,
+            problem,
+            private=self.accountant is not None,
+            resilient=True,
+            allowed_stale=int(
+                np.floor((1.0 - self.runtime.quorum) * problem.num_sbs + 1e-9)
+            ),
+            span=self._spans.span,
+            root_attrs={"mode": self.runtime.mode, "num_sbs": problem.num_sbs},
+        )
+        run_loop.start()
         self.base_station.broadcast_aggregate(iteration=-1, phase=-1)
         await self._flush_all()
-
-        with_prices = config.coordination == "prices"
-        allowed_stale = int(
-            np.floor((1.0 - self.runtime.quorum) * problem.num_sbs + 1e-9)
-        )
-        for iteration in range(config.max_iterations):
-            slack = config.slack0 * config.slack_decay**iteration if with_prices else 0.0
-            price_step = (
-                config.price_eta0 / (1.0 + config.price_alpha * iteration)
-                if with_prices
-                else None
-            )
-            self._sweep_gaps, self._sweep_norms = [], []
-            with self._spans.span(
-                "iteration", category="iteration", iteration=iteration
-            ):
-                await self._sweep(iteration, history, slack, price_step)
-            cost = self.base_station.system_cost()
-            history.close_iteration(cost)
-            iterations = iteration + 1
-            denominator = abs(cost) if cost != 0 else 1.0
-            relative_change = abs(previous_cost - cost) / denominator
-            self._emit_iteration(iteration, cost, relative_change)
-            slack_settled = (not with_prices) or slack < 0.02
-            clean_iteration = history.stale_phase_count(iteration) <= allowed_stale
-            if slack_settled and clean_iteration and relative_change <= config.accuracy:
-                converged = True
-                break
-            previous_cost = cost
-
-        if with_prices:
-            self._sweep_gaps, self._sweep_norms = [], []
-            with self._spans.span(
-                "iteration",
-                category="iteration",
-                iteration=iterations,
-                restoration=True,
-            ):
-                await self._sweep(iterations, history, slack=0.0, price_step=None)
-            restoration_cost = self.base_station.system_cost()
-            history.close_iteration(restoration_cost)
-            self._emit_iteration(iterations, restoration_cost, restoration=True)
+        for sweep in run_loop.sweeps():
+            await self._sweep(run_loop, sweep)
 
         await self._shutdown_clients()
         unperturbed = np.stack(
@@ -866,39 +721,28 @@ class RuntimeServer:
         )
         result = DistributedResult(
             solution=solution,
-            cost=history.final_cost,
-            iterations=iterations,
-            converged=converged,
-            history=history,
+            cost=run_loop.history.final_cost,
+            iterations=run_loop.iterations,
+            converged=run_loop.converged,
+            history=run_loop.history,
             channel=self.bus,
             unperturbed_routing=unperturbed,
             unperturbed_cost=total_cost(problem, unperturbed),
             accountant=self.accountant,
         )
-        if obs.spans_enabled():
+        if obs.spans_enabled() and self.proxy is not None:
             # Chaos-proxy fault fates (deterministically ordered by link
-            # and frame ordinal) and the run's resource profile belong
-            # inside the run bracket, before the root span closes.
-            if self.proxy is not None:
-                for fate in self.proxy.fate_events():
-                    obs.emit("proxy", **fate)
-                obs.emit("proxy", fate="summary", **self.proxy.stats_dict())
-            run_span.annotate(**spans.resource_attrs(obs.timings_enabled()))
-        run_span.finish()
-        if obs.enabled():
-            # repro-taint: disable=REPRO701 -- deliberate accuracy-loss reporting: pre-noise cost is a scalar system aggregate (Fig. 5)
-            obs.emit(
-                "run_end",
-                final_cost=float(result.cost),
-                iterations=result.iterations,
-                converged=result.converged,
-                total_epsilon=result.total_epsilon,
-                stale_phases=result.stale_phases,
-                total_retries=result.total_retries,
-                phases=len(history.phases),
-                unperturbed_cost=result.unperturbed_cost,
-                channel=dataclasses.asdict(self.bus.stats),
-            )
+            # and frame ordinal) belong inside the run bracket, before
+            # the root span closes.
+            for fate in self.proxy.fate_events():
+                obs.emit("proxy", **fate)
+            obs.emit("proxy", fate="summary", **self.proxy.stats_dict())
+        # repro-taint: disable=REPRO701 -- deliberate accuracy-loss reporting: pre-noise cost is a scalar system aggregate (Fig. 5)
+        run_loop.finish(
+            total_epsilon=result.total_epsilon,
+            unperturbed_cost=result.unperturbed_cost,
+            channel=dataclasses.asdict(self.bus.stats),
+        )
         return result
 
 
@@ -987,7 +831,7 @@ async def _run_runtime(
 
 
 def solve_over_sockets(
-    problem: ProblemInstance,
+    problem: Union[ProblemInstance, SparseProblemInstance],
     config: Optional[DistributedConfig] = None,
     *,
     privacy: Optional[MechanismConfig] = None,
@@ -1003,7 +847,12 @@ def solve_over_sockets(
     the solver result plus the transport-level
     :class:`~repro.runtime.config.RuntimeReport` (wall time, stragglers,
     byzantine rejections, chaos-proxy ledger).
+
+    A :class:`~repro.core.sparse.SparseProblemInstance` is densified at
+    the boundary, exactly as :func:`~repro.core.distributed.solve_distributed`
+    does (memory-guarded by :func:`~repro.core.sparse.as_dense_problem`).
     """
+    problem = as_dense_problem(problem)
     config = config or DistributedConfig()
     runtime = runtime or RuntimeConfig()
     if config.mode != "gauss-seidel":

@@ -228,63 +228,40 @@ class TestJacobiMode:
             assert result.cost <= tiny_problem.max_cost() + 1e-9
 
 
-class TestJacobiExecutor:
-    """The intra-solve thread pool: bit-identical to the sequential sweep."""
+class TestJacobiSweepOrder:
+    """Jacobi folds the uploads in the order it swept the SBSs."""
 
-    def _run(self, problem, *, workers, privacy=None, recorder=None, rng=0):
-        from repro import obs
+    def _problem(self):
+        return random_problem(np.random.default_rng(3))
 
-        config = DistributedConfig(
-            mode="jacobi", max_iterations=5, damping=0.7, jacobi_workers=workers
+    def test_restarts_run(self):
+        problem = self._problem()
+        result = solve_distributed(
+            problem, DistributedConfig(mode="jacobi", restarts=3), rng=1
         )
-        if recorder is not None:
-            with obs.recording(recorder, timings=False):
-                return solve_distributed(problem, config, privacy=privacy, rng=rng)
-        return solve_distributed(problem, config, privacy=privacy, rng=rng)
+        assert result.cost <= problem.max_cost() + 1e-9
 
-    def test_threadpool_bit_identical(self, tiny_problem):
-        sequential = self._run(tiny_problem, workers=1)
-        pooled = self._run(tiny_problem, workers=4)
-        assert sequential.cost == pooled.cost
-        assert np.array_equal(sequential.solution.caching, pooled.solution.caching)
-        assert np.array_equal(sequential.solution.routing, pooled.solution.routing)
-        assert sequential.iterations == pooled.iterations
-        assert sequential.converged == pooled.converged
+    def test_permuted_order_folds_in_sweep_order(self):
+        problem = self._problem()
+        result = DistributedOptimizer(
+            problem, DistributedConfig(mode="jacobi"), sweep_order=[2, 0, 1]
+        ).run()
+        first = result.history.phases[: problem.num_sbs]
+        assert [record.sbs for record in first] == [2, 0, 1]
+        assert [record.phase for record in first] == [0, 1, 2]
 
-    def test_threadpool_trace_identical(self, tiny_problem):
-        from repro.obs.recorder import ListRecorder
-
-        rec_seq, rec_pool = ListRecorder(), ListRecorder()
-        self._run(tiny_problem, workers=1, recorder=rec_seq)
-        self._run(tiny_problem, workers=3, recorder=rec_pool)
-        assert rec_seq.events == rec_pool.events
-
-    def test_threadpool_private_run_identical(self, tiny_problem):
-        """Privacy noise draws in sweep order either way: same noise."""
-        from repro.privacy.mechanism import LPPMConfig
-
-        privacy = LPPMConfig(epsilon=1.0)
-        sequential = self._run(tiny_problem, workers=1, privacy=privacy)
-        pooled = self._run(tiny_problem, workers=4, privacy=privacy)
-        assert sequential.cost == pooled.cost
-        assert np.array_equal(sequential.solution.routing, pooled.solution.routing)
-
-    def test_threadpool_perf_counters_match(self, tiny_problem):
-        from repro import perf
-
-        with perf.collecting() as seq_registry:
-            self._run(tiny_problem, workers=1)
-        with perf.collecting() as pool_registry:
-            self._run(tiny_problem, workers=4)
-        assert (
-            seq_registry.snapshot()["counters"]
-            == pool_registry.snapshot()["counters"]
+    @pytest.mark.parametrize("damping", [1.0, 0.7])
+    def test_permuted_order_matches_identity(self, damping):
+        """Every SBS answers the same aggregate, so the order only changes
+        the intermediate phase costs, never an iteration's outcome."""
+        problem = self._problem()
+        config = DistributedConfig(mode="jacobi", max_iterations=6, damping=damping)
+        identity = DistributedOptimizer(problem, config).run()
+        permuted = DistributedOptimizer(problem, config, sweep_order=[2, 0, 1]).run()
+        assert permuted.history.iteration_costs == identity.history.iteration_costs
+        np.testing.assert_array_equal(
+            permuted.solution.routing, identity.solution.routing
         )
-
-    def test_workers_rejected_in_gauss_seidel(self):
-        with pytest.raises(ValidationError):
-            DistributedConfig(mode="gauss-seidel", jacobi_workers=2)
-
-    def test_nonpositive_workers_rejected(self):
-        with pytest.raises(ValidationError):
-            DistributedConfig(mode="jacobi", jacobi_workers=0)
+        np.testing.assert_array_equal(
+            permuted.solution.caching, identity.solution.caching
+        )

@@ -243,11 +243,11 @@ class TestDerivedCaching:
 class TestDerivedCacheThreadSafety:
     """First touch of the memoized arrays must be race-free.
 
-    The Jacobi executor (``DistributedConfig(jacobi_workers=N)``) runs
-    ``solve_phase`` on a ThreadPool, and every worker reads the derived
-    arrays through ``_cached``.  Before the lock, concurrent first
-    touches could each run the factory and publish different objects;
-    every caller must instead observe the one shared instance.
+    Threads sharing one instance (say, per-SBS subproblem solves on a
+    thread pool) all read the derived arrays through ``_cached``.
+    Without the lock, concurrent first touches could each run the
+    factory and publish different objects; every caller must instead
+    observe the one shared instance.
     """
 
     ACCESSORS = (

@@ -13,6 +13,7 @@ from conftest import random_problem
 
 from repro import obs
 from repro.core.distributed import DistributedConfig, solve_distributed
+from repro.core.sparse import SparseProblemInstance
 from repro.exceptions import ValidationError
 from repro.network.faults import FaultConfig, FaultSchedule, LinkFaultProfile
 from repro.obs.cli import main as trace_cli
@@ -112,6 +113,28 @@ class TestBitIdentity:
             tasks_result.solution.caching, proc_result.solution.caching
         )
         assert filecmp.cmp(tasks_trace, proc_trace, shallow=False)
+
+
+    def test_sparse_instance_densifies_like_in_process(self, tmp_path):
+        """A sparse instance densifies at the socket boundary, exactly as
+        ``solve_distributed`` densifies it."""
+        sparse = SparseProblemInstance.from_dense(_problem())
+        config = _config(max_iterations=3)
+        socket_trace = tmp_path / "socket.jsonl"
+        sim_trace = tmp_path / "sim.jsonl"
+        result, _ = _trace(socket_trace, lambda: solve_over_sockets(sparse, config))
+        reference = _trace(
+            sim_trace,
+            lambda: solve_distributed(sparse, config, faults=FaultConfig()),
+        )
+        assert result.cost == reference.cost
+        np.testing.assert_array_equal(
+            result.solution.caching, reference.solution.caching
+        )
+        np.testing.assert_array_equal(
+            result.solution.routing, reference.solution.routing
+        )
+        assert filecmp.cmp(socket_trace, sim_trace, shallow=False)
 
 
 class TestChaosDeterminism:
