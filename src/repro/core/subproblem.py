@@ -30,9 +30,27 @@ instances.
 
 Everything runs on a flat :class:`ItemView` with one item per ``(row,
 file)`` cell: dense callers get the full ``(U, F)`` grid, the sparse
-solver only an SBS's demand pairs.  Dropping zero-demand cells is exact:
-their routing cost is ``±0 + mu >= 0``, so they are never paid or free,
-their routing stays ``0`` and their multiplier ``+0.0``.
+solver only an SBS's demand pairs.  The batched kernel's dual ascent
+then iterates over the view's **live items** only::
+
+    live = (priced < 0) & (caps > 0)   |  (start > 0) when warm-started
+
+with ``priced`` the (price-augmented) routing coefficients and ``caps``
+the residual caps.  An item outside ``live`` keeps ``mu = +0.0`` and
+routing ``0`` in every iterate, by induction from ``mu = +0.0``: its
+knapsack cost ``priced + mu`` is ``>= 0``, so it is never paid or
+free, or its cap is ``0``, so it takes ``0``; its subgradient is
+``0 - x_f <= 0`` and the step is positive, so the projection returns
+``+0.0``.  Its terms are signed zeros, and skipping them is exact where
+the kernel adds sequentially: per-file sums (``bincount`` accumulates
+from ``+0.0``) and the greedy's cumulative budget, whose stable order of
+the other items does not change.  Zero-demand cells, which the sparse
+solver drops from its views, are one dead class: their coefficient is a
+signed zero.  The three pairwise-summed reductions (the dual value, a
+recovery's cost and the polish trial costs) keep the full view's
+summation tree: the live products are scattered into a full-length
+buffer whose dead slots hold exactly the signed zeros the full
+computation puts there.
 
 The dual ascent has two oracles.  The **batched kernel** (the default)
 hoists every loop invariant, validates arrays once at this API
@@ -81,8 +99,10 @@ _TRIAL_CHUNK = 32
 
 _EPS = float(np.finfo(np.float64).eps)
 
-# The per-item vectors of :class:`SubproblemWorkspace`.
-_VECTORS = ("caps", "dual_costs", "mu", "subgrad", "priced_mu", "prod", "cache", "terms", "gap")
+# The per-item vectors of :class:`SubproblemWorkspace`: full-view ones,
+# then the live-item ones of the dual ascent.
+_FULL_VECTORS = ("caps", "dual_prod", "cost_prod", "terms")
+_LIVE_VECTORS = ("mu", "dual_costs", "subgrad", "priced_mu", "products", "gap")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -236,12 +256,15 @@ class ItemView:
             return np.add.reduce(values.reshape(self.shape), axis=0)
         return np.bincount(self.item_file, weights=values, minlength=self.num_files)
 
-    def per_item(self, file_values: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``file_values`` at each item's file, broadcastable against an
-        item vector reshaped to ``shape`` (``out`` is the scratch)."""
-        if len(self.shape) == 2:
-            return file_values
-        return file_values.take(self.item_file, out=out)
+    def subset(self, items: np.ndarray) -> "ItemView":
+        """The 1-D view of ``items`` (ascending item indices)."""
+        return dataclasses.replace(
+            self,
+            item_row=self.item_row.take(items),
+            item_file=self.item_file.take(items),
+            weight=self.weight.take(items),
+            shape=(items.size,),
+        )
 
 
 class SubproblemWorkspace:
@@ -253,7 +276,9 @@ class SubproblemWorkspace:
     repeat caller pays the allocations once.  Buffers only grow: a solve
     takes prefix views of its item count, so one workspace serves views
     of different sizes — the sparse sweep sizes it for its largest SBS
-    view.  Every allocation bumps ``subproblem.workspace_allocs``.
+    view.  Full-view buffers span the view's ``items``; the dual
+    ascent's buffers and the knapsack scratch span its ``live`` items.
+    Every allocation bumps ``subproblem.workspace_allocs``.
     """
 
     def __init__(self, problem: Optional[ProblemInstance] = None, *, items: int = 1) -> None:
@@ -262,38 +287,37 @@ class SubproblemWorkspace:
         self.capacity = 0
         self.bind(max(items, 1))
 
-    def bind(self, items: int) -> None:
-        """Point every buffer at its first ``items`` entries, growing if needed."""
+    def bind(self, items: int, live: Optional[int] = None) -> None:
+        """Point the full-view buffers at their first ``items`` entries and
+        the live-item ones at their first ``live`` (default ``items``),
+        growing if needed."""
+        live = items if live is None else live
         if items > self.capacity:
             perf.count("subproblem.workspace_allocs")
             self.capacity = items
-            self._vectors = [np.empty(items) for _ in _VECTORS]
+            self._vectors = [np.empty(items) for _ in _FULL_VECTORS + _LIVE_VECTORS]
             self.knapsack = KnapsackBatchWorkspace(2, items)
             self._trials: Optional[Tuple[np.ndarray, KnapsackBatchWorkspace]] = None
-        self.items = items
-        (
-            self.caps,
-            self.dual_costs,
-            self.mu,
-            self.subgrad,
-            self.priced_mu,
-            self.prod,
-            self.cache,
-            self.terms,
-            self.gap,
-        ) = [vector[:items] for vector in self._vectors]
-        self.knapsack.resize(items)
+        self.items, self.live = items, live
+        full = len(_FULL_VECTORS)
+        self.caps, self.dual_prod, self.cost_prod, self.terms = [
+            vector[:items] for vector in self._vectors[:full]
+        ]
+        self.mu, self.dual_costs, self.subgrad, self.priced_mu, self.products, self.gap = [
+            vector[:live] for vector in self._vectors[full:]
+        ]
+        self.knapsack.resize(live)
         if self._trials is not None:
-            self._trials[1].resize(items)
+            self._trials[1].resize(live)
 
     def trials(self) -> Tuple[np.ndarray, KnapsackBatchWorkspace]:
         """Polish trial scratch: ``(_TRIAL_CHUNK, items)`` products and a
-        ``_TRIAL_CHUNK``-row knapsack workspace — the largest buffers
-        here, so they are allocated on first use only."""
+        ``_TRIAL_CHUNK``-row knapsack workspace over the live items — the
+        largest buffers here, so they are allocated on first use only."""
         if self._trials is None:
             perf.count("subproblem.workspace_allocs")
             scratch = KnapsackBatchWorkspace(_TRIAL_CHUNK, self.capacity)
-            scratch.resize(self.items)
+            scratch.resize(self.live)
             self._trials = (np.empty(_TRIAL_CHUNK * self.capacity), scratch)
         products, scratch = self._trials
         return products[: _TRIAL_CHUNK * self.items].reshape(_TRIAL_CHUNK, -1), scratch
@@ -362,9 +386,11 @@ def _select_cache_set(
     caching = np.zeros(num_files)
     if capacity == 0:
         return caching
-    order = np.argsort(-aggregated, kind="stable")
-    head = order[:capacity]
-    take = head[aggregated[head] > 0]
+    # The positive multipliers lead the stable descending order, so
+    # sorting only them picks the same set.
+    take = np.flatnonzero(aggregated > 0)
+    if take.size > capacity:
+        take = take[np.argsort(-aggregated[take], kind="stable")[:capacity]]
     caching[take] = 1.0
     if take.size < capacity and filler_order is not None:
         taken = np.zeros(num_files, dtype=bool)
@@ -465,6 +491,12 @@ class _RecoveryScreen:
     least the incumbent's cost therefore cannot compute a strictly
     smaller cost, and skipping its recovery changes nothing.  Before an
     incumbent exists the bound is ``-inf``.
+
+    ``view`` may be the live restriction of the view the cost is summed
+    over; ``full`` then holds that view's ``(priced, caps)``, so ``P``
+    and ``S`` are its own.  Dead items only add signed zeros to ``g``,
+    so leaving them out changes no bound.  ``scratch`` holds at least
+    ``P`` entries.
     """
 
     def __init__(
@@ -477,14 +509,17 @@ class _RecoveryScreen:
         order_file: np.ndarray,
         order_caps: np.ndarray,
         scratch: Tuple[np.ndarray, np.ndarray],
+        full: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> None:
         self.view, self.priced, self.caps, self.constant = view, priced, caps, constant
         self.order, self.order_file, self.order_caps = order, order_file, order_caps
-        self.terms, self.gap = scratch
-        np.minimum(priced, 0.0, out=self.terms)
-        np.multiply(self.terms, caps, out=self.terms)
-        self.scale = abs(constant) - float(np.add.reduce(self.terms))
-        self.slack = 8.0 * (view.num_items + 1) * _EPS
+        full_priced, full_caps = (priced, caps) if full is None else full
+        terms = scratch[0][: full_priced.size]
+        np.minimum(full_priced, 0.0, out=terms)
+        np.multiply(terms, full_caps, out=terms)
+        self.scale = abs(constant) - float(np.add.reduce(terms))
+        self.slack = 8.0 * (full_priced.size + 1) * _EPS
+        self.terms, self.gap = [buffer[: view.num_items] for buffer in scratch]
         self.offset = -np.inf
         self.g = np.zeros(view.num_files)
 
@@ -688,8 +723,8 @@ def solve_subproblem(
     # Arrays are validated once here, at the API boundary; the oracles
     # below trust them for the whole dual ascent.
     others = as_float_array(aggregate_others, "aggregate_others", shape=view.shape).ravel()
-    if cap_slack < 0:
-        raise ValidationError(f"cap_slack must be nonnegative, got {cap_slack}")
+    if not (np.isfinite(cap_slack) and cap_slack >= 0):
+        raise ValidationError(f"cap_slack must be finite and nonnegative, got {cap_slack}")
     if prices is not None:
         prices = as_float_array(prices, "prices", shape=view.shape).ravel()
     start = None
@@ -765,7 +800,7 @@ def _dual_decomposition(
     ``workspace``, or the legacy oracle on ``dense``, the one-SBS problem
     whose full grid ``view`` is.  Routing and multipliers are ``(P,)``."""
     num_files, bandwidth = view.num_files, view.bandwidth
-    item_row, item_file, weights = view.item_row, view.item_file, view.weight
+    item_row, weights = view.item_row, view.weight
     capacity = int(np.floor(view.cache_capacity + 1e-9))
     ws = workspace
     if ws is not None:
@@ -844,6 +879,29 @@ def _dual_decomposition(
         )
     else:
         assert ws is not None
+        # The dual ascent runs on the live items (module docstring); a
+        # view without any keeps one dead item, which stays dead when
+        # computed explicitly, so the knapsack rows are never empty.
+        live = np.less(priced, 0.0)
+        live &= caps > 0
+        if start is not None:
+            live |= start > 0
+        live_items = np.flatnonzero(live)
+        if not live_items.size:
+            live_items = np.zeros(1, dtype=np.intp)
+        ws.bind(view.num_items, live_items.size)
+        sub = view.subset(live_items)
+        sub_caps = caps.take(live_items)
+        sub_priced = priced.take(live_items)
+        sub_coefficients = coefficients.take(live_items)
+        sub_prices = None if prices is None else prices.take(live_items)
+        # Dead slots of the full-length products the three pairwise sums
+        # run over, exactly as the full computation fills them:
+        # ``(priced + 0.0) * 0.0`` for the dual value, ``priced * 0.0`` for
+        # recovery and polish trial costs.
+        np.add(priced, 0.0, out=ws.dual_prod)
+        ws.dual_prod *= 0.0
+        np.multiply(priced, 0.0, out=ws.cost_prod)
         # Row 0 of the knapsack batch is the dual routing subproblem
         # (costs change with mu each iteration), row 1 is primal
         # recovery: its costs are the fixed priced coefficients, so its
@@ -851,32 +909,33 @@ def _dual_decomposition(
         # candidate cache set (every polish trial too) only contributes
         # its (F,)-sized mask, gathered along the paid prefix.
         kw = ws.knapsack
-        kw.bind_weights(weights)
-        kw.prepare_row(1, priced)
+        kw.bind_weights(sub.weight)
+        kw.prepare_row(1, sub_priced)
         filler_order = np.argsort(-tie_break, kind="stable")
         recovery_paid = int(kw.paid_count[1])
         recovery_order = kw.order[1, :recovery_paid]
-        recovery_file = item_file.take(recovery_order)
-        recovery_caps = caps.take(recovery_order)
+        recovery_file = sub.item_file.take(recovery_order)
+        recovery_caps = sub_caps.take(recovery_order)
         recovery_w_eff = kw.w_eff[1, :recovery_paid]
         recovery_w = kw.w_sorted[1, :recovery_paid]
         free_items = np.flatnonzero(kw.free[1]) if kw.has_free(1) else None
         screen = _RecoveryScreen(
-            view,
-            priced,
-            caps,
+            sub,
+            sub_priced,
+            sub_caps,
             constant,
             recovery_order,
             recovery_file,
             recovery_caps,
             (ws.terms, ws.gap),
+            full=(priced, caps),
         )
 
         def recover(
             trials: np.ndarray, scratch: KnapsackBatchWorkspace, rows: Union[int, slice]
         ) -> np.ndarray:
-            """Recovery allocation of one ``(F,)`` cache set, or of each of
-            ``(T, F)`` trials, along row 1's order in ``scratch[rows]``."""
+            """Live recovery allocation of one ``(F,)`` cache set, or of each
+            of ``(T, F)`` trials, along row 1's order in ``scratch[rows]``."""
             perf.count("knapsack.batched_rows", 1 if trials.ndim == 1 else trials.shape[0])
             allocation = scratch.allocation[rows]
             allocation.fill(0.0)
@@ -900,15 +959,16 @@ def _dual_decomposition(
                 allocation[..., recovery_order] = vals
             if free_items is not None:
                 allocation[..., free_items] = (
-                    caps[free_items] * trials.take(item_file.take(free_items), axis=-1)
+                    sub_caps[free_items] * trials.take(sub.item_file.take(free_items), axis=-1)
                 )
             return allocation
 
         def recovered(caching: np.ndarray) -> Tuple[np.ndarray, float]:
-            """Routing (a buffer view) and cost of one cache set."""
+            """Live routing (a buffer view) and cost of one cache set."""
             allocation = recover(caching, kw, 1)
-            np.multiply(priced, allocation, out=ws.prod)
-            return allocation, constant + float(np.add.reduce(ws.prod))
+            np.multiply(sub_priced, allocation, out=ws.products)
+            ws.cost_prod[live_items] = ws.products
+            return allocation, constant + float(np.add.reduce(ws.cost_prod))
 
         def evaluate(caching: np.ndarray) -> Tuple[np.ndarray, float]:
             routing, cost = recovered(caching)
@@ -916,9 +976,16 @@ def _dual_decomposition(
 
         def batch_evaluate(trials: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             products, scratch = ws.trials()
-            products = products[: trials.shape[0]]
-            allocation = recover(trials, scratch, slice(0, trials.shape[0]))
-            np.multiply(allocation, priced, out=products)
+            count = trials.shape[0]
+            products = products[:count]
+            # The dead slots of ``cost_prod``; the live ones are rewritten.
+            np.copyto(products, ws.cost_prod)
+            allocation = recover(trials, scratch, slice(0, count))
+            # Row 1's order is shared, so the trial scratch's ``ratio``
+            # rows are free to hold the live products.
+            live_products = scratch.ratio[:count]
+            np.multiply(allocation, sub_priced, out=live_products)
+            products[:, live_items] = live_products
             return allocation, constant + np.add.reduce(products, axis=1)
 
         if seed is not None:
@@ -926,18 +993,19 @@ def _dual_decomposition(
         # Inlined projected-subgradient ascent: the exact control flow of
         # :func:`repro.solvers.subgradient.subgradient_ascent` with the
         # oracle fused in.  One knapsack batch (dual routing + primal
-        # recovery) and a handful of in-place array ops per multiplier
-        # update — nothing allocated per iteration beyond the argsort of
-        # row 0 and the (F,)-sized cache-set selection.
+        # recovery) and a handful of in-place array ops over the live
+        # items per multiplier update — nothing allocated per iteration
+        # beyond the argsort of row 0 and the (F,)-sized cache-set
+        # selection.
         mu = ws.mu
         if start is None:
             mu.fill(0.0)
         else:
-            np.copyto(mu, start)
+            start.take(live_items, out=mu)
         np.maximum(mu, 0.0, out=mu)
         # Row 0's caps never change during the ascent, so the greedy's
         # ``caps * weights`` products are computed exactly once.
-        caps_weights = caps * weights
+        caps_weights = sub_caps * sub.weight
         best_dual = -np.inf
         dual_history = []
         stall = 0
@@ -951,13 +1019,13 @@ def _dual_decomposition(
         # cost: the incumbent only decreases, so it can never win later.
         seen_cache_sets: set = set()
         for iteration in range(config.max_iter):
-            aggregated = view.file_sums(mu)
+            aggregated = sub.file_sums(mu)
             caching = _select_cache_set(num_files, capacity, aggregated, filler_order)
-            np.add(coefficients, mu, out=ws.dual_costs)
-            if prices is not None:
-                ws.dual_costs += prices
+            np.add(sub_coefficients, mu, out=ws.dual_costs)
+            if sub_prices is not None:
+                ws.dual_costs += sub_prices
             kw.prepare_row(0, ws.dual_costs)
-            alloc0 = kw.solve_row_scaled(0, caps_weights, caps, bandwidth)
+            alloc0 = kw.solve_row_scaled(0, caps_weights, sub_caps, bandwidth)
             cache_key = caching.tobytes()
             if cache_key not in seen_cache_sets:
                 seen_cache_sets.add(cache_key)
@@ -965,11 +1033,12 @@ def _dual_decomposition(
                     consider(caching, *recovered(caching))
                 else:
                     perf.count("subproblem.recoveries_screened")
-            np.add(priced, mu, out=ws.priced_mu)
-            np.multiply(ws.priced_mu, alloc0, out=ws.prod)
+            np.add(sub_priced, mu, out=ws.priced_mu)
+            np.multiply(ws.priced_mu, alloc0, out=ws.priced_mu)
+            ws.dual_prod[live_items] = ws.priced_mu
             dual_value = (
                 constant
-                + float(np.add.reduce(ws.prod))
+                + float(np.add.reduce(ws.dual_prod))
                 - float(np.add.reduce(aggregated * caching))
             )
             dual_history.append(float(dual_value))
@@ -980,16 +1049,15 @@ def _dual_decomposition(
             if stall >= config.patience:
                 converged = True
                 break
-            np.subtract(
-                alloc0.reshape(view.shape),
-                view.per_item(caching, ws.cache),
-                out=ws.subgrad.reshape(view.shape),
-            )
+            caching.take(sub.item_file, out=ws.subgrad)
+            np.subtract(alloc0, ws.subgrad, out=ws.subgrad)
             np.multiply(ws.subgrad, schedule(iteration), out=ws.subgrad)
             np.add(mu, ws.subgrad, out=mu)
             np.maximum(mu, 0.0, out=mu)
+        multipliers = np.zeros(view.num_items)
+        multipliers[live_items] = mu
         result = SubgradientResult(
-            mu.copy(), best_dual, None, dual_history, len(dual_history), converged
+            multipliers, best_dual, None, dual_history, len(dual_history), converged
         )
     perf.count("subgradient.iterations", result.iterations)
 
@@ -1007,6 +1075,10 @@ def _dual_decomposition(
             batch_evaluate=batch_evaluate,
             screen=screen,
         )
+    if dense is None:
+        full_routing = np.zeros(view.num_items)
+        full_routing[live_items] = routing
+        routing = full_routing
     return caching, routing, cost, result
 
 

@@ -9,6 +9,8 @@ included, asserting exact equality (no tolerances anywhere).
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -253,3 +255,81 @@ class TestSubgradientStepParity:
                         aggregate + rng.uniform(0.0, 0.3, size=shape), 0.0, 1.0
                     )
         assert registry.snapshot()["counters"]["subproblem.recoveries_screened"] > 0
+
+
+def _dead_item_case(rng, kind):
+    """A subproblem whose view mixes one class of dead items (items that
+    can never move) with live ones; ``"none-live"`` has no live item."""
+    problem = random_problem(rng, num_sbs=2, num_groups=6, num_files=8)
+    shape = (problem.num_groups, problem.num_files)
+    aggregate = rng.uniform(0.0, 0.8, size=shape)
+    kwargs = {}
+    dead = rng.random(shape) < 0.5
+    if kind == "zero-demand":
+        problem = dataclasses.replace(problem, demand=np.where(dead, 0.0, problem.demand))
+    elif kind == "saturated":
+        aggregate = np.where(dead, rng.uniform(1.0, 1.5, size=shape), aggregate)
+    elif kind == "costly-link":
+        # Link cost equal to the BS cost (a signed-zero coefficient), or
+        # above it on rows out of reach, where the instance allows it.
+        sbs_cost = problem.sbs_cost.copy()
+        rows = rng.random(problem.num_groups) < 0.5
+        factor = np.where(problem.connectivity[0] > 0, 1.0, 1.5)
+        sbs_cost[0, rows] = (problem.bs_cost * factor)[rows]
+        problem = dataclasses.replace(problem, sbs_cost=sbs_cost)
+    elif kind == "priced":
+        # Congestion prices past the saving, negative prices on some
+        # zero-demand cells (free items, which stay live), and a slack
+        # that revives some saturated cells.
+        free = rng.random(shape) < 0.15
+        problem = dataclasses.replace(problem, demand=np.where(free, 0.0, problem.demand))
+        kwargs["prices"] = np.where(free, -1.0, np.where(dead, 200.0 * problem.demand, 0.0))
+        kwargs["cap_slack"] = 0.2
+        aggregate = np.where(rng.random(shape) < 0.3, 1.0, aggregate)
+    elif kind == "warm-dead":
+        problem = dataclasses.replace(problem, demand=np.where(dead, 0.0, problem.demand))
+        aggregate = np.where(rng.random(shape) < 0.3, 1.0, aggregate)
+        kwargs["initial_multipliers"] = rng.uniform(0.0, 0.5, size=shape) * (
+            rng.random(shape) < 0.6
+        )
+    elif kind == "none-live":
+        aggregate = np.full(shape, 1.0)
+    return problem, aggregate, kwargs
+
+
+class TestDeadItemParity:
+    """Batched == legacy, bit for bit, whatever makes items dead."""
+
+    KINDS = ("zero-demand", "saturated", "costly-link", "priced", "warm-dead", "none-live")
+
+    @pytest.mark.parametrize("polish", [True, False])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_dead_items_match_legacy(self, kind, polish):
+        rng = np.random.default_rng(sum(map(ord, kind)))
+        for case in range(6):
+            problem, aggregate, kwargs = _dead_item_case(rng, kind)
+            workspace = SubproblemWorkspace(problem)
+            candidate, reference = [
+                solve_subproblem(
+                    problem,
+                    0,
+                    aggregate,
+                    SubproblemConfig(oracle=oracle, polish=polish, max_iter=40),
+                    workspace=workspace if oracle == "batched" else None,
+                    **kwargs,
+                )
+                for oracle in ("batched", "legacy")
+            ]
+            where = f"{kind} case {case}"
+            assert np.array_equal(candidate.caching, reference.caching), where
+            assert candidate.routing.tobytes() == reference.routing.tobytes(), where
+            assert repr(candidate.cost) == repr(reference.cost), where
+            assert repr(candidate.best_dual) == repr(reference.best_dual), where
+            assert repr(candidate.dual_history) == repr(reference.dual_history), where
+            assert candidate.iterations == reference.iterations, where
+            assert candidate.multipliers.tobytes() == reference.multipliers.tobytes(), where
+            if kind == "none-live":
+                # One dead item stands in for the empty live set.
+                assert workspace.live == 1
+            elif kind != "warm-dead":
+                assert workspace.live < problem.num_groups * problem.num_files

@@ -20,6 +20,7 @@ from repro.core.subproblem import (
     solve_subproblem_exhaustive,
 )
 from repro.exceptions import ValidationError
+from repro.experiments.config import build_problem
 from repro.workload import generate_city_instance
 
 from conftest import random_problem
@@ -339,7 +340,8 @@ class TestItemView:
 
 
 class TestBoundaryValidation:
-    """Both oracles reject non-finite prices and warm starts up front."""
+    """Both oracles reject non-finite prices, warm starts and cap slack
+    up front."""
 
     @pytest.mark.parametrize("oracle", ["batched", "legacy"])
     @pytest.mark.parametrize("argument", ["prices", "initial_multipliers"])
@@ -364,6 +366,18 @@ class TestBoundaryValidation:
                 np.zeros((3, 4)),
                 SubproblemConfig(oracle=oracle),
                 prices=np.zeros((4, 3)),
+            )
+
+    @pytest.mark.parametrize("oracle", ["batched", "legacy"])
+    @pytest.mark.parametrize("slack", [np.nan, np.inf, -0.1])
+    def test_cap_slack_must_be_finite_and_nonnegative(self, oracle, slack):
+        """A NaN slack used to act as 0 and an infinite one split the
+        oracles (batched solved, legacy failed inside the knapsack)."""
+        problem = build_problem()
+        aggregate = np.full((problem.num_groups, problem.num_files), 0.6)
+        with pytest.raises(ValidationError, match="cap_slack must be finite and nonnegative"):
+            solve_subproblem(
+                problem, 0, aggregate, SubproblemConfig(oracle=oracle), cap_slack=slack
             )
 
 
