@@ -5,26 +5,46 @@ optimum; Theorem 3 shows each phase's update is non-increasing even with
 LPPM noise.  :class:`CostHistory` records the cost after every phase and
 iteration so tests can assert those properties and the benchmarks can
 report convergence speed.  :class:`RunLoop` is Algorithm 1's outer loop
-(sweep, evaluate, stop at ``gamma`` or ``T``), written once for every
-synchronous solver.
+(sweep, evaluate, stop at ``gamma`` or ``T``) and its phase driver,
+written once for every synchronous solver: a transport runs one phase
+and returns a :class:`PhaseOutcome`, and :meth:`RunLoop.settle` alone
+turns it into protocol events, span annotations and a
+:class:`PhaseRecord`.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Union
+import time
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List, Optional, Union
 
 import numpy as np
 
 from .. import obs, perf
+from ..exceptions import ProtocolTimeout, ValidationError
+from ..obs.spans import NOOP_TRACKER
 
 if TYPE_CHECKING:
     from .distributed import DistributedConfig
     from .problem import ProblemInstance
     from .sparse import SparseProblemInstance
+    from .subproblem import SubproblemSolution
 
-__all__ = ["PhaseRecord", "CostHistory", "Sweep", "RunLoop"]
+__all__ = [
+    "PhaseRecord",
+    "CostHistory",
+    "Sweep",
+    "PhaseOutcome",
+    "PhaseSlot",
+    "RunLoop",
+    "check_sweep_order",
+    "solve_clock",
+    "solve_stats",
+]
+
+#: The four ways a phase can end; :meth:`RunLoop.settle` maps each one.
+VERDICTS = ("delivered", "degraded", "crashed", "expired")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -141,26 +161,96 @@ class Sweep:
     restoration: bool = False
 
 
+@dataclasses.dataclass(frozen=True)
+class PhaseOutcome:
+    """How one phase ended, as its transport reports it to :meth:`RunLoop.settle`.
+
+    ``verdict`` is one of :data:`VERDICTS`; ``folded`` tells an expired
+    phase whose upload still reached the aggregate.  ``retries``,
+    ``noise_l1`` and the solve's trace extras ``stats`` (see
+    :func:`solve_stats`) go into the phase record and event.
+    """
+
+    verdict: str
+    retries: int = 0
+    noise_l1: float = 0.0
+    stats: Optional[Dict[str, float]] = None
+    folded: bool = False
+
+    def __post_init__(self) -> None:
+        if self.verdict not in VERDICTS:
+            raise ValidationError(f"verdict must be one of {VERDICTS}, got {self.verdict!r}")
+
+
+@dataclasses.dataclass(frozen=True)
+class PhaseSlot:
+    """One phase of a sweep, as :meth:`RunLoop.phases` hands it out.
+
+    ``span`` is the open ``phase`` span (the shared no-op when the
+    transport has none); a transport may hand its trace-context on.
+    """
+
+    sweep: Sweep
+    phase: int
+    sbs: int
+    span: Any
+
+
+def check_sweep_order(order: Optional[Iterable[int]], num_sbs: int) -> List[int]:
+    """Validate a Gauss-Seidel sweep order; ``None`` is ``0..N-1``."""
+    checked = list(range(num_sbs)) if order is None else [int(i) for i in order]
+    if sorted(checked) != list(range(num_sbs)):
+        raise ValidationError(f"sweep_order must be a permutation of 0..{num_sbs - 1}")
+    return checked
+
+
+def solve_clock() -> Optional[float]:
+    """Start time of a subproblem solve, read only while timings are traced."""
+    return time.perf_counter() if obs.timings_enabled() else None
+
+
+def solve_stats(
+    result: "SubproblemSolution", started: Optional[float]
+) -> Optional[Dict[str, float]]:
+    """A solve's ``phase``-event extras, or ``None`` when nothing records.
+
+    ``dual_gap`` and ``mu_norm`` always; ``solve_seconds`` since
+    ``started`` (a :func:`solve_clock` reading) when timings are on.
+    """
+    if not obs.enabled():
+        return None
+    stats = {
+        "dual_gap": float(result.cost - result.best_dual),
+        "mu_norm": (
+            0.0 if result.multipliers is None else float(np.linalg.norm(result.multipliers))
+        ),
+    }
+    if started is not None:
+        stats["solve_seconds"] = time.perf_counter() - started
+    return stats
+
+
 class RunLoop:
-    """Algorithm 1's outer loop, shared by every synchronous solver.
+    """Algorithm 1's outer loop and phase driver, shared by every synchronous solver.
 
     The in-process optimizer, the sparse solver and the socket server
-    differ only in how one sweep visits the SBSs.  Everything around the
-    sweep lives here, once: the ``run_start`` / ``phase`` / ``iteration``
-    / ``run_end`` events, the root and per-iteration spans, the
-    prices-mode slack and step schedule, the convergence test and the
-    restoration sweep.  The caller drives the loop with its own ``for``
-    (so an ``async`` sweep body can ``await``)::
+    differ only in how one phase travels between the SBS and the BS.
+    Everything else lives here, once: the ``run_start`` / ``phase`` /
+    ``iteration`` / ``run_end`` events, the root, iteration and phase
+    spans, the prices-mode slack and step schedule, the convergence
+    test, the restoration sweep and, in :meth:`settle`, the verdict of
+    each phase.  The caller drives the loop with its own ``for`` (so an
+    ``async`` transport can ``await``)::
 
-        loop = RunLoop(config, problem)
+        loop = RunLoop(config, problem, cost=base_station.system_cost)
         loop.start()
         for sweep in loop.sweeps():
-            for phase, sbs in enumerate(order):
-                ...  # solve, upload, fold
-                loop.phase(phase, sbs, cost)
+            for slot in loop.phases(order):
+                loop.settle(slot, transport(slot))  # -> PhaseOutcome
         loop.finish()
 
-    Every sweep body reports one :meth:`phase` per SBS, and an
+    :meth:`run_phases` is that inner ``for`` for synchronous transports.
+    ``cost`` evaluates the system cost after a phase, and an
     iteration's cost is the cost after its last phase.  The run stops
     once the relative cost change is at most ``config.accuracy``, the
     prices-mode slack has settled below 0.02 (immature prices say
@@ -179,6 +269,7 @@ class RunLoop:
         config: "DistributedConfig",
         problem: Union["ProblemInstance", "SparseProblemInstance"],
         *,
+        cost: Callable[[], float],
         private: bool = False,
         resilient: bool = False,
         allowed_stale: int = 0,
@@ -192,6 +283,7 @@ class RunLoop:
         self.history = CostHistory(initial_cost=problem.max_cost())
         self.iterations = 0
         self.converged = False
+        self._cost = cost
         self._private = private
         self._resilient = resilient
         self._allowed_stale = allowed_stale
@@ -201,6 +293,7 @@ class RunLoop:
         self._timer = timer
         self._root: Any = None
         self._iteration = -1
+        self._sweep = Sweep(-1, 0.0, None)
         self._gaps: List[float] = []
         self._norms: List[float] = []
 
@@ -244,8 +337,9 @@ class RunLoop:
                 perf.count(self._counter)
             self._begin(iteration)
             timer = contextlib.nullcontext() if self._timer is None else perf.timed(self._timer)
+            self._sweep = Sweep(iteration, slack, price_step)
             with self._span("iteration", category="iteration", iteration=iteration), timer:
-                yield Sweep(iteration, slack, price_step)
+                yield self._sweep
             cost = self._close()
             self.iterations = iteration + 1
             relative_change = abs(previous_cost - cost) / (abs(cost) if cost != 0 else 1.0)
@@ -262,38 +356,90 @@ class RunLoop:
             # Feasibility restoration: one zero-slack sweep with frozen
             # prices removes any residual over-service left by the slack.
             self._begin(self.iterations)
+            self._sweep = Sweep(self.iterations, 0.0, None, restoration=True)
             with self._span(
                 "iteration",
                 category="iteration",
                 iteration=self.iterations,
                 restoration=True,
             ):
-                yield Sweep(self.iterations, 0.0, None, restoration=True)
+                yield self._sweep
             self._emit_iteration(self._close(), restoration=True)
 
-    def phase(
-        self,
-        phase: int,
-        sbs: int,
-        cost: float,
-        *,
-        stats: Optional[Dict[str, float]] = None,
-        noise_l1: float = 0.0,
-        retries: int = 0,
-        stale: bool = False,
-    ) -> None:
-        """Record one phase of the current sweep and emit its ``phase`` event.
+    def phases(
+        self, order: Iterable[int], *, category: Optional[str] = "solve"
+    ) -> Iterator[PhaseSlot]:
+        """Yield each phase of the current sweep inside its ``phase`` span.
 
-        ``stats`` are the solve's trace extras (``dual_gap``, ``mu_norm``
-        and, with timings on, ``solve_seconds``); the iteration event
-        aggregates the first two over the sweep.
+        Phase ``k`` is the ``k``-th SBS of ``order``.  ``category`` is
+        the span's category (``solve`` in process, ``network`` on
+        sockets); ``None`` opens no span, for the Jacobi fold and the
+        sparse sweep.  The caller hands each slot to :meth:`settle`
+        before asking for the next.
         """
+        sweep = self._sweep
+        factory = NOOP_TRACKER.span if category is None else self._span
+        for phase, sbs in enumerate(order):
+            with factory(
+                "phase", category=category, sbs=sbs, iteration=sweep.iteration, phase=phase
+            ) as span:
+                yield PhaseSlot(sweep, phase, sbs, span)
+
+    def run_phases(
+        self,
+        order: Iterable[int],
+        transport: Callable[[PhaseSlot], PhaseOutcome],
+        *,
+        category: Optional[str] = "solve",
+    ) -> None:
+        """Run the current sweep's phases through a synchronous ``transport``."""
+        for slot in self.phases(order, category=category):
+            self.settle(slot, transport(slot))
+
+    def settle(self, slot: PhaseSlot, outcome: PhaseOutcome) -> None:
+        """Decide, emit and record one phase from its transport's outcome.
+
+        * ``delivered``: no event; the outcome's retries; fresh.
+        * ``degraded``: a ``degrade`` event; ``max_retries`` retries; stale.
+        * ``crashed``: a ``crash_skip`` event; the phase span turns
+          ``straggler`` with ``crashed=True``; stale.
+        * ``expired``: a ``deadline_expired`` event carrying ``folded``;
+          the span turns ``straggler`` with ``deadline_expired=True`` and
+          ``folded``; stale unless folded.
+
+        A degraded phase under ``on_timeout="raise"`` raises
+        :class:`~repro.exceptions.ProtocolTimeout` before anything is
+        emitted.  Then the phase is recorded at the cost after it, and
+        its ``phase`` event carries the solve's ``stats`` (``dual_gap``
+        and ``mu_norm``, which the iteration event aggregates, and
+        ``solve_seconds`` with timings on).
+        """
+        config, verdict = self.config, outcome.verdict
+        where = {"sbs": slot.sbs, "iteration": slot.sweep.iteration, "phase": slot.phase}
+        retries, stale = outcome.retries, verdict != "delivered"
+        if verdict == "degraded":
+            if config.on_timeout == "raise":
+                raise ProtocolTimeout(
+                    f"sbs-{slot.sbs} upload undelivered after {config.max_retries} "
+                    f"retries (iteration {slot.sweep.iteration}, phase {slot.phase})"
+                )
+            retries = config.max_retries
+            obs.emit("protocol", event="degrade", retries=retries, **where)
+        elif verdict == "crashed":
+            obs.emit("protocol", event="crash_skip", **where)
+            slot.span.annotate(category="straggler", crashed=True)
+        elif verdict == "expired":
+            stale = not outcome.folded
+            obs.emit("protocol", event="deadline_expired", folded=outcome.folded, **where)
+            slot.span.annotate(
+                category="straggler", deadline_expired=True, folded=outcome.folded
+            )
         record = PhaseRecord(
-            iteration=self._iteration,
-            phase=phase,
-            sbs=sbs,
-            cost=cost,
-            noise_l1=noise_l1,
+            iteration=slot.sweep.iteration,
+            phase=slot.phase,
+            sbs=slot.sbs,
+            cost=self._cost(),
+            noise_l1=outcome.noise_l1,
             retries=retries,
             stale=stale,
         )
@@ -301,6 +447,7 @@ class RunLoop:
         if not obs.enabled():
             return
         fields: Dict[str, object] = dataclasses.asdict(record)
+        stats = outcome.stats
         if stats:
             fields["dual_gap"] = stats["dual_gap"]
             fields["mu_norm"] = stats["mu_norm"]

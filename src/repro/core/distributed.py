@@ -29,21 +29,30 @@ paper's stated future work — is provided via ``mode="jacobi"``.
 from __future__ import annotations
 
 import dataclasses
-import time
-from typing import Dict, List, Optional, Protocol, Sequence, Union
+import functools
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from .. import obs, perf
 from ..analysis.taint import decl as taint
 from .._validation import check_in_interval, check_positive_int, rng_from
-from ..exceptions import ProtocolError, ProtocolTimeout, ValidationError
+from ..exceptions import ProtocolError, ValidationError
 from ..network.faults import FaultConfig, FaultyChannel
 from ..network.messaging import Channel, Message, MessageKind
 from ..privacy.accountant import PrivacyAccountant
 from ..privacy.factory import MechanismConfig, build_mechanism
 from ..privacy.mechanism import LaplacePrivacyMechanism
-from .convergence import CostHistory, RunLoop, Sweep
+from .convergence import (
+    CostHistory,
+    PhaseOutcome,
+    PhaseSlot,
+    RunLoop,
+    Sweep,
+    check_sweep_order,
+    solve_clock,
+    solve_stats,
+)
 from .cost import total_cost
 from .problem import ProblemInstance
 from .solution import Solution
@@ -57,43 +66,8 @@ __all__ = [
     "Checkpoint",
     "CheckpointStore",
     "DistributedOptimizer",
-    "TransportEndpoint",
     "solve_distributed",
 ]
-
-
-class TransportEndpoint(Protocol):
-    """What the BS/SBS agents require of their message substrate.
-
-    This is the transport abstraction seam: the in-process
-    :class:`~repro.network.messaging.Channel` (and its fault-injecting
-    subclass) satisfy it directly, and the socket runtime of
-    :mod:`repro.runtime` satisfies it with a per-node local mailbox that
-    the client event loop fills from TCP frames.  Agents only ever
-    register themselves, send messages and drain their own mailbox —
-    everything else (clocks, fault schedules, sockets) belongs to the
-    orchestrator driving them.
-    """
-
-    def register(self, node_name: str) -> None:
-        """Register ``node_name`` so it can receive (broadcast) messages."""
-        ...
-
-    def send(self, message: Message) -> None:
-        """Deliver one message (``recipient="*"`` broadcasts)."""
-        ...
-
-    def receive(self, node_name: str) -> Message:
-        """Pop the oldest pending message for ``node_name``."""
-        ...
-
-    def pending(self, node_name: str) -> int:
-        """Number of undelivered messages for ``node_name``."""
-        ...
-
-    def drain(self, node_name: str) -> List[Message]:
-        """Receive every pending message for ``node_name``."""
-        ...
 
 
 @dataclasses.dataclass(frozen=True)
@@ -303,6 +277,40 @@ class DistributedResult:
         return max(self.accountant.total_epsilon_basic(party) for party in parties)
 
 
+def close_run(
+    loop: RunLoop,
+    problem: ProblemInstance,
+    *,
+    caching: Sequence[np.ndarray],
+    true_routing: Sequence[np.ndarray],
+    reports: np.ndarray,
+    channel: Channel,
+    accountant: Optional[PrivacyAccountant],
+) -> DistributedResult:
+    """Assemble a dense run's result from the final per-SBS state, then
+    emit ``run_end`` with its privacy, pre-noise cost and traffic totals.
+    """
+    unperturbed = np.stack(true_routing)
+    result = DistributedResult(
+        solution=Solution(caching=np.stack(caching), routing=reports.copy()),
+        cost=loop.history.final_cost,
+        iterations=loop.iterations,
+        converged=loop.converged,
+        history=loop.history,
+        channel=channel,
+        unperturbed_routing=unperturbed,
+        unperturbed_cost=total_cost(problem, unperturbed),
+        accountant=accountant,
+    )
+    # repro-taint: disable=REPRO701 -- deliberate accuracy-loss reporting: pre-noise cost is a scalar system aggregate (Fig. 5)
+    loop.finish(
+        total_epsilon=result.total_epsilon,
+        unperturbed_cost=result.unperturbed_cost,
+        channel=dataclasses.asdict(channel.stats),
+    )
+    return result
+
+
 class BaseStationAgent:
     """The BS of Algorithm 1: aggregates uploads, broadcasts the total.
 
@@ -366,6 +374,20 @@ class BaseStationAgent:
                 phase=phase,
             )
         )
+
+    def broadcast_phase(self, slot: PhaseSlot, *, span: Callable[..., Any] = obs.span) -> None:
+        """Line 5 after a delivered phase: update prices, then broadcast.
+
+        Runs inside an ``aggregate`` span from ``span`` (the ambient
+        factory in process, the BS node tracker's on sockets).
+        """
+        iteration, price_step = slot.sweep.iteration, slot.sweep.price_step
+        with span(
+            "aggregate", category="aggregate", sbs=slot.sbs, iteration=iteration, phase=slot.phase
+        ):
+            if price_step is not None:
+                self.update_prices(price_step)
+            self.broadcast_aggregate(iteration, slot.phase)
 
     def collect_upload(self, expected_sbs: int) -> np.ndarray:
         """Receive one policy upload and fold it into the aggregate."""
@@ -527,23 +549,15 @@ class SBSAgent:
         all-zero initial aggregate if it has never heard from the BS.
         """
         messages = self._channel.drain(self.name)
-        aggregates = [
-            message.payload
-            for message in messages
-            if message.kind is MessageKind.AGGREGATE_BROADCAST
-        ]
-        if not self.resilient:
-            if not aggregates:
+        self._ingest(messages)
+        if not any(message.kind is MessageKind.AGGREGATE_BROADCAST for message in messages):
+            if not self.resilient:
                 raise ProtocolError(f"{self.name} has no aggregate broadcast to read")
-            payload = np.asarray(aggregates[-1])
+            self.stale_aggregate_phases += 1
+        if self._agg_payload is None:
+            payload = np.zeros((self._problem.num_groups, self._problem.num_files))
         else:
-            self._ingest(messages)
-            if not aggregates:
-                self.stale_aggregate_phases += 1
-            if self._agg_payload is None:
-                payload = np.zeros((self._problem.num_groups, self._problem.num_files))
-            else:
-                payload = np.asarray(self._agg_payload)
+            payload = np.asarray(self._agg_payload)
         if payload.ndim == 3:
             return payload[0], payload[1]
         return payload, None
@@ -567,10 +581,7 @@ class SBSAgent:
         the ARQ layer).
         """
         aggregate_others, prices = self.begin_phase()
-        # Inline wall-clock timing: tracing alone (no perf registry)
-        # records per-phase solve durations, gated on the recorder's
-        # timings flag so deterministic traces stay byte-identical.
-        solve_started = time.perf_counter() if obs.timings_enabled() else None
+        started = solve_clock()
         with perf.timed("algorithm1.phase_solve"):
             result = solve_subproblem(
                 self._problem,
@@ -585,24 +596,11 @@ class SBSAgent:
                 candidate_caching=self.caching if self._has_solved else None,
                 workspace=self._workspace,
             )
+        self.last_solve_stats = solve_stats(result, started)
         self._last_multipliers = result.multipliers
         self._has_solved = True
         self.caching = result.caching
         self.true_routing = result.routing
-        if obs.enabled():
-            self.last_solve_stats = {
-                "dual_gap": float(result.cost - result.best_dual),
-                "mu_norm": (
-                    0.0
-                    if result.multipliers is None
-                    else float(np.linalg.norm(result.multipliers))
-                ),
-                "dual_iterations": float(result.iterations),
-            }
-            if solve_started is not None:
-                self.last_solve_stats["solve_seconds"] = (
-                    time.perf_counter() - solve_started
-                )
         report = self.true_routing
         noise_l1 = 0.0
         if self._mechanism is not None:
@@ -778,14 +776,7 @@ class DistributedOptimizer:
         problem = as_dense_problem(problem)
         self.problem = problem
         self.config = config or DistributedConfig()
-        if sweep_order is None:
-            sweep_order = list(range(problem.num_sbs))
-        order = [int(i) for i in sweep_order]
-        if sorted(order) != list(range(problem.num_sbs)):
-            raise ValidationError(
-                f"sweep_order must be a permutation of 0..{problem.num_sbs - 1}"
-            )
-        self._order = order
+        self._order = check_sweep_order(sweep_order, problem.num_sbs)
         self.faults = faults
         if faults is not None and self.config.mode != "gauss-seidel":
             raise ValidationError(
@@ -825,6 +816,7 @@ class DistributedOptimizer:
         loop = RunLoop(
             self.config,
             self.problem,
+            cost=self.base_station.system_cost,
             private=self.accountant is not None,
             resilient=resilient,
             counter="algorithm1.iterations",
@@ -835,175 +827,78 @@ class DistributedOptimizer:
         # (the paper's y_{-n}(tau=0) = 0 initialisation).
         self.base_station.broadcast_aggregate(iteration=-1, phase=-1)
         for sweep in loop.sweeps():
-            if resilient:
-                self._resilient_sweep(loop, sweep)
-            elif self.config.mode == "jacobi" and not sweep.restoration:
+            # Jacobi runs restore feasibility with a Gauss-Seidel sweep.
+            if self.config.mode == "jacobi" and not sweep.restoration:
                 self._jacobi_sweep(loop, sweep)
-            else:  # Jacobi runs restore feasibility with a Gauss-Seidel sweep
-                self._gauss_seidel_sweep(loop, sweep)
+            elif resilient:
+                self.channel.set_time(sweep.iteration)
+                loop.run_phases(self._order, self._faulty_phase)
+            else:
+                loop.run_phases(self._order, self._reliable_phase)
 
-        unperturbed = np.stack([agent.true_routing for agent in self.sbss])
-        solution = Solution(
-            caching=np.stack([agent.caching for agent in self.sbss]),
-            routing=self.base_station.reports.copy(),
-        )
-        result = DistributedResult(
-            solution=solution,
-            cost=loop.history.final_cost,
-            iterations=loop.iterations,
-            converged=loop.converged,
-            history=loop.history,
+        return close_run(
+            loop,
+            self.problem,
+            caching=[agent.caching for agent in self.sbss],
+            true_routing=[agent.true_routing for agent in self.sbss],
+            reports=self.base_station.reports,
             channel=self.channel,
-            unperturbed_routing=unperturbed,
-            unperturbed_cost=total_cost(self.problem, unperturbed),
             accountant=self.accountant,
         )
-        # repro-taint: disable=REPRO701 -- deliberate accuracy-loss reporting: pre-noise cost is a scalar system aggregate (Fig. 5)
-        loop.finish(
-            total_epsilon=result.total_epsilon,
-            unperturbed_cost=result.unperturbed_cost,
-            channel=dataclasses.asdict(self.channel.stats),
-        )
-        return result
 
-    # ------------------------------------------------------------------
-    def _broadcast(self, sweep: Sweep, sbs: int, phase: int) -> None:
-        """Line 5 of Algorithm 1: update congestion prices, then broadcast."""
+    # -- transports: each runs one phase and reports its PhaseOutcome --
+    def _reliable_phase(self, slot: PhaseSlot) -> PhaseOutcome:
+        """One phase over the reliable channel, following Algorithm 1's lines 2-5.
+
+        The active SBS reads the latest aggregate broadcast, solves
+        ``P_n`` and uploads (line 4); the BS folds the upload in,
+        updates congestion prices when price coordination is on, and
+        broadcasts to everyone (line 5).  Every upload is therefore
+        sandwiched between two broadcasts — exactly the information an
+        eavesdropper on the broadcast channel gets to see.
+        """
+        agent = self.sbss[slot.sbs]
+        noise_l1 = agent.run_phase(slot.sweep.iteration, slot.phase, cap_slack=slot.sweep.slack)
+        self.base_station.collect_upload(slot.sbs)
+        self.base_station.broadcast_phase(slot)
+        return PhaseOutcome("delivered", noise_l1=noise_l1, stats=agent.last_solve_stats)
+
+    def _faulty_phase(self, slot: PhaseSlot) -> PhaseOutcome:
+        """One phase over the faulty channel.
+
+        The reliable phase's structure, but a crashed SBS skips the
+        phase (the BS reuses its last known report), a recovered one is
+        restored from its last checkpoint so it rejoins mid-run, and the
+        upload travels through the ARQ layer.  An upload that exhausts
+        every retry rolls the SBS back to its last acknowledged report.
+        """
+        agent, iteration, phase = self.sbss[slot.sbs], slot.sweep.iteration, slot.phase
+        if not self.channel.node_is_up(agent.name):
+            agent.crash()
+            return PhaseOutcome("crashed")
+        agent.recover(self.checkpoints)
+        report, noise_l1 = agent.compute_phase(iteration, phase, cap_slack=slot.sweep.slack)
         with obs.span(
-            "aggregate",
-            category="aggregate",
-            sbs=sbs,
-            iteration=sweep.iteration,
-            phase=phase,
-        ):
-            if sweep.price_step is not None:
-                self.base_station.update_prices(sweep.price_step)
-            self.base_station.broadcast_aggregate(sweep.iteration, phase)
-
-    def _gauss_seidel_sweep(self, loop: RunLoop, sweep: Sweep) -> None:
-        """One iteration, following Algorithm 1's lines 2-5 exactly.
-
-        For each phase: the active SBS reads the latest aggregate
-        broadcast, solves ``P_n`` and uploads (line 4); the BS folds the
-        upload in, updates congestion prices when price coordination is
-        on, and broadcasts to everyone (line 5).  Every upload is
-        therefore sandwiched between two broadcasts — exactly the
-        information an eavesdropper on the broadcast channel gets to
-        see.
-        """
-        for phase, index in enumerate(self._order):
-            agent = self.sbss[index]
-            with obs.span(
-                "phase",
-                category="solve",
-                sbs=index,
-                iteration=sweep.iteration,
-                phase=phase,
-            ):
-                noise_l1 = agent.run_phase(sweep.iteration, phase, cap_slack=sweep.slack)
-                self.base_station.collect_upload(index)
-                self._broadcast(sweep, index, phase)
-                loop.phase(
-                    phase,
-                    index,
-                    self.base_station.system_cost(),
-                    stats=agent.last_solve_stats,
-                    noise_l1=noise_l1,
-                )
-
-    def _resilient_sweep(self, loop: RunLoop, sweep: Sweep) -> None:
-        """One Gauss-Seidel iteration over an unreliable channel.
-
-        The same phase structure as :meth:`_gauss_seidel_sweep`, but each
-        upload travels through the ARQ layer, crashed SBSs are skipped
-        (the BS reuses their last known report — graceful degradation:
-        the unserved residual falls back to the BS at cost ``f2``), and
-        recovered SBSs are restored from their last checkpoint so they
-        rejoin mid-run instead of restarting the sweep.
-        """
-        channel, iteration = self.channel, sweep.iteration
-        channel.set_time(iteration)
-        for phase, index in enumerate(self._order):
-            agent = self.sbss[index]
-            with obs.span(
-                "phase",
-                category="solve",
-                sbs=index,
-                iteration=iteration,
-                phase=phase,
-            ) as phase_span:
-                if not channel.node_is_up(agent.name):
-                    agent.crash()
-                    obs.emit(
-                        "protocol",
-                        event="crash_skip",
-                        sbs=index,
-                        iteration=iteration,
-                        phase=phase,
-                    )
-                    phase_span.annotate(category="straggler", crashed=True)
-                    loop.phase(phase, index, self.base_station.system_cost(), stale=True)
-                    continue
-                agent.recover(self.checkpoints)
-                report, noise_l1 = agent.compute_phase(
-                    iteration, phase, cap_slack=sweep.slack
-                )
-                upload_span = obs.span(
-                    "upload",
-                    category="network",
-                    sbs=index,
-                    iteration=iteration,
-                    phase=phase,
-                )
-                with upload_span:
-                    # repro-taint: disable=REPRO701,REPRO702 -- sanctioned upload release via ARQ retry path (same contract as run_phase)
-                    retries = self._upload_with_retries(
-                        agent, report, iteration, phase
-                    )
-                    upload_span.annotate(
-                        delivered=retries is not None,
-                        retries=(
-                            retries
-                            if retries is not None
-                            else self.config.max_retries
-                        ),
-                    )
-                    if retries:
-                        upload_span.annotate(category="retry")
-                if retries is None:
-                    # Delivery failed for good: the BS keeps the SBS's last
-                    # folded report; roll the SBS's own view back so its
-                    # y_{-n} bookkeeping matches what the BS actually holds.
-                    agent.rollback_report()
-                    obs.emit(
-                        "protocol",
-                        event="degrade",
-                        sbs=index,
-                        iteration=iteration,
-                        phase=phase,
-                        retries=self.config.max_retries,
-                    )
-                    loop.phase(
-                        phase,
-                        index,
-                        self.base_station.system_cost(),
-                        stats=agent.last_solve_stats,
-                        noise_l1=noise_l1,
-                        retries=self.config.max_retries,
-                        stale=True,
-                    )
-                    continue
-                agent.commit_report()
-                agent.save_checkpoint(self.checkpoints, iteration)
-                self._broadcast(sweep, index, phase)
-                loop.phase(
-                    phase,
-                    index,
-                    self.base_station.system_cost(),
-                    stats=agent.last_solve_stats,
-                    noise_l1=noise_l1,
-                    retries=retries,
-                )
+            "upload", category="network", sbs=slot.sbs, iteration=iteration, phase=phase
+        ) as upload_span:
+            # repro-taint: disable=REPRO701,REPRO702 -- sanctioned upload release via ARQ retry path (same contract as run_phase)
+            retries = self._upload_with_retries(agent, report, iteration, phase)
+            upload_span.annotate(
+                category="retry" if retries else None,
+                delivered=retries is not None,
+                retries=self.config.max_retries if retries is None else retries,
+            )
+        if retries is None:
+            # The BS keeps the SBS's last folded report; roll the SBS's
+            # own view back so its y_{-n} bookkeeping matches.
+            agent.rollback_report()
+            return PhaseOutcome("degraded", noise_l1=noise_l1, stats=agent.last_solve_stats)
+        agent.commit_report()
+        agent.save_checkpoint(self.checkpoints, iteration)
+        self.base_station.broadcast_phase(slot)
+        return PhaseOutcome(
+            "delivered", retries=retries, noise_l1=noise_l1, stats=agent.last_solve_stats
+        )
 
     def _upload_with_retries(
         self, agent: SBSAgent, report: np.ndarray, iteration: int, phase: int
@@ -1015,10 +910,8 @@ class DistributedOptimizer:
         clock advances by an exponentially growing backoff (capped at
         ``retry_backoff_cap`` ticks) so delayed in-flight messages get a
         chance to surface before the next retransmission.  Returns the
-        number of retries used, or ``None`` when the budget was exhausted
-        (``on_timeout="degrade"``); raises
-        :class:`~repro.exceptions.ProtocolTimeout` when configured to
-        fail hard.
+        number of retries used, or ``None`` when the budget was
+        exhausted.
         """
         seq = agent.next_seq()
         backoff = 1
@@ -1054,44 +947,34 @@ class DistributedOptimizer:
         # bookkeeping out of sync with what the BS actually holds.
         if self.base_station.has_folded(agent.index, seq):
             return self.config.max_retries
-        if self.config.on_timeout == "raise":
-            raise ProtocolTimeout(
-                f"{agent.name} upload seq {seq} unacknowledged after "
-                f"{self.config.max_retries} retries (iteration {iteration}, "
-                f"phase {phase})"
-            )
         return None
 
     def _jacobi_sweep(self, loop: RunLoop, sweep: Sweep) -> None:
         """All SBSs best-respond to the same (stale) aggregate, with damping.
 
         Every SBS solves and uploads before the BS folds anything; the
-        BS then folds the uploads in sweep order (phase ``k`` is the
-        ``k``-th SBS of the order) and broadcasts once.
+        phases (no ``phase`` span: nothing is solved in them) are the BS
+        folding the uploads in sweep order, and it broadcasts once.
         """
-        iteration = sweep.iteration
-        noise = [
-            self.sbss[index].run_phase(iteration, phase=0, cap_slack=sweep.slack)
+        noise = {
+            index: self.sbss[index].run_phase(sweep.iteration, phase=0, cap_slack=sweep.slack)
             for index in self._order
-        ]
-        for phase, index in enumerate(self._order):
-            agent = self.sbss[index]
-            previous = self.base_station.reports[index].copy()
-            block = self.base_station.collect_upload(index)
-            if self.config.damping < 1.0:
-                damped = self.config.damping * block + (1.0 - self.config.damping) * previous
-                self.base_station.reports[index] = damped
-                agent.last_report = damped
-            loop.phase(
-                phase,
-                index,
-                self.base_station.system_cost(),
-                stats=agent.last_solve_stats,
-                noise_l1=noise[phase],
-            )
+        }
+        loop.run_phases(self._order, functools.partial(self._jacobi_fold, noise), category=None)
         if sweep.price_step is not None:
             self.base_station.update_prices(sweep.price_step)
-        self.base_station.broadcast_aggregate(iteration, phase=len(self.sbss))
+        self.base_station.broadcast_aggregate(sweep.iteration, phase=len(self.sbss))
+
+    def _jacobi_fold(self, noise: Dict[int, float], slot: PhaseSlot) -> PhaseOutcome:
+        """Fold one Jacobi upload, damped toward the SBS's previous report."""
+        agent, damping = self.sbss[slot.sbs], self.config.damping
+        previous = self.base_station.reports[slot.sbs].copy()
+        block = self.base_station.collect_upload(slot.sbs)
+        if damping < 1.0:
+            damped = damping * block + (1.0 - damping) * previous
+            self.base_station.reports[slot.sbs] = damped
+            agent.last_report = damped
+        return PhaseOutcome("delivered", noise_l1=noise[slot.sbs], stats=agent.last_solve_stats)
 
 
 def solve_distributed(

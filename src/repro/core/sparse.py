@@ -41,10 +41,17 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .. import obs
 from .._validation import as_float_array, require
 from ..exceptions import ValidationError
-from .convergence import CostHistory, RunLoop
+from .convergence import (
+    CostHistory,
+    PhaseOutcome,
+    PhaseSlot,
+    RunLoop,
+    check_sweep_order,
+    solve_clock,
+    solve_stats,
+)
 from .distributed import DistributedConfig
 from .problem import ProblemInstance
 from .solution import ConstraintViolation, FeasibilityReport, Solution
@@ -835,18 +842,17 @@ def solve_distributed_sparse(
     :func:`~repro.core.subproblem.solve_subproblem` — no local block is
     materialized — and uploads a vector over its reachable demand pairs;
     the base station refreshes the aggregate on exactly those pairs and
-    re-evaluates the system cost in ``O(nnz)``.  The outer loop is the
-    dense optimizer's :class:`~repro.core.convergence.RunLoop`, so the
-    convergence test and the ``run_start`` / ``phase`` / ``iteration`` /
-    ``run_end`` trace events (tagged ``sparse=True``) are the dense
-    run's, and ``repro-trace validate`` applies unchanged.
+    re-evaluates the system cost in ``O(nnz)``.  That pair refresh is the
+    transport; the dense optimizer's :class:`~repro.core.convergence.RunLoop`
+    drives the sweeps and records each (always delivered) phase, so the
+    ``run_start`` (tagged ``sparse=True``) / ``phase`` / ``iteration`` /
+    ``run_end`` events, ``solve_seconds`` included, are the dense run's.
 
-    Unsupported dense features raise: Jacobi mode, price coordination,
-    restarts, privacy and fault injection all require the dense
-    machinery — densify through :meth:`SparseProblemInstance.to_dense`
-    for those (guarded by the cell budget).  Kernel scratch is one
-    workspace sized for the largest view; polish adds ``(32, P_n)``
-    trial buffers, linear in the SBS's demand pairs.
+    Jacobi mode, price coordination and restarts raise; they, privacy
+    and fault injection need the dense solver (through
+    :func:`as_dense_problem`, guarded by the cell budget).  Kernel
+    scratch is one workspace sized for the largest view; polish adds
+    ``(32, P_n)`` trial buffers, linear in the SBS's demand pairs.
     """
     config = config or DistributedConfig()
     if config.mode != "gauss-seidel":
@@ -863,14 +869,7 @@ def solve_distributed_sparse(
             "restarts are a dense-solver feature; run the sparse solver once per order"
         )
     num_sbs = instance.num_sbs
-    if sweep_order is None:
-        order = list(range(num_sbs))
-    else:
-        order = [int(i) for i in sweep_order]
-        if sorted(order) != list(range(num_sbs)):
-            raise ValidationError(
-                f"sweep_order must be a permutation of 0..{num_sbs - 1}"
-            )
+    order = check_sweep_order(sweep_order, num_sbs)
 
     indexes = [instance.sbs_index(n) for n in range(num_sbs)]
     aggregate = _PairAggregate(instance, indexes)
@@ -889,49 +888,50 @@ def solve_distributed_sparse(
         residual = np.maximum(1.0 - aggregate.values, 0.0)
         return float(np.sum(f1_terms)) + float(np.dot(pair_bs_weight, residual))
 
+    def pair_phase(slot: PhaseSlot) -> PhaseOutcome:
+        """The sparse transport: solve on the SBS's demand pairs, refresh them."""
+        sbs = slot.sbs
+        index = indexes[sbs]
+        if not index.pair_ids.size:
+            # No reachable demand: nothing to route, and the dense
+            # filler would cache the lowest-indexed contents.
+            caching[sbs] = index.files[: index.capacity]
+            return PhaseOutcome("delivered")
+        own = aggregate.reports[aggregate.slice_of(sbs)]
+        others = aggregate.values[index.pair_ids] - own
+        np.clip(others, 0.0, None, out=others)
+        started = solve_clock()
+        solution = solve_subproblem(
+            instance.item_view(sbs),
+            None,
+            others,
+            config.subproblem,
+            initial_multipliers=multipliers[sbs],
+            candidate_caching=local_caching[sbs],
+            workspace=workspace,
+        )
+        stats = solve_stats(solution, started)
+        report = solution.routing
+        aggregate.reports[aggregate.slice_of(sbs)] = report
+        aggregate.refresh(index.pair_ids)
+        f1_terms[sbs] = float(np.dot(index.pair_link_weight, report))
+        local_caching[sbs] = solution.caching
+        caching[sbs] = index.files[np.flatnonzero(solution.caching > 0.0)]
+        if config.warm_start:
+            multipliers[sbs] = solution.multipliers
+        return PhaseOutcome("delivered", stats=stats)
+
     loop = RunLoop(
         config,
         instance,
+        cost=system_cost,
         root_attrs={"mode": config.mode, "sparse": True},
         counter="algorithm1.sparse_iterations",
         timer="algorithm1.sparse_sweep",
     )
     loop.start(sparse=True, demand_nnz=instance.demand_nnz, num_links=instance.num_links)
-    for sweep in loop.sweeps():
-        for phase, sbs in enumerate(order):
-            index = indexes[sbs]
-            stats: Optional[Dict[str, float]] = None
-            if index.pair_ids.size:
-                own = aggregate.reports[aggregate.slice_of(sbs)]
-                others = aggregate.values[index.pair_ids] - own
-                np.clip(others, 0.0, None, out=others)
-                solution = solve_subproblem(
-                    instance.item_view(sbs),
-                    None,
-                    others,
-                    config.subproblem,
-                    initial_multipliers=multipliers[sbs],
-                    candidate_caching=local_caching[sbs],
-                    workspace=workspace,
-                )
-                report = solution.routing
-                aggregate.reports[aggregate.slice_of(sbs)] = report
-                aggregate.refresh(index.pair_ids)
-                f1_terms[sbs] = float(np.dot(index.pair_link_weight, report))
-                local_caching[sbs] = solution.caching
-                caching[sbs] = index.files[np.flatnonzero(solution.caching > 0.0)]
-                if config.warm_start:
-                    multipliers[sbs] = solution.multipliers
-                if obs.enabled():
-                    stats = {
-                        "dual_gap": float(solution.cost - solution.best_dual),
-                        "mu_norm": float(np.linalg.norm(solution.multipliers)),
-                    }
-            else:
-                # No reachable demand: nothing to route, and the dense
-                # filler would cache the lowest-indexed contents.
-                caching[sbs] = index.files[: index.capacity]
-            loop.phase(phase, sbs, system_cost(), stats=stats)
+    for _sweep in loop.sweeps():
+        loop.run_phases(order, pair_phase, category=None)
 
     solution = SparseSolution(
         num_sbs=num_sbs,

@@ -8,7 +8,7 @@ speaking the seq/ack/retry ``POLICY_UPLOAD`` protocol in a length-prefixed,
 CRC-protected wire format, and the BS is an aggregation server.
 
 Guarantees (pinned by ``tests/test_runtime.py`` and the CI
-``runtime-smoke`` job):
+``socket-smoke`` job):
 
 * a fault-free socket run produces a **bit-identical** trace and
   :class:`~repro.core.solution.Solution` to

@@ -5,29 +5,28 @@ the same :class:`~repro.core.distributed.BaseStationAgent` over a real
 in-memory :class:`~repro.network.messaging.Channel` (the "bus"), so
 folding, cumulative acks, duplicate suppression and traffic accounting
 are byte-for-byte the in-process implementation.  The socket layer only
-moves frames between that bus and the TCP clients:
+moves frames between that bus and the TCP clients: uploads read off a
+client's connection are re-sent onto the bus and absorbed by the BS
+agent; the acks and broadcasts it queues are flushed back out as frames.
 
-* uploads read off a client's connection are re-sent *onto the bus* and
-  absorbed by the BS agent, which queues cumulative acks;
-* acks and aggregate broadcasts queued on the bus are flushed back out
-  as wire frames.
-
-The outer loop is the in-process optimizer's own
-:class:`~repro.core.convergence.RunLoop` (same run/iteration events and
-convergence test), and the sweep mirrors
-``DistributedOptimizer._resilient_sweep`` phase by phase — same event
-order, same phase records — which is what makes a fault-free socket
-run's trace and :class:`~repro.core.solution.Solution` bit-identical to
+The run loop and phase driver are the in-process optimizer's own
+:class:`~repro.core.convergence.RunLoop`.  The server is only a
+transport: :meth:`RuntimeServer._phase` grants one phase, awaits the
+client's report and returns a
+:class:`~repro.core.convergence.PhaseOutcome`, and ``RunLoop.settle``
+emits and records it exactly as for the in-process faulty channel.  So
+a fault-free socket run's trace and
+:class:`~repro.core.solution.Solution` are bit-identical to
 ``solve_distributed(problem, config, faults=FaultConfig())``.
 
 On top of that parity baseline the server adds what only a real
 deployment needs:
 
 * **straggler policy** — a wall-clock ``phase_deadline`` per granted
-  phase; at expiry the BS proceeds with the stale report (or, if the
-  upload was folded but the ``phase_done`` never arrived, with the fresh
-  one), counts ``ChannelStats.deadline_expired`` and emits a
-  ``deadline_expired`` protocol event.  A quorum fraction below ``1.0``
+  phase; at expiry the phase is *expired*: the BS proceeds with the
+  stale report (or, if the upload was folded but the ``phase_done``
+  never arrived, with the fresh one) and counts
+  ``ChannelStats.deadline_expired``.  A quorum fraction below ``1.0``
   lets iterations with a bounded number of stale phases still certify
   convergence.
 * **byzantine filter** (opt-in) — shape/finiteness/range validation of
@@ -43,25 +42,23 @@ familiar :class:`~repro.core.distributed.DistributedResult` plus a
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import multiprocessing
 import time
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 from .. import obs
 from ..obs import spans
 from .._validation import rng_from
-from ..core.convergence import RunLoop, Sweep
-from ..core.cost import total_cost
+from ..core.convergence import PhaseOutcome, PhaseSlot, RunLoop
 from ..core.distributed import (
     BaseStationAgent,
     DistributedConfig,
     DistributedResult,
+    close_run,
 )
 from ..core.problem import ProblemInstance
-from ..core.solution import Solution
 from ..core.sparse import SparseProblemInstance, as_dense_problem
 from ..exceptions import ProtocolTimeout, ValidationError
 from ..network.messaging import Channel, Message, MessageKind
@@ -183,16 +180,10 @@ class RuntimeServer:
     ) -> None:
         source = FrameSource(reader)
         kind, frame = await source.next(self.runtime.control_timeout)
-        if kind != "frame" or frame is None or frame.kind is not MessageKind.CONTROL:
-            source.close()
-            writer.close()
-            return
-        meta = frame.meta or {}
-        if meta.get("action") != "hello" or "index" not in meta:
-            source.close()
-            writer.close()
-            return
-        index = int(meta["index"])
+        hello: Mapping[str, Any] = {}
+        if kind == "frame" and frame is not None and frame.kind is MessageKind.CONTROL:
+            hello = frame.meta or {}
+        index = int(hello["index"]) if hello.get("action") == "hello" and "index" in hello else -1
         if index not in self._hello or index in self._links:
             source.close()
             writer.close()
@@ -327,9 +318,7 @@ class RuntimeServer:
                 seq=frame.seq,
             )
         )
-        before = self.base_station._folded_seq.get(link.index, 0)
-        self.base_station.absorb_uploads()
-        if self.base_station._folded_seq.get(link.index, 0) > before:
+        if link.index in self.base_station.absorb_uploads():
             self._fold_count[link.index] += 1
         await self._flush_link(link)
 
@@ -385,6 +374,14 @@ class RuntimeServer:
                             fields[key] = float(fields[key]) + shift
                 obs.emit("span", **fields)
 
+    async def _send_verdict(
+        self, link: _ClientLink, iteration: int, phase: int, verdict: str
+    ) -> None:
+        """Tell the client how its phase ended, so it commits or rolls back."""
+        meta = {"action": "phase_result", "iteration": iteration, "phase": phase}
+        meta["verdict"] = verdict
+        await self._send_control(link, iteration, phase, meta)
+
     async def _replay_late(self, link: _ClientLink, meta: Dict[str, Any]) -> None:
         """Handle a ``phase_done`` for a phase the deadline already closed.
 
@@ -395,33 +392,32 @@ class RuntimeServer:
         self._replay_events(list(meta.get("events", [])))
         self.bus.stats.corrupted += int(meta.get("corrupted", 0))
         tag = (int(meta.get("iteration", -1)), int(meta.get("phase", -1)))
-        verdict = link.resolved.get(tag, "degraded")
-        await self._send_control(
-            link,
-            tag[0],
-            tag[1],
-            {
-                "action": "phase_result",
-                "iteration": tag[0],
-                "phase": tag[1],
-                "verdict": verdict,
-            },
-        )
+        await self._send_verdict(link, *tag, link.resolved.get(tag, "degraded"))
 
-    async def _drain_backlog(self, link: _ClientLink) -> None:
-        """Process frames buffered on a link without blocking.
+    async def _serve(
+        self, link: _ClientLink, tag: Optional[Tuple[int, int]] = None
+    ) -> Optional[Dict[str, Any]]:
+        """Process the link's frames: fold uploads, answer late ``phase_done``.
 
-        Late traffic from deadline-closed phases (stray uploads, the
-        eventual ``phase_done``) is resolved here, before the client is
-        granted its next phase.
+        With ``tag``, the granted ``(iteration, phase)``, serve until that
+        phase's ``phase_done`` (returned) or the phase deadline.  Without
+        it, process only what is already buffered: late traffic from
+        deadline-closed phases is resolved before the client's next
+        grant.  Returns ``None`` otherwise; EOF marks the link dead.
         """
+        loop = asyncio.get_running_loop()
+        end = loop.time() + self.runtime.phase_deadline
         while True:
-            kind, frame = await link.source.next(0)
-            if kind == "timeout":
-                return
+            remaining = 0.0
+            if tag is not None:
+                remaining = end - loop.time()
+                if remaining <= 0:
+                    return None
+            kind, frame = await link.source.next(remaining)
             if kind == "eof":
                 link.alive = False
-                return
+            if kind in ("timeout", "eof"):
+                return None
             if kind == "corrupt":
                 self.bus.stats.corrupted += 1
                 continue
@@ -431,223 +427,108 @@ class RuntimeServer:
             elif frame.kind is MessageKind.CONTROL:
                 meta = frame.meta or {}
                 if meta.get("action") == "phase_done":
-                    await self._replay_late(link, meta)
-
-    async def _await_phase_done(
-        self, link: _ClientLink, iteration: int, phase: int
-    ) -> Optional[Dict[str, Any]]:
-        """Serve the link until its ``phase_done`` or the phase deadline."""
-        loop = asyncio.get_running_loop()
-        end = loop.time() + self.runtime.phase_deadline
-        while True:
-            remaining = end - loop.time()
-            if remaining <= 0:
-                return None
-            kind, frame = await link.source.next(remaining)
-            if kind == "timeout":
-                return None
-            if kind == "eof":
-                link.alive = False
-                return None
-            if kind == "corrupt":
-                self.bus.stats.corrupted += 1
-                continue
-            assert frame is not None
-            if frame.kind is MessageKind.POLICY_UPLOAD:
-                await self._ingest_upload(link, frame)
-                continue
-            if frame.kind is MessageKind.CONTROL:
-                meta = frame.meta or {}
-                if meta.get("action") == "phase_done":
-                    if (
-                        int(meta.get("iteration", -1)) == iteration
-                        and int(meta.get("phase", -1)) == phase
-                    ):
+                    if (int(meta.get("iteration", -1)), int(meta.get("phase", -1))) == tag:
                         return meta
                     await self._replay_late(link, meta)
 
     # -- the sweep -----------------------------------------------------
-    def _aggregate(self, sweep: Sweep, index: int, phase: int) -> None:
-        """Line 5 of Algorithm 1 on the bus: update prices, queue the broadcast."""
-        with self._spans.span(
-            "aggregate",
-            category="aggregate",
-            sbs=index,
-            iteration=sweep.iteration,
-            phase=phase,
-        ):
-            if sweep.price_step is not None:
-                self.base_station.update_prices(sweep.price_step)
-            self.base_station.broadcast_aggregate(sweep.iteration, phase)
-
-    async def _broadcast(self, iteration: int, index: int, phase: int) -> None:
-        """Flush the queued broadcast (and acks) out to every client."""
+    async def _broadcast(self, slot: PhaseSlot) -> None:
+        """Line 5 after a delivered phase: update prices, queue the broadcast
+        on the bus, then flush it (and the acks) out to every client."""
+        self.base_station.broadcast_phase(slot, span=self._spans.span)
         with self._spans.span(
             "broadcast",
             category="broadcast",
-            sbs=index,
-            iteration=iteration,
-            phase=phase,
+            sbs=slot.sbs,
+            iteration=slot.sweep.iteration,
+            phase=slot.phase,
         ):
             await self._flush_all()
 
-    async def _sweep(self, run_loop: RunLoop, sweep: Sweep) -> None:
-        """One Gauss-Seidel iteration over the socket clients.
+    async def _phase(self, slot: PhaseSlot) -> PhaseOutcome:
+        """The socket transport: grant one phase, await it, replay its events.
 
-        Phase-for-phase the event and record sequence of
-        ``DistributedOptimizer._resilient_sweep``, with the deadline
-        policy layered on where the in-process version cannot block.
-        Each phase body is bracketed by a ``phase`` span whose
-        trace-context rides the solve grant, so the client-side solve
-        and upload-attempt spans stitch in under it.
+        The client's ``phase_done`` brings the phase's verdict, retry
+        count and in-phase events; the server replays those events,
+        synthesizes the ``retry`` events, folds a delivered upload into
+        the broadcast and sends the verdict back.  The grant carries the
+        ``phase`` span's trace-context, so the client-side solve and
+        upload-attempt spans stitch in under it.  A client that sends
+        nothing by ``phase_deadline`` has its phase closed as expired
+        (delivered if its upload was folded); a crashed or disconnected
+        client skips the phase.
         """
+        sweep, phase, index = slot.sweep, slot.phase, slot.sbs
         iteration = sweep.iteration
-        self._slack = sweep.slack
+        link = self._links[index]
         schedule = self.runtime.faults.schedule if self.runtime.faults else None
-        for phase, index in enumerate(self.problem.sbs_indices()):
-            link = self._links[index]
-            with self._spans.span(
-                "phase",
-                category="network",
+        if schedule is not None and schedule.is_crashed(link.name, iteration):
+            await self._send_control(link, iteration, phase, {"action": "crash"})
+            return PhaseOutcome("crashed")
+        await self._serve(link)
+        meta: Optional[Dict[str, Any]] = None
+        fold_before = self._fold_count[index]
+        # Server-side wall-clock at grant time: the anchor client span
+        # timestamps are rebased onto (timings-gated).
+        window_t0 = self._spans.wall()
+        if link.alive:
+            await self._send_control(
+                link,
+                iteration,
+                phase,
+                {
+                    "action": "solve",
+                    "iteration": iteration,
+                    "phase": phase,
+                    "cap_slack": sweep.slack,
+                },
+                trace_ctx=slot.span.context(),
+            )
+            meta = await self._serve(link, (iteration, phase))
+        if meta is None:
+            # Straggler or dead client.  If the upload made it into the
+            # fold the phase is *delivered* — the in-process exclusive
+            # boundary rule — otherwise it is stale.
+            folded = link.alive and self._fold_count[index] > fold_before
+            link.resolved[(iteration, phase)] = "delivered" if folded else "degraded"
+            if not link.alive:
+                return PhaseOutcome("crashed")
+            if folded:
+                await self._broadcast(slot)
+            self.bus.stats.deadline_expired += 1
+            return PhaseOutcome("expired", folded=folded)
+        self._replay_events(list(meta.get("events", [])), rebase=window_t0)
+        self.bus.stats.corrupted += int(meta.get("corrupted", 0))
+        retries = int(meta.get("retries", 0))
+        seq = int(meta.get("seq", 0))
+        for attempt in range(1, retries + 1):
+            self.bus.stats.retransmissions += 1
+            obs.emit(
+                "protocol",
+                event="retry",
                 sbs=index,
                 iteration=iteration,
                 phase=phase,
-            ) as phase_span:
-                if schedule is not None and schedule.is_crashed(link.name, iteration):
-                    await self._send_control(
-                        link, iteration, phase, {"action": "crash"}
-                    )
-                    obs.emit(
-                        "protocol",
-                        event="crash_skip",
-                        sbs=index,
-                        iteration=iteration,
-                        phase=phase,
-                    )
-                    phase_span.annotate(category="straggler", crashed=True)
-                    run_loop.phase(phase, index, self.base_station.system_cost(), stale=True)
-                    continue
-                await self._drain_backlog(link)
-                meta: Optional[Dict[str, Any]] = None
-                fold_before = self._fold_count[index]
-                # Server-side wall-clock at grant time: the anchor client
-                # span timestamps are rebased onto (timings-gated).
-                window_t0 = self._spans.wall()
-                if link.alive:
-                    await self._send_control(
-                        link,
-                        iteration,
-                        phase,
-                        {
-                            "action": "solve",
-                            "iteration": iteration,
-                            "phase": phase,
-                            "cap_slack": sweep.slack,
-                        },
-                        trace_ctx=phase_span.context(),
-                    )
-                    meta = await self._await_phase_done(link, iteration, phase)
-                if meta is None:
-                    # Straggler (or dead client): the deadline policy closes
-                    # the phase now.  If the upload made it into the fold the
-                    # phase is *delivered* — mirroring the in-process
-                    # exclusive boundary rule — otherwise it is stale.
-                    folded = link.alive and self._fold_count[index] > fold_before
-                    verdict = "delivered" if folded else "degraded"
-                    if folded:
-                        self._aggregate(sweep, index, phase)
-                        await self._broadcast(iteration, index, phase)
-                    cost = self.base_station.system_cost()
-                    if link.alive:
-                        self.bus.stats.deadline_expired += 1
-                        obs.emit(
-                            "protocol",
-                            event="deadline_expired",
-                            sbs=index,
-                            iteration=iteration,
-                            phase=phase,
-                            folded=folded,
-                        )
-                        phase_span.annotate(
-                            category="straggler",
-                            deadline_expired=True,
-                            folded=folded,
-                        )
-                    link.resolved[(iteration, phase)] = verdict
-                    run_loop.phase(phase, index, cost, stale=not folded)
-                    continue
-                # Normal completion: replay the client's in-phase events,
-                # then synthesize the retry events its ARQ loop needed.
-                self._replay_events(
-                    list(meta.get("events", [])), rebase=window_t0
-                )
-                self.bus.stats.corrupted += int(meta.get("corrupted", 0))
-                retries = int(meta.get("retries", 0))
-                seq = int(meta.get("seq", 0))
-                noise_l1 = float(meta.get("noise_l1", 0.0))
-                stats = meta.get("stats") or None
-                for attempt in range(1, retries + 1):
-                    self.bus.stats.retransmissions += 1
-                    obs.emit(
-                        "protocol",
-                        event="retry",
-                        sbs=index,
-                        iteration=iteration,
-                        phase=phase,
-                        attempt=attempt,
-                        seq=seq,
-                    )
-                delivered = bool(meta.get("delivered")) or self.base_station.has_folded(
-                    index, seq
-                )
-                verdict = "delivered" if delivered else "degraded"
-                if delivered:
-                    self._aggregate(sweep, index, phase)
-                else:
-                    obs.emit(
-                        "protocol",
-                        event="degrade",
-                        sbs=index,
-                        iteration=iteration,
-                        phase=phase,
-                        retries=self.config.max_retries,
-                    )
-                    if self.config.on_timeout == "raise":
-                        raise ProtocolTimeout(
-                            f"{link.name} upload seq {seq} undelivered after "
-                            f"{self.config.max_retries} retries (iteration "
-                            f"{iteration}, phase {phase})"
-                        )
-                    retries = self.config.max_retries
-                cost = self.base_station.system_cost()
-                await self._send_control(
-                    link,
-                    iteration,
-                    phase,
-                    {
-                        "action": "phase_result",
-                        "iteration": iteration,
-                        "phase": phase,
-                        "verdict": verdict,
-                    },
-                )
-                if delivered:
-                    await self._broadcast(iteration, index, phase)
-                run_loop.phase(
-                    phase,
-                    index,
-                    cost,
-                    stats=stats,
-                    noise_l1=noise_l1,
-                    retries=retries,
-                    stale=not delivered,
-                )
+                attempt=attempt,
+                seq=seq,
+            )
+        delivered = bool(meta.get("delivered")) or self.base_station.has_folded(index, seq)
+        verdict = "delivered" if delivered else "degraded"
+        await self._send_verdict(link, iteration, phase, verdict)
+        if delivered:
+            await self._broadcast(slot)
+        return PhaseOutcome(
+            verdict,
+            retries=retries,
+            noise_l1=float(meta.get("noise_l1", 0.0)),
+            stats=meta.get("stats") or None,
+        )
 
     # -- run orchestration ---------------------------------------------
     async def _shutdown_clients(self) -> None:
         for index in self.problem.sbs_indices():
             link = self._links[index]
-            await self._drain_backlog(link)
+            await self._serve(link)
             await self._send_control(link, -1, -1, {"action": "shutdown"})
             meta: Optional[Dict[str, Any]] = None
             if link.alive:
@@ -695,6 +576,7 @@ class RuntimeServer:
         run_loop = RunLoop(
             self.config,
             problem,
+            cost=self.base_station.system_cost,
             private=self.accountant is not None,
             resilient=True,
             allowed_stale=int(
@@ -707,29 +589,12 @@ class RuntimeServer:
         self.base_station.broadcast_aggregate(iteration=-1, phase=-1)
         await self._flush_all()
         for sweep in run_loop.sweeps():
-            await self._sweep(run_loop, sweep)
+            self._slack = sweep.slack
+            # The socket sweep ignores any sweep order: phase n is SBS n.
+            for slot in run_loop.phases(problem.sbs_indices(), category="network"):
+                run_loop.settle(slot, await self._phase(slot))
 
         await self._shutdown_clients()
-        unperturbed = np.stack(
-            [self._final_routing[index] for index in problem.sbs_indices()]
-        )
-        solution = Solution(
-            caching=np.stack(
-                [self._final_caching[index] for index in problem.sbs_indices()]
-            ),
-            routing=self.base_station.reports.copy(),
-        )
-        result = DistributedResult(
-            solution=solution,
-            cost=run_loop.history.final_cost,
-            iterations=run_loop.iterations,
-            converged=run_loop.converged,
-            history=run_loop.history,
-            channel=self.bus,
-            unperturbed_routing=unperturbed,
-            unperturbed_cost=total_cost(problem, unperturbed),
-            accountant=self.accountant,
-        )
         if obs.spans_enabled() and self.proxy is not None:
             # Chaos-proxy fault fates (deterministically ordered by link
             # and frame ordinal) belong inside the run bracket, before
@@ -737,13 +602,16 @@ class RuntimeServer:
             for fate in self.proxy.fate_events():
                 obs.emit("proxy", **fate)
             obs.emit("proxy", fate="summary", **self.proxy.stats_dict())
-        # repro-taint: disable=REPRO701 -- deliberate accuracy-loss reporting: pre-noise cost is a scalar system aggregate (Fig. 5)
-        run_loop.finish(
-            total_epsilon=result.total_epsilon,
-            unperturbed_cost=result.unperturbed_cost,
-            channel=dataclasses.asdict(self.bus.stats),
+        indices = list(problem.sbs_indices())
+        return close_run(
+            run_loop,
+            problem,
+            caching=[self._final_caching[index] for index in indices],
+            true_routing=[self._final_routing[index] for index in indices],
+            reports=self.base_station.reports,
+            channel=self.bus,
+            accountant=self.accountant,
         )
-        return result
 
 
 async def _run_runtime(

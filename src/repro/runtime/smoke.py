@@ -1,7 +1,6 @@
 """CI smoke driver for the socket runtime: ``python -m repro.runtime.smoke``.
 
-Three checks, exercised by the ``runtime-smoke`` and ``timeline-smoke``
-CI jobs:
+Three checks, exercised by the ``socket-smoke`` CI job:
 
 * ``faultfree`` — solve one 3-SBS instance twice, once over sockets and
   once with the in-process simulator (quiet ``FaultConfig``), and demand

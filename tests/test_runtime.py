@@ -5,6 +5,7 @@ Everything here drives the runtime through its sync entry point
 test plugin is needed.
 """
 
+import asyncio
 import filecmp
 
 import numpy as np
@@ -14,11 +15,21 @@ from conftest import random_problem
 from repro import obs
 from repro.core.distributed import DistributedConfig, solve_distributed
 from repro.core.sparse import SparseProblemInstance
-from repro.exceptions import ValidationError
+from repro.exceptions import ProtocolTimeout, ValidationError
 from repro.network.faults import FaultConfig, FaultSchedule, LinkFaultProfile
+from repro.network.messaging import MessageKind
 from repro.obs.cli import main as trace_cli
 from repro.privacy.mechanism import LPPMConfig
-from repro.runtime import RuntimeConfig, RuntimeReport, solve_over_sockets
+from repro.runtime import (
+    ClientSession,
+    Frame,
+    RuntimeConfig,
+    RuntimeReport,
+    RuntimeServer,
+    run_client,
+    solve_over_sockets,
+    write_frame,
+)
 
 
 def _problem(seed: int = 12345):
@@ -230,6 +241,37 @@ class TestByzantineFilter:
         assert result.stale_phases >= 1
         assert result.converged
 
+    def test_raise_aborts_before_degrading_like_in_process(self):
+        """``on_timeout="raise"``: a rejected upload aborts the socket run
+        exactly as a lost one aborts the in-process run, with the same
+        ``ProtocolTimeout`` and no ``degrade`` event first."""
+        problem, config = _problem(), _config(on_timeout="raise")
+        runtime = RuntimeConfig(
+            adversaries={0: "nan"},
+            byzantine_filter=True,
+            ack_timeout=0.05,
+            phase_deadline=5.0,
+            control_timeout=2.0,
+        )
+        lost = FaultConfig(
+            by_kind={MessageKind.POLICY_UPLOAD: LinkFaultProfile(drop=1.0)}, seed=0
+        )
+        runs = {
+            "socket": lambda: solve_over_sockets(problem, config, runtime=runtime),
+            "in-process": lambda: solve_distributed(problem, config, faults=lost),
+        }
+        messages = {}
+        for name, run in runs.items():
+            recorder = obs.ListRecorder()
+            with obs.recording(recorder, timings=False):
+                with pytest.raises(ProtocolTimeout) as raised:
+                    run()
+            events = [e.get("event") for e in recorder.events if e["type"] == "protocol"]
+            assert "degrade" not in events, name
+            messages[name] = str(raised.value)
+        assert messages["socket"] == messages["in-process"]
+        assert "undelivered" in messages["socket"]
+
     def test_range_violation_clipped_into_the_fold(self, tmp_path):
         result, report = self._run(
             RuntimeConfig(
@@ -258,6 +300,58 @@ class TestByzantineFilter:
         assert report.corrupted >= 1
         assert result.stale_phases >= 1
         assert result.converged
+
+
+class TestDeadClient:
+    def test_disconnected_client_skips_its_phases_as_crashed(self):
+        """A client whose connection is gone skips its phases like a
+        crashed SBS: a ``crash_skip`` event and a stale phase each
+        iteration, and the crashed agent's all-zero final state."""
+        problem, config = _problem(), _config(max_iterations=2)
+        runtime = RuntimeConfig(control_timeout=5.0)
+        dead = problem.num_sbs - 1
+
+        async def scenario():
+            server = RuntimeServer(problem, config, runtime)
+            port = await server.start()
+            live = [
+                asyncio.create_task(
+                    run_client(
+                        ClientSession(
+                            index=index,
+                            host=runtime.host,
+                            port=port,
+                            problem=problem,
+                            config=config,
+                            ack_timeout=runtime.ack_timeout,
+                            control_timeout=runtime.control_timeout,
+                        )
+                    )
+                )
+                for index in range(dead)
+            ]
+            _, writer = await asyncio.open_connection(runtime.host, port)
+            hello = {"action": "hello", "index": dead}
+            write_frame(
+                writer,
+                Frame(MessageKind.CONTROL, f"sbs-{dead}", "bs", -1, -1, meta=hello),
+            )
+            await writer.drain()
+            writer.close()
+            try:
+                return await server.run()
+            finally:
+                await asyncio.gather(*live)
+                await server.close()
+
+        recorder = obs.ListRecorder()
+        with obs.recording(recorder, timings=False):
+            result = asyncio.run(scenario())
+        skips = [e for e in recorder.events if e.get("event") == "crash_skip"]
+        assert [e["sbs"] for e in skips] == [dead] * result.iterations
+        assert result.stale_phases == result.iterations == 2
+        assert not result.converged
+        assert not result.solution.caching[dead].any()
 
 
 class TestValidation:

@@ -350,28 +350,32 @@ class TestCompactParity:
         """Both solvers emit one event stream: the same types in the same
         order and the same keys — apart from the sparse tags on
         ``run_start`` and the dense run's transport and pre-noise fields
-        on ``run_end`` — with equal integers and floats to 1e-12."""
+        on ``run_end`` — with equal integers and floats to 1e-12.  With
+        timings on, both runs' phase events carry ``solve_seconds``."""
         sparse = generate_city_instance(5, 40, 300, files_per_group=16, rng=21)
         config = DistributedConfig(max_iterations=6)
-        compact, dense = obs.ListRecorder(), obs.ListRecorder()
-        with obs.recording(compact, timings=False):
-            solve_distributed_sparse(sparse, config)
-        with obs.recording(dense, timings=False):
-            solve_distributed(sparse, config)
-        assert [e["type"] for e in compact.events] == [e["type"] for e in dense.events]
         only = {
             "run_start": ({"sparse", "demand_nnz", "num_links"}, set()),
             "run_end": (set(), {"channel", "unperturbed_cost"}),
         }
-        for ours, theirs in zip(compact.events, dense.events):
-            ours_only, theirs_only = only.get(ours["type"], (set(), set()))
-            assert set(ours) - set(theirs) == ours_only
-            assert set(theirs) - set(ours) == theirs_only
-            for key in set(ours) & set(theirs):
-                if isinstance(ours[key], float) or isinstance(theirs[key], float):
-                    assert ours[key] == pytest.approx(theirs[key], rel=1e-12), key
-                else:
-                    assert ours[key] == theirs[key], key
+        for timings in (False, True):
+            compact, dense = obs.ListRecorder(), obs.ListRecorder()
+            with obs.recording(compact, timings=timings):
+                solve_distributed_sparse(sparse, config)
+            with obs.recording(dense, timings=timings):
+                solve_distributed(sparse, config)
+            assert [e["type"] for e in compact.events] == [e["type"] for e in dense.events]
+            phases = [e for e in compact.events if e["type"] == "phase"]
+            assert all(("solve_seconds" in e) == timings for e in phases)
+            for ours, theirs in zip(compact.events, dense.events):
+                ours_only, theirs_only = only.get(ours["type"], (set(), set()))
+                assert set(ours) - set(theirs) == ours_only
+                assert set(theirs) - set(ours) == theirs_only
+                for key in set(ours) & set(theirs) - {"solve_seconds"}:
+                    if isinstance(ours[key], float) or isinstance(theirs[key], float):
+                        assert ours[key] == pytest.approx(theirs[key], rel=1e-12), key
+                    else:
+                        assert ours[key] == theirs[key], key
 
     def test_unsupported_modes_raise(self, rng):
         sparse = SparseProblemInstance.from_dense(sparse_random_problem(rng))
