@@ -15,7 +15,8 @@ The BS drives the protocol with ``CONTROL`` grants:
   (``phase_result``: commit+checkpoint, or roll back);
 * ``crash``   — the fault schedule has this SBS down: wipe volatile
   state, exactly like the in-process ``SBSAgent.crash``;
-* ``shutdown``— ship final caching/routing state and exit.
+* ``shutdown``— ship final caching/routing state (nonzero entries
+  only, see :func:`nonzero_entries`) and exit.
 
 Trace events the agent emits (privacy releases, recoveries) are captured
 in a local :class:`~repro.obs.ListRecorder` and *shipped* with
@@ -41,8 +42,9 @@ recorder — so span capture is safe across the ARQ ``await``s too.
 from __future__ import annotations
 
 import asyncio
+import math
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -56,7 +58,7 @@ from ..privacy.factory import build_mechanism
 from .config import ClientSession
 from .wire import Frame, FrameSource, write_frame
 
-__all__ = ["run_client", "client_main"]
+__all__ = ["run_client", "client_main", "nonzero_entries", "scatter_entries"]
 
 
 class _Mailbox(Channel):
@@ -72,6 +74,53 @@ class _Mailbox(Channel):
         for name in self._queues:
             if name != message.sender:
                 self._queues[name].append(message)
+
+
+def nonzero_entries(block: np.ndarray) -> Dict[str, List[Any]]:
+    """``block``'s nonzero entries as flat C-order indices plus values.
+
+    This is how ``final_state`` ships the SBS's caching and routing:
+    JSON ints and ``repr`` floats round-trip exactly, and an entry is
+    nonzero by bit pattern (as in the wire's array payload), so ``-0.0``
+    survives too.  :func:`scatter_entries` is the inverse.
+    """
+    flat = np.ascontiguousarray(block, dtype=np.float64).reshape(-1)
+    index = np.flatnonzero(flat.view(np.uint64))
+    return {"index": index.tolist(), "value": flat[index].tolist()}
+
+
+def scatter_entries(
+    meta: Mapping[str, Any], key: str, shape: Tuple[int, ...]
+) -> np.ndarray:
+    """Scatter ``meta[key]``, a :func:`nonzero_entries` map, into a zero block.
+
+    The map arrives from the network, so it is checked first: raises
+    ``ValueError`` (naming ``key``) unless the index and value lists have
+    equal lengths, the indices are integers strictly increasing inside
+    the block, and every value is a finite number.
+    """
+    entries = meta.get(key)
+    if not isinstance(entries, Mapping):
+        entries = {}
+    try:
+        index = np.asarray(entries.get("index"))
+        value = np.asarray(entries.get("value"))
+    except ValueError:  # ragged nested lists
+        index = value = np.zeros((0, 0))
+    size = math.prod(shape)
+    if index.ndim != 1 or value.shape != index.shape:
+        reason = "index and value are not equal-length flat lists"
+    elif index.size and index.dtype.kind != "i":
+        reason = "indices are not integers"
+    elif index.size and (index[0] < 0 or index[-1] >= size or np.any(np.diff(index) <= 0)):
+        reason = f"indices are not strictly increasing inside [0, {size})"
+    elif value.size and (value.dtype.kind not in "if" or not np.all(np.isfinite(value))):
+        reason = "values are not finite numbers"
+    else:
+        block = np.zeros(size)
+        block[index.astype(np.intp)] = value
+        return block.reshape(shape)
+    raise ValueError(f"{key}: {reason}")
 
 
 def _corrupt(report: np.ndarray, mode: str) -> np.ndarray:
@@ -345,8 +394,8 @@ class _ClientLoop:
                     -1,
                     {
                         "action": "final_state",
-                        "caching": self.agent.caching.tolist(),
-                        "true_routing": self.agent.true_routing.tolist(),
+                        "caching": nonzero_entries(self.agent.caching),
+                        "true_routing": nonzero_entries(self.agent.true_routing),
                         "events": self._take_events(),
                         "corrupted": self._take_corrupted(),
                     },

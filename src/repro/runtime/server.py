@@ -60,29 +60,16 @@ from ..core.distributed import (
 )
 from ..core.problem import ProblemInstance
 from ..core.sparse import SparseProblemInstance, as_dense_problem
-from ..exceptions import ProtocolTimeout, ValidationError
+from ..exceptions import ProtocolError, ProtocolTimeout, ValidationError
 from ..network.messaging import Channel, Message, MessageKind
 from ..privacy.accountant import PrivacyAccountant
 from ..privacy.factory import MechanismConfig
 from .chaos import ChaosProxy
-from .client import client_main, run_client
+from .client import client_main, run_client, scatter_entries
 from .config import ClientSession, RuntimeConfig, RuntimeReport
-from .wire import Frame, FrameSource, write_frame
+from .wire import Frame, FrameSource, frame_from_message, write_frame
 
 __all__ = ["RuntimeServer", "solve_over_sockets"]
-
-
-def _frame_from(message: Message) -> Frame:
-    """Wire frame for one bus message (ack or broadcast)."""
-    return Frame(
-        kind=message.kind,
-        sender=message.sender,
-        recipient=message.recipient,
-        iteration=message.iteration,
-        phase=message.phase,
-        seq=message.seq,
-        array=np.asarray(message.payload),
-    )
 
 
 class _ClientLink:
@@ -215,7 +202,7 @@ class RuntimeServer:
     async def _flush_link(self, link: _ClientLink) -> None:
         """Push every bus message queued for this client onto its socket."""
         for message in self.bus.drain(link.name):
-            self._write(link, _frame_from(message))
+            self._write(link, frame_from_message(message))
         if link.alive:
             try:
                 await link.writer.drain()
@@ -526,6 +513,7 @@ class RuntimeServer:
 
     # -- run orchestration ---------------------------------------------
     async def _shutdown_clients(self) -> None:
+        finals: Dict[int, Mapping[str, Any]] = {}
         for index in self.problem.sbs_indices():
             link = self._links[index]
             await self._serve(link)
@@ -554,17 +542,28 @@ class RuntimeServer:
             if meta is not None:
                 self._replay_events(list(meta.get("events", [])))
                 self.bus.stats.corrupted += int(meta.get("corrupted", 0))
-                self._final_caching[index] = np.asarray(
-                    meta.get("caching"), dtype=np.float64
-                )
-                self._final_routing[index] = np.asarray(
-                    meta.get("true_routing"), dtype=np.float64
-                )
-            else:
+                finals[index] = meta
+        # Decoded only once every client is released, so a malformed
+        # state cannot strand the clients still waiting for shutdown.
+        for index in self.problem.sbs_indices():
+            meta = finals.get(index)
+            if meta is None:
                 # A dead client's volatile state is gone, exactly like a
                 # crashed in-process agent: zeros.
                 self._final_caching[index] = np.zeros(self.problem.num_files)
                 self._final_routing[index] = np.zeros(self.problem.shape[1:])
+                continue
+            try:
+                self._final_caching[index] = scatter_entries(
+                    meta, "caching", (self.problem.num_files,)
+                )
+                self._final_routing[index] = scatter_entries(
+                    meta, "true_routing", self.problem.shape[1:]
+                )
+            except ValueError as error:
+                raise ProtocolError(
+                    f"{self._links[index].name}: malformed final_state {error}"
+                ) from None
 
     async def run(self) -> DistributedResult:
         """Execute Algorithm 1 against the connected clients."""
@@ -742,4 +741,13 @@ def solve_over_sockets(
         )
     for index in runtime.adversaries:
         problem._check_sbs(int(index))
-    return asyncio.run(_run_runtime(problem, config, runtime, privacy, rng))
+    # The coroutine ``asyncio.run`` drives returns None: on CPython 3.11
+    # its SIGINT handling formats the main task, result included, and the
+    # result's repr would format every array in it.
+    outcome: List[Tuple[DistributedResult, RuntimeReport]] = []
+
+    async def main() -> None:
+        outcome.append(await _run_runtime(problem, config, runtime, privacy, rng))
+
+    asyncio.run(main())
+    return outcome[0]

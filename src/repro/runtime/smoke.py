@@ -2,8 +2,10 @@
 
 Three checks, exercised by the ``socket-smoke`` CI job:
 
-* ``faultfree`` — solve one 3-SBS instance twice, once over sockets and
-  once with the in-process simulator (quiet ``FaultConfig``), and demand
+* ``faultfree`` — solve each of two 3-SBS instances (the smoke instance
+  and a densified small city, whose mostly-zero frames exercise the
+  sparse wire payload) twice, once over sockets and once with the
+  in-process simulator (quiet ``FaultConfig``), and demand
   **bit-identical** traces (byte comparison plus ``repro-trace diff``
   for a readable report on divergence) and identical solutions;
 * ``chaos`` — run the same instance through the chaos proxy on a fixed
@@ -30,7 +32,7 @@ import json
 import sys
 import tempfile
 from pathlib import Path
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -41,10 +43,11 @@ from ..network.faults import FaultConfig, FaultSchedule, LinkFaultProfile
 from ..obs.cli import main as trace_cli
 from ..obs.span_analysis import check_spans, critical_path
 from ..obs.trace import TraceReader
+from ..workload.cityscale import generate_city_instance
 from .config import RuntimeConfig
 from .server import solve_over_sockets
 
-__all__ = ["main", "smoke_problem", "chaos_plan"]
+__all__ = ["main", "smoke_problem", "faultfree_problems", "chaos_plan"]
 
 #: Instance size used by the smoke checks (3 SBSs, 50 files).
 NUM_SBS = 3
@@ -70,6 +73,19 @@ def smoke_problem(seed: int = 2024) -> ProblemInstance:
     )
 
 
+def faultfree_problems() -> Dict[str, ProblemInstance]:
+    """The instances ``faultfree`` solves both ways, by trace-file label.
+
+    ``smoke`` is :func:`smoke_problem`; ``city`` is a densified small
+    city instance whose blocks are mostly zero, so its frames take the
+    sparse path of the wire's array payload.
+    """
+    return {
+        "smoke": smoke_problem(),
+        "city": generate_city_instance(NUM_SBS, 8, 60, rng=1).to_dense(),
+    }
+
+
 def _config() -> DistributedConfig:
     return DistributedConfig(max_iterations=8)
 
@@ -80,38 +96,41 @@ def _record(path: Path, runner: Callable[[], object]) -> object:
 
 
 def _cmd_faultfree(args: argparse.Namespace) -> int:
-    problem = smoke_problem()
     config = _config()
     workdir = Path(args.workdir or tempfile.mkdtemp(prefix="runtime-smoke-"))
     workdir.mkdir(parents=True, exist_ok=True)
-    socket_trace = workdir / "socket.jsonl"
-    sim_trace = workdir / "inprocess.jsonl"
-    result_socket, _report = _record(
-        socket_trace,
-        lambda: solve_over_sockets(
-            problem, config, runtime=RuntimeConfig(mode=args.mode)
-        ),
-    )
-    result_sim = _record(
-        sim_trace,
-        lambda: solve_distributed(problem, config, faults=FaultConfig()),
-    )
-    print(
-        f"socket: cost={result_socket.cost:.6f} iterations={result_socket.iterations} "
-        f"| in-process: cost={result_sim.cost:.6f} iterations={result_sim.iterations}"
-    )
     failures = 0
-    if not np.array_equal(
-        result_socket.solution.routing, result_sim.solution.routing
-    ) or not np.array_equal(result_socket.solution.caching, result_sim.solution.caching):
-        print("FAIL: socket and in-process solutions differ", file=sys.stderr)
-        failures += 1
-    if filecmp.cmp(socket_trace, sim_trace, shallow=False):
-        print(f"traces byte-identical: {socket_trace} == {sim_trace}")
-    else:
-        print("FAIL: traces differ — repro-trace diff follows", file=sys.stderr)
-        trace_cli(["diff", str(socket_trace), str(sim_trace)])
-        failures += 1
+    for label, problem in faultfree_problems().items():
+        socket_trace = workdir / f"socket-{label}.jsonl"
+        sim_trace = workdir / f"inprocess-{label}.jsonl"
+        result_socket, _report = _record(
+            socket_trace,
+            lambda: solve_over_sockets(
+                problem, config, runtime=RuntimeConfig(mode=args.mode)
+            ),
+        )
+        result_sim = _record(
+            sim_trace,
+            lambda: solve_distributed(problem, config, faults=FaultConfig()),
+        )
+        print(
+            f"{label}: socket cost={result_socket.cost:.6f} "
+            f"iterations={result_socket.iterations} | in-process "
+            f"cost={result_sim.cost:.6f} iterations={result_sim.iterations}"
+        )
+        if not np.array_equal(
+            result_socket.solution.routing, result_sim.solution.routing
+        ) or not np.array_equal(
+            result_socket.solution.caching, result_sim.solution.caching
+        ):
+            print(f"FAIL: {label}: socket and in-process solutions differ", file=sys.stderr)
+            failures += 1
+        if filecmp.cmp(socket_trace, sim_trace, shallow=False):
+            print(f"traces byte-identical: {socket_trace} == {sim_trace}")
+        else:
+            print(f"FAIL: {label}: traces differ — repro-trace diff follows", file=sys.stderr)
+            trace_cli(["diff", str(socket_trace), str(sim_trace)])
+            failures += 1
     return 1 if failures else 0
 
 

@@ -20,15 +20,26 @@ Payloads come in two flavours, selected by the flags bit:
 
 * **array** — a C-order ``float64`` block whose shape is carried in the
   ``dims`` section.  Every Algorithm 1 message (policy upload, aggregate
-  broadcast, cumulative ack) is an array frame, byte-identical to the
-  in-process :class:`~repro.network.messaging.Message` payload.
+  broadcast, cumulative ack) is an array frame.  Version 2 sends only
+  the block's nonzero entries::
+
+      bitmap (ceil(n / 8) bytes, np.packbits) | nonzero float64 values
+
+  An entry is *nonzero* when its 64-bit pattern is not all zeros, so
+  ``-0.0``, NaN payload bits, infinities and subnormals all cross bit
+  for bit and the decoded block equals the in-process
+  :class:`~repro.network.messaging.Message` payload exactly.  The
+  bitmap's padding bits must be zero and the payload must be exactly
+  ``ceil(n / 8) + 8 * popcount`` bytes long.  A policy upload is
+  nonzero only on the pairs its SBS can afford to serve, so this is
+  what keeps wide-block frames small.
 * **json** — a sorted-key JSON object.  Runtime control traffic (hello,
   phase grants, ``phase_done`` reports, shutdown) is JSON; Python's JSON
   round-trips ``float64`` exactly (``repr``-based shortest encoding), so
   solver statistics survive the hop bit-for-bit.
 
 The trailing CRC32 covers everything before it.  A frame that fails the
-magic, version, length-consistency or CRC check raises
+magic, version, bitmap, length-consistency or CRC check raises
 :class:`~repro.exceptions.FrameError`; receivers treat that as a corrupt
 frame (counted, then discarded) rather than a fatal error, which is what
 lets the chaos proxy truncate frames on purpose.
@@ -39,6 +50,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import math
 import struct
 import zlib
 from collections import deque
@@ -68,10 +80,11 @@ __all__ = [
 ]
 
 #: Wire protocol version stamped into every frame header.
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
-#: Hard ceiling on one encoded frame (payload cap plus generous header room).
-MAX_FRAME_BYTES = MAX_PAYLOAD_BYTES + 64 * 1024
+#: Hard ceiling on one encoded frame: a fully dense array payload at the
+#: payload cap plus its bitmap (one bit per float64), and header room.
+MAX_FRAME_BYTES = MAX_PAYLOAD_BYTES + MAX_PAYLOAD_BYTES // 64 + 64 * 1024
 
 _MAGIC = b"RPRO"
 _HEADER = struct.Struct("<4sBBBBiiIBB")
@@ -188,6 +201,7 @@ def encode_frame(frame: Frame) -> bytes:
         flags = _FLAG_JSON
         dims: Tuple[int, ...] = ()
         payload = json.dumps(dict(frame.meta), sort_keys=True).encode("utf-8")
+        size = len(payload)
     else:
         flags = 0
         try:
@@ -199,12 +213,13 @@ def encode_frame(frame: Frame) -> bytes:
         dims = tuple(int(d) for d in array.shape)
         if any(d >= 1 << 32 for d in dims):
             raise FrameError(f"frame payload dimension out of range: {dims}")
-        payload = array.tobytes()
+        size = array.nbytes
+        payload = _encode_array(array)
     if len(payload) == 0:
         raise FrameError(f"zero-length {frame.kind.value} frame payload")
-    if len(payload) > MAX_PAYLOAD_BYTES:
+    if size > MAX_PAYLOAD_BYTES:
         raise FrameError(
-            f"{frame.kind.value} frame payload is {len(payload)} bytes, "
+            f"{frame.kind.value} frame payload is {size} bytes, "
             f"exceeding the {MAX_PAYLOAD_BYTES}-byte limit"
         )
     if trace_section:
@@ -232,6 +247,46 @@ def encode_frame(frame: Frame) -> bytes:
         ]
     )
     return body + _U32.pack(zlib.crc32(body))
+
+
+def _encode_array(array: np.ndarray) -> bytes:
+    """Array payload: nonzero bitmap, then the nonzero values in C order."""
+    flat = array.reshape(-1)
+    mask = flat.view(np.uint64) != 0
+    return np.packbits(mask).tobytes() + flat[mask].tobytes()
+
+
+def _decode_array(payload: bytes, dims: Tuple[int, ...]) -> np.ndarray:
+    """Scatter an array payload back into a read-only C-order block."""
+    size = math.prod(dims)
+    if 8 * size > MAX_PAYLOAD_BYTES:
+        # Checked before the bitmap: an all-zero bitmap would otherwise
+        # let a small frame demand a 64x larger block.
+        raise FrameError(
+            f"frame shape {dims} needs {8 * size} bytes, "
+            f"exceeding the {MAX_PAYLOAD_BYTES}-byte limit"
+        )
+    bitmap_len = (size + 7) // 8
+    if len(payload) < bitmap_len:
+        raise FrameError(
+            f"frame payload is {len(payload)} bytes, shorter than the "
+            f"{bitmap_len}-byte bitmap of shape {dims}"
+        )
+    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8, count=bitmap_len))
+    if bits[size:].any():
+        raise FrameError("frame bitmap has nonzero padding bits")
+    mask = bits[:size].view(bool)
+    count = int(np.count_nonzero(mask))
+    if len(payload) != bitmap_len + 8 * count:
+        raise FrameError(
+            f"frame payload is {len(payload)} bytes but its bitmap needs "
+            f"{bitmap_len + 8 * count}"
+        )
+    array = np.zeros(size)
+    array[mask] = np.frombuffer(payload, dtype=np.float64, count=count, offset=bitmap_len)
+    array = array.reshape(dims)
+    array.setflags(write=False)
+    return array
 
 
 def _split(
@@ -321,13 +376,6 @@ def decode_frame(data: bytes) -> Frame:
             meta=meta,
             trace_ctx=trace_ctx,
         )
-    expected = 8 * int(np.prod(dims, dtype=np.int64)) if dims else 8
-    if len(payload) != expected:
-        raise FrameError(
-            f"frame payload is {len(payload)} bytes but shape {dims} needs {expected}"
-        )
-    array = np.frombuffer(payload, dtype=np.float64).reshape(dims).copy()
-    array.setflags(write=False)
     return Frame(
         kind=kind,
         sender=sender_name,
@@ -335,7 +383,7 @@ def decode_frame(data: bytes) -> Frame:
         iteration=iteration,
         phase=phase,
         seq=seq,
-        array=array,
+        array=_decode_array(payload, dims),
         trace_ctx=trace_ctx,
     )
 

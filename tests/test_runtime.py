@@ -7,19 +7,21 @@ test plugin is needed.
 
 import asyncio
 import filecmp
+import json
 
 import numpy as np
 import pytest
 from conftest import random_problem
 
 from repro import obs
-from repro.core.distributed import DistributedConfig, solve_distributed
+from repro.core.distributed import DistributedConfig, DistributedResult, solve_distributed
 from repro.core.sparse import SparseProblemInstance
-from repro.exceptions import ProtocolTimeout, ValidationError
+from repro.exceptions import ProtocolError, ProtocolTimeout, ValidationError
 from repro.network.faults import FaultConfig, FaultSchedule, LinkFaultProfile
 from repro.network.messaging import MessageKind
 from repro.obs.cli import main as trace_cli
 from repro.privacy.mechanism import LPPMConfig
+from repro.runtime import client as runtime_client
 from repro.runtime import (
     ClientSession,
     Frame,
@@ -352,6 +354,72 @@ class TestDeadClient:
         assert result.stale_phases == result.iterations == 2
         assert not result.converged
         assert not result.solution.caching[dead].any()
+
+
+class TestFinalState:
+    def test_entries_round_trip_bit_for_bit_through_json(self):
+        block = np.array([[0.0, -0.0, 0.25], [0.0, 5e-324, 0.1 + 0.2]])
+        entries = runtime_client.nonzero_entries(block)
+        assert entries["index"] == [1, 2, 4, 5]
+        meta = json.loads(json.dumps({"true_routing": entries}))
+        back = runtime_client.scatter_entries(meta, "true_routing", block.shape)
+        np.testing.assert_array_equal(back.view(np.uint64), block.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "key, forged, reason",
+        [
+            ("true_routing", {"index": [0, 1], "value": [0.5]}, "equal-length"),
+            ("true_routing", [0.5, 0.25], "equal-length"),
+            ("true_routing", {"index": [3, 1], "value": [0.5, 0.5]}, "strictly increasing"),
+            ("true_routing", {"index": [2, 2], "value": [0.5, 0.5]}, "strictly increasing"),
+            ("true_routing", {"index": [-1], "value": [0.5]}, "strictly increasing"),
+            ("true_routing", {"index": [10**6], "value": [0.5]}, "strictly increasing"),
+            ("true_routing", {"index": [0.0], "value": [0.5]}, "not integers"),
+            ("true_routing", {"index": [0], "value": [float("nan")]}, "finite"),
+            ("true_routing", {"index": [0], "value": ["0.5"]}, "finite"),
+            ("caching", {"index": [10**6], "value": [1.0]}, "strictly increasing"),
+        ],
+    )
+    def test_forged_final_state_is_a_protocol_error(self, monkeypatch, key, forged, reason):
+        """A client whose ``final_state`` is malformed gets a
+        ``ProtocolError`` naming it, never a silently misshapen result."""
+        problem = _problem()
+        forger = problem.num_sbs - 1
+        send_control = runtime_client._ClientLoop._send_control
+
+        async def forge(self, iteration, phase, meta):
+            if meta["action"] == "final_state" and self.session.index == forger:
+                meta = {**meta, key: forged}
+            await send_control(self, iteration, phase, meta)
+
+        monkeypatch.setattr(runtime_client._ClientLoop, "_send_control", forge)
+        with pytest.raises(ProtocolError, match=f"sbs-{forger}: malformed final_state {key}: .*{reason}"):
+            solve_over_sockets(problem, _config(max_iterations=1))
+
+
+class TestSmoke:
+    def test_faultfree_smoke_passes_on_both_instances(self, tmp_path):
+        from repro.runtime import smoke
+
+        assert smoke.main(["faultfree", "--workdir", str(tmp_path)]) == 0
+        for label in smoke.faultfree_problems():
+            assert (tmp_path / f"socket-{label}.jsonl").exists()
+
+
+class TestEventLoopHygiene:
+    def test_result_is_never_formatted(self, monkeypatch):
+        """``asyncio.run`` formats its main task on CPython 3.11; the
+        solve's result must not be that task's result, or every call pays
+        for a repr of every array in it."""
+        calls = []
+
+        def counting_repr(self):
+            calls.append(1)
+            return "DistributedResult(...)"
+
+        monkeypatch.setattr(DistributedResult, "__repr__", counting_repr)
+        solve_over_sockets(_problem(), _config(max_iterations=1))
+        assert calls == []
 
 
 class TestValidation:

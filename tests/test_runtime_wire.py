@@ -1,5 +1,8 @@
 """Wire codec tests: framing, CRC, header/trace peeking, limits, fuzz."""
 
+import asyncio
+import math
+import socket
 import struct
 import zlib
 
@@ -15,7 +18,7 @@ from repro.runtime import (
     frame_from_message,
     peek_header,
 )
-from repro.runtime.wire import peek_trace_ctx
+from repro.runtime.wire import MAX_FRAME_BYTES, peek_trace_ctx, read_frame, write_frame
 
 
 def _array_frame(**overrides):
@@ -89,6 +92,93 @@ class TestRoundTrip:
         frame = _array_frame(array=None, meta={"action": "hello"})
         with pytest.raises(FrameError, match="no Message equivalent"):
             frame.to_message()
+
+
+def _bits(array):
+    return np.ascontiguousarray(array, dtype=np.float64).view(np.uint64)
+
+
+def _payload_len(raw, frame):
+    """Bytes of the payload section: the frame minus header, names, dims, CRC."""
+    return len(raw) - 22 - len(frame.sender) - len(frame.recipient) - 4 * frame.array.ndim - 4
+
+
+class TestSparsePayload:
+    def test_special_values_cross_bit_for_bit(self):
+        nan_with_payload = np.array([0x7FF8_0000_DEAD_BEEF], dtype=np.uint64).view(np.float64)[0]
+        values = np.array(
+            [0.0, -0.0, nan_with_payload, np.inf, -np.inf, 5e-324, -2.2e-308, 1.0, 0.0]
+        )
+        decoded = decode_frame(encode_frame(_array_frame(array=values))).array
+        np.testing.assert_array_equal(_bits(decoded), _bits(values))
+
+    @pytest.mark.parametrize("fill", [0.0, 1.5], ids=["all-zero", "all-nonzero"])
+    def test_uniform_blocks_round_trip(self, fill):
+        block = np.full((5, 7), fill)
+        frame = _array_frame(array=block)
+        raw = encode_frame(frame)
+        decoded = decode_frame(raw).array
+        np.testing.assert_array_equal(_bits(decoded), _bits(block))
+        assert _payload_len(raw, frame) == math.ceil(35 / 8) + (8 * 35 if fill else 0)
+
+    @pytest.mark.parametrize("size", range(1, 18))
+    def test_every_bitmap_padding_length(self, size):
+        rng = np.random.default_rng(size)
+        block = np.where(rng.random(size) < 0.5, rng.normal(size=size), 0.0)
+        frame = _array_frame(array=block)
+        raw = encode_frame(frame)
+        np.testing.assert_array_equal(_bits(decode_frame(raw).array), _bits(block))
+        nonzero = int(np.count_nonzero(block))
+        assert _payload_len(raw, frame) == math.ceil(size / 8) + 8 * nonzero
+        assert _payload_len(raw, frame) <= block.nbytes + math.ceil(size / 8)
+
+    def test_prices_payload_decodes_c_ordered_and_read_only(self):
+        # The prices-mode broadcast: aggregate stacked on prices, (2, U, F).
+        rng = np.random.default_rng(7)
+        block = np.where(rng.random((2, 4, 9)) < 0.2, rng.random((2, 4, 9)), 0.0)
+        frame = _array_frame(kind=MessageKind.AGGREGATE_BROADCAST, array=block)
+        raw = encode_frame(frame)
+        decoded = decode_frame(raw).array
+        assert decoded.shape == (2, 4, 9)
+        assert decoded.dtype == np.float64
+        assert decoded.flags.c_contiguous and not decoded.flags.writeable
+        np.testing.assert_array_equal(_bits(decoded), _bits(block))
+        assert _payload_len(raw, frame) <= block.nbytes + math.ceil(block.size / 8)
+
+    def test_fortran_ordered_input_travels_in_c_order(self):
+        block = np.asfortranarray(np.arange(12.0).reshape(3, 4))
+        decoded = decode_frame(encode_frame(_array_frame(array=block))).array
+        assert decoded.flags.c_contiguous
+        np.testing.assert_array_equal(decoded, block)
+
+    def test_nonzero_padding_bits_rejected(self):
+        # Shape (3,): one bitmap byte whose 5 low bits are padding.
+        raw = bytearray(encode_frame(_array_frame(array=np.zeros(3))))
+        raw[-5] |= 0x01  # the bitmap byte is the whole payload
+        with pytest.raises(FrameError, match="padding"):
+            decode_frame(_resign(bytes(raw[:-4])))
+
+    def test_value_count_mismatch_rejected(self):
+        body = encode_frame(_array_frame(array=np.array([0.0, 2.0, 0.0])))[:-4]
+        with pytest.raises(FrameError, match="bitmap needs"):
+            decode_frame(_resign(body + struct.pack("<d", 3.0)))
+        with pytest.raises(FrameError, match="bitmap needs"):
+            decode_frame(_resign(body[:-8]))
+
+    def test_shape_beyond_the_payload_cap_rejected(self):
+        # An all-zero bitmap is 64x smaller than the block it describes;
+        # the decoder caps the block, not just the frame.
+        cells = MAX_PAYLOAD_BYTES // 8 + 8
+        header = bytes(encode_frame(_array_frame(array=np.zeros(1))))[:29]
+        body = header + struct.pack("<I", cells) + bytes(cells // 8)
+        with pytest.raises(FrameError, match="exceeding"):
+            decode_frame(_resign(body))
+
+    def test_truncated_bitmap_rejected(self):
+        # Shape (20,) all zero: the payload is a 3-byte bitmap; cut it short.
+        body = encode_frame(_array_frame(array=np.zeros(20)))[:-4]
+        with pytest.raises(FrameError, match="shorter than"):
+            decode_frame(_resign(body[:-1]))
 
 
 class TestCorruptionDetection:
@@ -269,3 +359,26 @@ class TestEncodeLimits:
             encode_frame(_array_frame(sender=""))
         with pytest.raises(FrameError, match="node names"):
             encode_frame(_array_frame(recipient="x" * 256))
+
+    def test_dense_frame_at_the_payload_cap_crosses_a_stream(self):
+        # A fully dense MAX_PAYLOAD_BYTES block gains its bitmap on the
+        # wire; the frame ceiling must still admit it.
+        block = np.arange(1.0, MAX_PAYLOAD_BYTES // 8 + 1.0)
+        assert block.nbytes == MAX_PAYLOAD_BYTES
+        frame = _array_frame(array=block)
+
+        async def exchange():
+            left, right = socket.socketpair()
+            reader, reader_side = await asyncio.open_connection(sock=left)
+            _, writer = await asyncio.open_connection(sock=right)
+            try:
+                write_frame(writer, frame)
+                _, received = await asyncio.gather(writer.drain(), read_frame(reader))
+                return received
+            finally:
+                writer.close()
+                reader_side.close()
+
+        received = asyncio.run(exchange())
+        assert len(encode_frame(frame)) <= MAX_FRAME_BYTES
+        np.testing.assert_array_equal(received.array, block)
