@@ -56,7 +56,12 @@ The dual ascent has two oracles.  The **batched kernel** (the default)
 hoists every loop invariant, validates arrays once at this API
 boundary, solves the dual routing subproblem and primal recovery as one
 two-row knapsack batch, screens recoveries by weak duality and runs in
-the buffers of a :class:`SubproblemWorkspace`.  The **legacy** oracle
+the buffers of a :class:`SubproblemWorkspace`.  A dual iteration sorts
+nothing it only needs the top of: the cache set, its filler and the
+polish candidates are exact stable top-``k`` selections
+(:func:`_top_k`, a threshold from ``np.partition`` with ties to the
+lowest index), and the dual routing row sorts only its paid items' value
+densities, in one fused knapsack pass.  The **legacy** oracle
 (``fast=False``) routes every dual iteration through the public,
 validating helpers (:func:`cache_subproblem`, :func:`routing_subproblem`)
 on the dense problem the view flattens; it is the reference the kernel
@@ -365,38 +370,70 @@ def cache_subproblem(
     )
     aggregated = multipliers.sum(axis=0)
     capacity = int(np.floor(problem.cache_capacity[sbs] + 1e-9))
-    filler_order = None
+    tie_break = None
     if tie_break_value is not None:
-        filler_order = np.argsort(-np.asarray(tie_break_value, dtype=np.float64), kind="stable")
-    return _select_cache_set(problem.num_files, capacity, aggregated, filler_order)
+        tie_break = as_float_array(
+            tie_break_value, "tie_break_value", shape=(problem.num_files,)
+        )
+    return _select_cache_set(problem.num_files, capacity, aggregated, tie_break)
+
+
+def _top_k(values: np.ndarray, k: int, *, ordered: bool = False) -> np.ndarray:
+    """The first ``k`` indices of ``np.argsort(-values, kind="stable")``,
+    found by selection instead of a sort.
+
+    One ``np.partition`` finds the ``k``-th largest value ``t``; the
+    result is every entry above ``t``, then the lowest-indexed entries
+    equal to ``t`` — the ones a stable descending sort puts first.
+    Indices come back ascending; ``ordered`` puts them in that sort's
+    order by stably sorting only the picked entries.  ``values`` must be
+    NaN-free (``-0.0`` ties ``0.0``, as in the sort).
+    """
+    size = values.size
+    if k <= 0:
+        return np.empty(0, dtype=np.intp)
+    if k >= size:
+        picked = np.arange(size)
+    else:
+        kth = size - k
+        selected = values.copy()
+        selected.partition(kth)
+        threshold = selected[kth]
+        picked = (values > threshold).nonzero()[0]
+        if picked.size < k:
+            ties = (values == threshold).nonzero()[0][: k - picked.size]
+            picked = np.concatenate((picked, ties))
+            picked.sort()
+    if ordered:
+        picked = picked[np.argsort(-values[picked], kind="stable")]
+    return picked
 
 
 def _select_cache_set(
     num_files: int,
     capacity: int,
     aggregated: np.ndarray,
-    filler_order: Optional[np.ndarray],
+    tie_break: Optional[np.ndarray],
 ) -> np.ndarray:
     """Shared greedy selection: top-``capacity`` positive aggregated
-    multipliers, remaining slots filled along ``filler_order``.
+    multipliers, remaining slots filled with the untaken files of
+    largest ``tie_break`` (ties to the lowest index).
 
-    Vectorized but equivalent to the original first-come scan: the
-    chosen *set* (and therefore the binary caching vector) is identical.
+    Equivalent to the original first-come scan along the stable
+    descending orders: the chosen *set* (and therefore the binary
+    caching vector) is identical.
     """
     caching = np.zeros(num_files)
     if capacity == 0:
         return caching
-    # The positive multipliers lead the stable descending order, so
-    # sorting only them picks the same set.
-    take = np.flatnonzero(aggregated > 0)
-    if take.size > capacity:
-        take = take[np.argsort(-aggregated[take], kind="stable")[:capacity]]
+    # The positive multipliers lead the stable descending order: when
+    # fewer than ``capacity`` are positive, the top set holds them all.
+    take = _top_k(aggregated, capacity)
+    take = take[aggregated[take] > 0]
     caching[take] = 1.0
-    if take.size < capacity and filler_order is not None:
-        taken = np.zeros(num_files, dtype=bool)
-        taken[take] = True
-        fill = filler_order[~taken[filler_order]][: capacity - take.size]
-        caching[fill] = 1.0
+    if take.size < capacity and tie_break is not None:
+        untaken = (caching == 0).nonzero()[0]
+        caching[untaken[_top_k(tie_break[untaken], capacity - take.size)]] = 1.0
     return caching
 
 
@@ -601,8 +638,9 @@ def _polish_cache_set(
         uncached_files = np.flatnonzero(caching == 0)
         # Only candidates with any potential value are worth trying.
         candidates = uncached_files[potential[uncached_files] > 0]
-        candidates = candidates[np.argsort(-potential[candidates], kind="stable")]
-        candidates = candidates[: max(max_candidates, empty_slots)]
+        candidates = candidates[
+            _top_k(potential[candidates], max(max_candidates, empty_slots), ordered=True)
+        ]
         improved = False
         if empty_slots > 0:
             for f_in in candidates[:empty_slots]:
@@ -719,6 +757,8 @@ def solve_subproblem(
     else:
         problem._check_sbs(sbs)
         view = ItemView.grid(problem, sbs)
+    if not view.num_items:
+        raise ValidationError("the view has no items: its local subproblem is empty")
     perf.count("subproblem.solves")
     # Arrays are validated once here, at the API boundary; the oracles
     # below trust them for the whole dual ascent.
@@ -911,7 +951,6 @@ def _dual_decomposition(
         kw = ws.knapsack
         kw.bind_weights(sub.weight)
         kw.prepare_row(1, sub_priced)
-        filler_order = np.argsort(-tie_break, kind="stable")
         recovery_paid = int(kw.paid_count[1])
         recovery_order = kw.order[1, :recovery_paid]
         recovery_file = sub.item_file.take(recovery_order)
@@ -995,8 +1034,8 @@ def _dual_decomposition(
         # oracle fused in.  One knapsack batch (dual routing + primal
         # recovery) and a handful of in-place array ops over the live
         # items per multiplier update — nothing allocated per iteration
-        # beyond the argsort of row 0 and the (F,)-sized cache-set
-        # selection.
+        # beyond row 0's paid-item sort and the (F,)-sized cache-set
+        # selection, and no other sort.
         mu = ws.mu
         if start is None:
             mu.fill(0.0)
@@ -1020,12 +1059,11 @@ def _dual_decomposition(
         seen_cache_sets: set = set()
         for iteration in range(config.max_iter):
             aggregated = sub.file_sums(mu)
-            caching = _select_cache_set(num_files, capacity, aggregated, filler_order)
+            caching = _select_cache_set(num_files, capacity, aggregated, tie_break)
             np.add(sub_coefficients, mu, out=ws.dual_costs)
             if sub_prices is not None:
                 ws.dual_costs += sub_prices
-            kw.prepare_row(0, ws.dual_costs)
-            alloc0 = kw.solve_row_scaled(0, caps_weights, sub_caps, bandwidth)
+            alloc0 = kw.solve_row_once(0, ws.dual_costs, caps_weights, sub_caps, bandwidth)
             cache_key = caching.tobytes()
             if cache_key not in seen_cache_sets:
                 seen_cache_sets.add(cache_key)

@@ -164,9 +164,12 @@ class KnapsackBatchWorkspace:
       greedy order.  Rows whose costs do not change between solves (the
       primal-recovery row of the dual ascent, every polish trial) pay
       for their sort exactly once.
-    * :meth:`solve_row` / :meth:`solve_all` / :meth:`solve_prepared` —
-      the caps-dependent stage: cumulative-capacity masking and the
-      fractional tail split, pure array ops with no Python-level loop.
+    * :meth:`solve_row` / :meth:`solve_all` — the caps-dependent stage:
+      cumulative-capacity masking and the fractional tail split, pure
+      array ops with no Python-level loop.
+    * :meth:`solve_row_once` — both stages fused for a row whose costs
+      change on every solve (the dual routing row of the ascent), with
+      none of the bookkeeping a later :meth:`solve_row` would read.
 
     Every stage reproduces :func:`solve_fractional_knapsack` bit for
     bit: the full-row stable argsort (non-profitable items pinned to
@@ -279,18 +282,25 @@ class KnapsackBatchWorkspace:
         np.equal(self.weights, 0.0, out=self._wzero)
         self._w_has_zero = bool(self._wzero.any())
 
-    def prepare_row(self, row: int, costs: np.ndarray) -> None:
-        """Cost-dependent stage for one row: masks, densities, greedy order."""
+    def _mark_paid(self, row: int, costs: np.ndarray) -> np.ndarray:
+        """The row's ``free`` (negative cost, zero weight) and ``paid``
+        (negative cost, positive weight) masks; returns ``paid``."""
         paid = self.paid[row]
         # ``paid`` transiently holds the profitability mask (costs < 0)
-        # until the positive-weight restriction lands on top of it.
+        # until the positive-weight restriction lands on top of it;
+        # without zero weights every weight is positive and it is final.
         np.less(costs, 0.0, out=paid)
         if self._w_has_zero:
             np.logical_and(paid, self._wzero, out=self.free[row])
             self._free_any[row] = bool(self.free[row].any())
+            np.logical_and(paid, self._wpos, out=paid)
         else:
             self._free_any[row] = False
-        np.logical_and(paid, self._wpos, out=paid)
+        return paid
+
+    def prepare_row(self, row: int, costs: np.ndarray) -> None:
+        """Cost-dependent stage for one row: masks, densities, greedy order."""
+        paid = self._mark_paid(row, costs)
         # Subset sort, exactly as the scalar solver: gather the paid
         # items, sort their value densities stably, and keep the order
         # as item indices.  Sorting n paid items instead of the full row
@@ -366,37 +376,45 @@ class KnapsackBatchWorkspace:
             allocation[free] = caps[free]
         return allocation
 
-    def solve_row_scaled(
-        self, row: int, scaled: np.ndarray, caps: np.ndarray, budget: float
+    def solve_row_once(
+        self, row: int, costs: np.ndarray, scaled: np.ndarray, caps: np.ndarray, budget: float
     ) -> np.ndarray:
-        """Like :meth:`solve_row` with ``caps * weights`` precomputed.
+        """Both stages in one pass, for a row whose costs change every solve.
 
-        ``scaled`` must hold the elementwise product ``caps * weights``
-        — callers whose caps are loop-invariant (the dual routing row of
-        the ascent) hoist that multiply out entirely.  ``caps`` is still
-        needed for the free-item fixup.
+        Bit for bit :meth:`prepare_row` then :meth:`solve_row`, with
+        ``scaled`` the product ``caps * weights`` hoisted by the caller
+        (the dual routing row of the ascent has loop-invariant caps).
+        Only what the solve reads is computed: the paid items' costs and
+        weights are gathered once and their densities sorted, and the
+        greedy order is not kept, so the row is left unprepared for
+        :meth:`solve_row`.  The cumulative budget never decreases, so
+        only the items it reaches before ``budget`` can take a positive
+        amount; the split and divide run on that prefix alone (every
+        later item takes exactly ``0.0`` in the full solve too).  Returns
+        a buffer view.
         """
         perf.count("knapsack.batched_rows")
+        paid_idx = self._mark_paid(row, costs).nonzero()[0]
         allocation = self.allocation[row]
         allocation.fill(0.0)
-        n = int(self.paid_count[row])
+        n = paid_idx.size
         if n:
-            order_n = self.order[row, :n]
-            sorted_full = self.sorted_full[row, :n]
-            scaled.take(order_n, out=sorted_full)
-            before = self.before[row, :n]
+            weights = self.weights.take(paid_idx)
+            ratio = costs.take(paid_idx)
+            ratio /= weights
+            rank = ratio.argsort(kind="stable")
+            order_n = paid_idx.take(rank)
+            full = scaled.take(order_n)
+            before = np.empty(n)
             before[0] = 0.0
-            sorted_full[:-1].cumsum(out=before[1:])
-            take = self.take[row, :n]
-            np.subtract(budget, before, out=take)
-            np.maximum(take, 0.0, out=take)
-            np.minimum(take, sorted_full, out=take)
-            positive = self.positive[row, :n]
-            np.greater(take, 0.0, out=positive)
-            vals = self.vals[row, :n]
-            vals.fill(0.0)
-            np.divide(take, self.w_sorted[row, :n], out=vals, where=positive)
-            allocation[order_n] = vals
+            full[:-1].cumsum(out=before[1:])
+            reached = int(before.searchsorted(budget))
+            # On the prefix ``budget - before > 0``, so the clip is a min.
+            take = np.subtract(budget, before[:reached])
+            np.minimum(take, full[:reached], out=take)
+            vals = np.zeros(reached)
+            np.divide(take, weights.take(rank[:reached]), out=vals, where=take > 0.0)
+            allocation[order_n[:reached]] = vals
         if self._free_any[row]:
             free = self.free[row]
             allocation[free] = caps[free]
@@ -438,60 +456,6 @@ class KnapsackBatchWorkspace:
         if self._free_any.any():
             self.allocation[self.free] = caps[self.free]
         return self.allocation
-
-    def solve_prepared(
-        self,
-        row: int,
-        caps: np.ndarray,
-        budget: float,
-        *,
-        scratch: Optional["KnapsackBatchWorkspace"] = None,
-    ) -> np.ndarray:
-        """Solve ``T`` cap variations of one prepared row (``caps``: (T, items)).
-
-        All variations share row ``row``'s costs, so they share its masks
-        and greedy order — no per-variation sort.  With a ``scratch``
-        workspace of at least ``T`` rows over the same item count, the
-        solve runs in its preallocated buffers and returns a view into
-        them (valid until the next call); otherwise fresh ``(T, items)``
-        arrays are allocated.
-        """
-        trials = caps.shape[0]
-        perf.count("knapsack.batched_rows", trials)
-        n = int(self.paid_count[row])
-        if scratch is not None and scratch.items == self.items and scratch.rows >= trials:
-            sorted_full = scratch.sorted_full[:trials, :n]
-            before = scratch.before[:trials, :n]
-            take = scratch.take[:trials, :n]
-            positive = scratch.positive[:trials, :n]
-            vals = scratch.vals[:trials, :n]
-            allocation = scratch.allocation[:trials]
-        else:
-            sorted_full = np.empty((trials, n))
-            before = np.empty((trials, n))
-            take = np.empty((trials, n))
-            positive = np.empty((trials, n), dtype=bool)
-            vals = np.empty((trials, n))
-            allocation = np.empty_like(caps)
-        allocation.fill(0.0)
-        if n:
-            order_n = self.order[row, :n]
-            np.multiply(caps[:, order_n], self.w_eff[row, :n], out=sorted_full)
-            before[:, 0] = 0.0
-            sorted_full[:, :-1].cumsum(axis=1, out=before[:, 1:])
-            np.subtract(budget, before, out=take)
-            np.maximum(take, 0.0, out=take)
-            np.minimum(take, sorted_full, out=take)
-            np.greater(take, 0.0, out=positive)
-            vals.fill(0.0)
-            np.divide(
-                take, self.w_sorted[row, :n][np.newaxis, :], out=vals, where=positive
-            )
-            allocation[:, order_n] = vals
-        if self._free_any[row]:
-            free = self.free[row]
-            allocation[:, free] = caps[:, free]
-        return allocation
 
 
 def _validate_batch(

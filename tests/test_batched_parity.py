@@ -18,6 +18,10 @@ from repro import perf
 from repro.core.subproblem import (
     SubproblemConfig,
     SubproblemWorkspace,
+    _polish_cache_set,
+    _select_cache_set,
+    _top_k,
+    cache_subproblem,
     solve_subproblem,
 )
 from repro.solvers.fractional_knapsack import (
@@ -140,6 +144,215 @@ class TestKnapsackBatchParity:
                 assert np.array_equal(allocation, scalar.allocation)
         workspace.resize(60)
         assert not np.shares_memory(workspace.allocation, buffer)
+
+
+def _solve_once(costs, weights, caps, budget, *, workspace=None):
+    """The fused dual row of a fresh (or given) 2-row workspace, copied."""
+    if workspace is None:
+        workspace = KnapsackBatchWorkspace(2, costs.size)
+    workspace.bind_weights(weights)
+    return workspace.solve_row_once(0, costs, caps * weights, caps, budget).copy()
+
+
+class TestFusedDualRow:
+    """``solve_row_once`` (the dual routing row, sorted and solved in one
+    pass) vs ``solve_fractional_knapsack``: the same bytes, always."""
+
+    @staticmethod
+    def assert_exact(costs, weights, caps, budget):
+        allocation = _solve_once(costs, weights, caps, budget)
+        scalar = solve_fractional_knapsack(costs, weights, budget, caps)
+        assert allocation.tobytes() == scalar.allocation.tobytes()
+
+    def test_random_instances_exact(self):
+        rng = np.random.default_rng(4321)
+        for case in range(300):
+            items = int(rng.integers(1, 40))
+            costs, weights, caps, budget = _random_knapsack(rng, 1, items)
+            self.assert_exact(costs[0], weights, caps[0], budget)
+
+    def test_tied_ratios(self):
+        """Many items share a density: the stable order decides who gets
+        the budget's remainder."""
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            items = int(rng.integers(2, 30))
+            weights = rng.choice([0.5, 1.0, 2.0], size=items)
+            costs = -weights * rng.choice([1.0, 2.0], size=items)
+            caps = rng.choice([0.25, 1.0], size=items)
+            budget = float(rng.uniform(0.0, np.sum(caps * weights)))
+            self.assert_exact(costs, weights, caps, budget)
+
+    def test_zero_weight_items_are_free(self):
+        costs = np.array([-1.0, -2.0, 3.0, -0.5, -4.0])
+        weights = np.array([0.0, 1.0, 0.0, 0.0, 2.0])
+        caps = np.array([0.7, 1.0, 1.0, 0.0, 0.5])
+        for budget in (0.0, 0.5, 10.0):
+            self.assert_exact(costs, weights, caps, budget)
+        allocation = _solve_once(costs, weights, caps, 0.0)
+        assert allocation[0] == 0.7 and allocation[2] == 0.0
+
+    def test_zero_caps(self):
+        costs = np.array([-3.0, -2.0, -1.0, -2.0])
+        weights = np.array([1.0, 1.0, 1.0, 1.0])
+        for caps in (np.zeros(4), np.array([0.0, 1.0, 0.0, 0.5])):
+            for budget in (0.0, 0.5, 5.0):
+                self.assert_exact(costs, weights, caps, budget)
+
+    def test_zero_budget(self):
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            costs, weights, caps, _ = _random_knapsack(rng, 1, 12)
+            self.assert_exact(costs[0], weights, caps[0], 0.0)
+
+    def test_budget_at_or_above_total_demand(self):
+        """Every paid item fills its cap, the last one exactly at the budget."""
+        rng = np.random.default_rng(10)
+        for _ in range(20):
+            costs, weights, caps, _ = _random_knapsack(rng, 1, 15)
+            total = float(np.sum(caps[0] * weights))
+            for budget in (total, total * 2.0 + 1.0):
+                self.assert_exact(costs[0], weights, caps[0], budget)
+
+    def test_single_item(self):
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            costs = rng.normal(0.0, 1.0, size=1)
+            weights = rng.choice([0.0, rng.uniform(0.1, 2.0)], size=1)
+            caps = rng.uniform(0.0, 2.0, size=1)
+            self.assert_exact(costs, weights, caps, float(rng.uniform(0.0, 2.0)))
+
+    def test_counts_one_row_and_leaves_prepared_rows_alone(self):
+        """One ``knapsack.batched_rows`` per call, and a prepared row of the
+        same workspace (the recovery row) still solves exactly."""
+        rng = np.random.default_rng(12)
+        costs, weights, caps, budget = _random_knapsack(rng, 2, 20)
+        workspace = KnapsackBatchWorkspace(2, 20)
+        workspace.bind_weights(weights)
+        workspace.prepare_row(1, costs[1])
+        with perf.collecting() as registry:
+            for _ in range(3):
+                _solve_once(costs[0], weights, caps[0], budget, workspace=workspace)
+        assert registry.snapshot()["counters"]["knapsack.batched_rows"] == 3
+        recovery = workspace.solve_row(1, caps[1], budget)
+        scalar = solve_fractional_knapsack(costs[1], weights, budget, caps[1])
+        assert recovery.tobytes() == scalar.allocation.tobytes()
+
+
+def _tie_heavy(rng: np.random.Generator, size: int, *, inf: bool = True) -> np.ndarray:
+    """Values from a small set, so most of them tie, with ``-0.0``,
+    negatives and (as summed multipliers can overflow to) ``+inf``."""
+    values = rng.integers(0, 4, size=size).astype(np.float64)
+    values[rng.random(size) < 0.15] = -0.0
+    values[rng.random(size) < 0.15] *= -1.0
+    if inf:
+        values[rng.random(size) < 0.1] = np.inf
+    return values
+
+
+def _reference_cache_set(capacity, aggregated, tie_break):
+    """The first-come scan along the stable descending orders."""
+    caching = np.zeros(aggregated.size)
+    take = [f for f in np.argsort(-aggregated, kind="stable") if aggregated[f] > 0]
+    caching[take[:capacity]] = 1.0
+    if tie_break is not None:
+        spare = capacity - min(len(take), capacity)
+        fill = [f for f in np.argsort(-tie_break, kind="stable") if not caching[f]]
+        caching[fill[:spare]] = 1.0
+    return caching
+
+
+class TestTopK:
+    """``_top_k`` is the first ``k`` of ``argsort(-v, kind="stable")``:
+    ties go to the lowest index, and no chosen set exceeds ``C_n``."""
+
+    def test_matches_stable_argsort(self):
+        rng = np.random.default_rng(77)
+        for _ in range(300):
+            size = int(rng.integers(1, 60))
+            values = _tie_heavy(rng, size)
+            for k in {0, 1, int(rng.integers(0, size + 1)), size - 1, size, size + 3}:
+                reference = np.argsort(-values, kind="stable")[: max(k, 0)]
+                assert np.array_equal(_top_k(values, k), np.sort(reference))
+                assert np.array_equal(_top_k(values, k, ordered=True), reference)
+
+    def test_edge_sizes(self):
+        one = np.array([2.5])
+        assert _top_k(one, 0).size == 0
+        assert np.array_equal(_top_k(one, 1), [0])
+        assert np.array_equal(_top_k(one, 5, ordered=True), [0])
+        values = np.array([1.0, np.inf, 1.0, -0.0, 0.0, np.inf])
+        assert np.array_equal(_top_k(values, 3, ordered=True), [1, 5, 0])
+        assert np.array_equal(_top_k(values, 5), [0, 1, 2, 3, 5])
+        assert np.array_equal(_top_k(values, 6), np.arange(6))
+
+    @pytest.mark.parametrize("filler", [False, True])
+    def test_cache_set_selection(self, filler):
+        rng = np.random.default_rng(78 + filler)
+        for _ in range(300):
+            files = int(rng.integers(1, 50))
+            capacity = int(rng.integers(0, files + 3))
+            aggregated = _tie_heavy(rng, files)
+            tie_break = _tie_heavy(rng, files) if filler else None
+            caching = _select_cache_set(files, capacity, aggregated, tie_break)
+            assert np.array_equal(caching, _reference_cache_set(capacity, aggregated, tie_break))
+            assert caching.sum() <= capacity
+            if filler:
+                assert caching.sum() == min(capacity, files)
+
+    def test_cache_subproblem_tie_break(self):
+        """The public helper keeps its semantics: positive aggregated
+        multipliers first, spare slots by ``tie_break_value``."""
+        rng = np.random.default_rng(79)
+        for _ in range(60):
+            problem = random_problem(rng, num_sbs=1, num_groups=3, num_files=int(rng.integers(1, 30)))
+            shape = (problem.num_groups, problem.num_files)
+            multipliers = rng.integers(0, 2, size=shape) * rng.choice([0.5, 1.0], size=shape)
+            multipliers *= rng.random(shape) < 0.2
+            tie_break = _tie_heavy(rng, problem.num_files, inf=False)
+            capacity = int(np.floor(problem.cache_capacity[0] + 1e-9))
+            caching = cache_subproblem(problem, 0, multipliers, tie_break_value=tie_break)
+            expected = _reference_cache_set(capacity, multipliers.sum(axis=0), tie_break)
+            assert np.array_equal(caching, expected)
+            assert caching.sum() == min(capacity, problem.num_files)
+
+    @pytest.mark.parametrize("empty_slots", [0, 2])
+    def test_polish_candidate_order(self, empty_slots):
+        """Polish tries the uncached files of positive potential in stable
+        descending order, and every trial fits the cache."""
+        rng = np.random.default_rng(80 + empty_slots)
+        for _ in range(40):
+            files = int(rng.integers(4, 60))
+            potential = _tie_heavy(rng, files)
+            caching = np.zeros(files)
+            caching[rng.choice(files, size=int(rng.integers(1, 4)), replace=False)] = 1.0
+            cached = int(caching.sum())
+            capacity = cached + empty_slots
+            max_candidates = int(rng.integers(1, 12))
+            tried = []
+
+            def evaluate(trial):
+                assert trial.sum() <= capacity
+                tried.append(int(np.flatnonzero(trial > caching)[0]))
+                return np.zeros(1), 0.0
+
+            _polish_cache_set(
+                caching,
+                np.zeros(1),
+                0.0,
+                evaluate=evaluate,
+                potential=potential,
+                capacity=capacity,
+                max_passes=1,
+                max_candidates=max_candidates,
+            )
+            # No trial improves: the adds, then every cached file swapped
+            # against every candidate.
+            uncached = np.flatnonzero(caching == 0)
+            uncached = uncached[potential[uncached] > 0]
+            order = uncached[np.argsort(-potential[uncached], kind="stable")]
+            candidates = list(order[: max(max_candidates, empty_slots)])
+            assert tried == candidates[:empty_slots] + candidates * cached
 
 
 class TestSubgradientStepParity:

@@ -54,6 +54,15 @@ class TestCacheSubproblem:
         )
         assert caching[1] == 1.0 and caching[2] == 1.0
 
+    @pytest.mark.parametrize(
+        "tie_break", [np.array([1.0, np.nan, 0.0, 2.0]), np.arange(3.0)], ids=["nan", "short"]
+    )
+    def test_tiebreak_validated(self, tiny_problem, tie_break):
+        """A NaN or short ``tie_break_value`` used to fill the cache from
+        whatever order it happened to give."""
+        with pytest.raises(ValidationError, match="tie_break_value"):
+            cache_subproblem(tiny_problem, 0, np.zeros((3, 4)), tie_break_value=tie_break)
+
     def test_zero_multipliers_without_tiebreak(self, tiny_problem):
         caching = cache_subproblem(tiny_problem, 0, np.zeros((3, 4)))
         assert caching.sum() == 0.0  # no positive multipliers, nothing forced
@@ -356,6 +365,16 @@ class TestBoundaryValidation:
                 SubproblemConfig(oracle=oracle),
                 **{argument: bad},
             )
+
+    @pytest.mark.parametrize("oracle", ["batched", "legacy"])
+    def test_empty_view_rejected(self, oracle):
+        """A view without items has no subproblem.  The oracles used to
+        disagree: legacy returned a filler cache at cost 0, batched failed
+        inside its knapsack workspace."""
+        view = TestItemView.pair_view(np.zeros((2, 3)))
+        assert view.num_items == 0
+        with pytest.raises(ValidationError, match="local subproblem is empty"):
+            solve_subproblem(view, None, np.zeros(0), SubproblemConfig(oracle=oracle))
 
     @pytest.mark.parametrize("oracle", ["batched", "legacy"])
     def test_prices_shape_checked(self, tiny_problem, oracle):
