@@ -14,7 +14,6 @@ turns it into protocol events, span annotations and a
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import time
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List, Optional, Union
@@ -260,8 +259,8 @@ class RunLoop:
 
     ``span`` is the span factory (the ambient :func:`repro.obs.span`, or
     a node tracker's ``span``); ``root_attrs`` the root span's
-    attributes; ``counter`` / ``timer`` the :mod:`repro.perf` names
-    counting iterations and timing sweeps (restoration excluded).
+    attributes; ``counter`` the :mod:`repro.perf` name counting
+    iterations (restoration excluded).
     """
 
     def __init__(
@@ -276,7 +275,6 @@ class RunLoop:
         span: Optional[Callable[..., Any]] = None,
         root_attrs: Optional[Dict[str, Any]] = None,
         counter: Optional[str] = None,
-        timer: Optional[str] = None,
     ) -> None:
         self.config = config
         self.problem = problem
@@ -290,7 +288,6 @@ class RunLoop:
         self._span = span or obs.span
         self._root_attrs = root_attrs or {"mode": config.mode}
         self._counter = counter
-        self._timer = timer
         self._root: Any = None
         self._iteration = -1
         self._sweep = Sweep(-1, 0.0, None)
@@ -336,9 +333,8 @@ class RunLoop:
             if self._counter is not None:
                 perf.count(self._counter)
             self._begin(iteration)
-            timer = contextlib.nullcontext() if self._timer is None else perf.timed(self._timer)
             self._sweep = Sweep(iteration, slack, price_step)
-            with self._span("iteration", category="iteration", iteration=iteration), timer:
+            with self._span("iteration", category="iteration", iteration=iteration):
                 yield self._sweep
             cost = self._close()
             self.iterations = iteration + 1

@@ -582,20 +582,17 @@ class SBSAgent:
         """
         aggregate_others, prices = self.begin_phase()
         started = solve_clock()
-        with perf.timed("algorithm1.phase_solve"):
-            result = solve_subproblem(
-                self._problem,
-                self.index,
-                aggregate_others,
-                self._config,
-                prices=prices,
-                cap_slack=cap_slack,
-                initial_multipliers=(
-                    self._last_multipliers if self._warm_start else None
-                ),
-                candidate_caching=self.caching if self._has_solved else None,
-                workspace=self._workspace,
-            )
+        result = solve_subproblem(
+            self._problem,
+            self.index,
+            aggregate_others,
+            self._config,
+            prices=prices,
+            cap_slack=cap_slack,
+            initial_multipliers=self._last_multipliers if self._warm_start else None,
+            candidate_caching=self.caching if self._has_solved else None,
+            workspace=self._workspace,
+        )
         self.last_solve_stats = solve_stats(result, started)
         self._last_multipliers = result.multipliers
         self._has_solved = True
@@ -820,7 +817,6 @@ class DistributedOptimizer:
             private=self.accountant is not None,
             resilient=resilient,
             counter="algorithm1.iterations",
-            timer="algorithm1.sweep",
         )
         loop.start()
         # Initial broadcast: the all-zero aggregate every SBS starts from

@@ -927,7 +927,6 @@ def solve_distributed_sparse(
         cost=system_cost,
         root_attrs={"mode": config.mode, "sparse": True},
         counter="algorithm1.sparse_iterations",
-        timer="algorithm1.sparse_sweep",
     )
     loop.start(sparse=True, demand_nnz=instance.demand_nnz, num_links=instance.num_links)
     for _sweep in loop.sweeps():

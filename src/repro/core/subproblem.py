@@ -753,6 +753,9 @@ def solve_subproblem(
     if isinstance(problem, ItemView):
         if sbs is not None:
             raise ValidationError("an ItemView is one SBS's subproblem; pass sbs=None")
+        # A grid view's weights are the instance's demand, which
+        # ProblemInstance has validated; a caller's view is checked here.
+        as_float_array(problem.weight, "weight", shape=(problem.num_items,), nonnegative=True)
         view = problem
     else:
         problem._check_sbs(sbs)

@@ -30,16 +30,16 @@ Zero-copy dispatch
 ------------------
 
 Workers never receive pickled :class:`_CellTask` objects per map item.
-The deduplicated task list is published once — inherited through
-``fork`` where available, or shipped through one
-:mod:`multiprocessing.shared_memory` block under ``spawn`` — and the
-pool maps over plain integer indices in chunks.  Each worker process
-also memoizes :func:`~repro.experiments.config.build_problem` per
-scenario, so cells that share a scenario (the usual case: one scenario
-times several schemes) build their arrays once.  On a single-CPU host
-the fan-out cannot win, so :func:`_effective_workers` clamps execution
-to the inline path — results are identical either way, only the
-scheduling changes.
+The pool initializer hands each worker the deduplicated task list once
+— inherited for free under ``fork``, pickled once per worker under
+``spawn`` or ``forkserver`` — and the pool maps over plain integer
+indices in chunks.  Each worker process also memoizes
+:func:`~repro.experiments.config.build_problem` per scenario, so cells
+that share a scenario (the usual case: one scenario times several
+schemes) build their arrays once.  On a single-CPU host the fan-out
+cannot win, so :func:`_effective_workers` clamps execution to the
+inline path — results are identical either way, only the scheduling
+changes.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import os
-import pickle
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -196,24 +195,17 @@ def _evaluate_cell_traced(
 
 # -- zero-copy worker dispatch -----------------------------------------
 #
-# The distinct-task list is published to pool workers exactly once:
-# inherited through ``fork`` (free), or shipped via one shared-memory
-# block under ``spawn``.  Map items are then plain integers.
+# The distinct-task list reaches each pool worker exactly once, through
+# the pool initializer.  Map items are then plain integers.
 
 _WORKER_TASKS: Optional[List[_CellTask]] = None
 _WORKER_TIMINGS: bool = True
 
 
-def _init_worker_shm(shm_name: str) -> None:
-    """Pool initializer (spawn path): load the task list from shared memory."""
+def _init_worker(tasks: List[_CellTask], timings: bool) -> None:
+    """Pool initializer: install the distinct-task list in this worker."""
     global _WORKER_TASKS, _WORKER_TIMINGS
-    from multiprocessing import shared_memory
-
-    shm = shared_memory.SharedMemory(name=shm_name)
-    try:
-        _WORKER_TASKS, _WORKER_TIMINGS = pickle.loads(bytes(shm.buf))
-    finally:
-        shm.close()
+    _WORKER_TASKS, _WORKER_TIMINGS = tasks, timings
 
 
 def _evaluate_index(index: int) -> float:
@@ -226,19 +218,6 @@ def _evaluate_index_traced(index: int) -> Tuple[float, List[obs.Event]]:
     """Traced variant of :func:`_evaluate_index` (timings from the payload)."""
     assert _WORKER_TASKS is not None
     return _evaluate_cell_traced(_WORKER_TASKS[index], timings=_WORKER_TIMINGS)
-
-
-def _start_method() -> str:
-    """The multiprocessing start method the pool dispatch will see.
-
-    A seam for tests: forcing the shared-memory publication path
-    patches this function instead of ``multiprocessing``'s module
-    attribute, which lazily-imported stdlib submodules (``spawn``,
-    ``resource_tracker``) would otherwise capture permanently.
-    """
-    import multiprocessing
-
-    return multiprocessing.get_start_method()
 
 
 def _effective_workers(workers: int, cells: int) -> int:
@@ -261,38 +240,17 @@ def _map_distinct(
 ) -> List:
     """Map the distinct cells over a pool without per-task pickles.
 
-    Publishes the task list once (fork inheritance where available,
-    one shared-memory block otherwise), then maps chunked integer
-    indices.  ``ProcessPoolExecutor.map`` preserves submission order,
-    so results line up with ``distinct``.
+    The pool initializer publishes the task list to each worker once;
+    the map then runs over chunked integer indices.
+    ``ProcessPoolExecutor.map`` preserves submission order, so results
+    line up with ``distinct``.
     """
-    global _WORKER_TASKS, _WORKER_TIMINGS
-
     fn = _evaluate_index_traced if traced else _evaluate_index
     chunksize = max(1, len(distinct) // (workers * 4))
-    if _start_method() == "fork":
-        _WORKER_TASKS = list(distinct)
-        _WORKER_TIMINGS = timings
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(fn, range(len(distinct)), chunksize=chunksize))
-        finally:
-            _WORKER_TASKS = None
-    from multiprocessing import shared_memory
-
-    payload = pickle.dumps(
-        (list(distinct), timings), protocol=pickle.HIGHEST_PROTOCOL
-    )
-    shm = shared_memory.SharedMemory(create=True, size=max(1, len(payload)))
-    try:
-        shm.buf[: len(payload)] = payload
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker_shm, initargs=(shm.name,)
-        ) as pool:
-            return list(pool.map(fn, range(len(distinct)), chunksize=chunksize))
-    finally:
-        shm.close()
-        shm.unlink()
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_init_worker, initargs=(list(distinct), timings)
+    ) as pool:
+        return list(pool.map(fn, range(len(distinct)), chunksize=chunksize))
 
 
 def _evaluate_cells(

@@ -65,11 +65,10 @@ Event types
     ``network`` / ``retry`` / ``straggler`` / ``aggregate`` /
     ``broadcast``), and the hybrid-logical-clock interval ``ls`` /
     ``le``.  When the recorder was activated with ``timings=True`` the
-    span also carries wall-clock ``t0`` / ``t1`` / ``seconds`` and
-    optional resource attributes (``rss_peak_kb``, ``perf_timings_s``)
-    — all masked from determinism comparisons like other wall-clock
-    fields.  Spans are emitted at close, so a parent's event follows
-    its children's.
+    span also carries wall-clock ``t0`` / ``t1`` / ``seconds`` and the
+    optional resource attribute ``rss_peak_kb`` — all masked from
+    determinism comparisons like other wall-clock fields.  Spans are
+    emitted at close, so a parent's event follows its children's.
 ``proxy``
     One chaos-proxy observation, emitted inside the run bracket just
     before ``run_end`` when spans are enabled.  ``fate`` is either a

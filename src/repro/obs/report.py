@@ -8,16 +8,14 @@ Two consumers of the telemetry layer live here:
   health table and the per-party epsilon ledger.  No external assets,
   no scripts, no timestamps: the page is a deterministic function of
   its inputs, so re-rendering the same trace yields the same bytes.
-* :func:`compare_snapshots` diffs two metrics snapshots (or two
-  ``BENCH_*.json`` records) under per-metric relative thresholds and
-  reports every regression — the machinery behind
-  ``repro-report regress``, which CI runs against a committed baseline.
+* :func:`compare_snapshots` diffs two metrics snapshots under
+  per-metric relative thresholds and reports every regression — the
+  machinery behind ``repro-report regress``, which CI runs against the
+  committed ``benchmarks/results/METRICS_baseline.json``.
 
 The comparison is directional: the gated families are all
 "higher is worse" quantities (cost, epsilon, iterations, retries,
-bytes), except ``speedup`` entries in benchmark records, where a
-*decrease* regresses.  Boolean benchmark facts (``identical``,
-``converged``) may never flip from true to false.
+bytes).
 """
 
 from __future__ import annotations
@@ -81,7 +79,7 @@ def parse_thresholds(spec: str) -> Dict[str, float]:
 
 
 def load_snapshot(path: Union[str, Path]) -> Dict[str, Any]:
-    """Load one snapshot file (metrics export or ``BENCH_*.json``)."""
+    """Load one metrics snapshot file (a :meth:`MetricsRegistry.to_json` export)."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as error:
@@ -111,29 +109,6 @@ def _flatten_metrics(snapshot: Mapping[str, Any]) -> Dict[str, Tuple[str, float]
     return flat
 
 
-def _flatten_bench(
-    record: Mapping[str, Any], prefix: str = ""
-) -> Dict[str, Union[float, bool]]:
-    """Dotted-path numeric/bool leaves of a benchmark record.
-
-    The ``machine`` subtree (host facts) and non-scalar leaves are
-    skipped — they describe the environment, not the result.
-    """
-    flat: Dict[str, Union[float, bool]] = {}
-    for key in sorted(record):
-        if key == "machine":
-            continue
-        value = record[key]
-        path = f"{prefix}.{key}" if prefix else str(key)
-        if isinstance(value, dict):
-            flat.update(_flatten_bench(value, path))
-        elif isinstance(value, bool):
-            flat[path] = value
-        elif isinstance(value, (int, float)):
-            flat[path] = float(value)
-    return flat
-
-
 def _relative_increase(baseline: float, candidate: float) -> float:
     """Signed relative change, against a unit scale when baseline is 0."""
     scale = abs(baseline) if baseline != 0 else 1.0
@@ -153,25 +128,18 @@ def compare_snapshots(
     candidate: Mapping[str, Any],
     thresholds: Optional[Mapping[str, float]] = None,
 ) -> Tuple[List[str], List[str]]:
-    """Regressions (and informational notes) between two snapshots.
+    """Regressions (and informational notes) between two metrics snapshots.
 
-    Both arguments are parsed JSON payloads: either metrics snapshots
-    (``metrics_version``/``families``) or ``BENCH_*.json`` records.
-    Returns ``(regressions, notes)`` — an empty regression list means
-    the candidate is no worse than the baseline under ``thresholds``
-    (:data:`DEFAULT_THRESHOLDS` for metrics snapshots when omitted).
+    Both arguments are parsed JSON payloads of metrics snapshots
+    (``metrics_version``/``families``); anything else is a
+    :class:`ValidationError`.  Returns ``(regressions, notes)`` — an
+    empty regression list means the candidate is no worse than the
+    baseline under ``thresholds`` (:data:`DEFAULT_THRESHOLDS` when
+    omitted).
     """
-    is_metrics = "families" in baseline or "families" in candidate
-    if is_metrics:
-        return _compare_metrics(baseline, candidate, thresholds)
-    return _compare_bench(baseline, candidate, thresholds or {})
-
-
-def _compare_metrics(
-    baseline: Mapping[str, Any],
-    candidate: Mapping[str, Any],
-    thresholds: Optional[Mapping[str, float]],
-) -> Tuple[List[str], List[str]]:
+    for label, snapshot in (("baseline", baseline), ("candidate", candidate)):
+        if "families" not in snapshot:
+            raise ValidationError(f"{label} is not a metrics snapshot (no 'families')")
     gates = dict(DEFAULT_THRESHOLDS if thresholds is None else thresholds)
     base_flat = _flatten_metrics(baseline)
     cand_flat = _flatten_metrics(candidate)
@@ -196,46 +164,6 @@ def _compare_metrics(
         family = cand_flat[series_id][0]
         if _matching_threshold(gates, family, series_id) is not None:
             notes.append(f"{series_id}: new in candidate")
-    return regressions, notes
-
-
-def _compare_bench(
-    baseline: Mapping[str, Any],
-    candidate: Mapping[str, Any],
-    thresholds: Mapping[str, float],
-) -> Tuple[List[str], List[str]]:
-    base_flat = _flatten_bench(baseline)
-    cand_flat = _flatten_bench(candidate)
-    regressions: List[str] = []
-    notes: List[str] = []
-    for path in sorted(base_flat):
-        base_value = base_flat[path]
-        if path not in cand_flat:
-            notes.append(f"{path}: present in baseline only")
-            continue
-        cand_value = cand_flat[path]
-        if isinstance(base_value, bool) or isinstance(cand_value, bool):
-            if bool(base_value) and not bool(cand_value):
-                regressions.append(f"{path}: flipped true -> false")
-            continue
-        leaf = path.rsplit(".", 1)[-1]
-        limit = thresholds.get(path, thresholds.get(leaf))
-        if limit is None:
-            continue
-        if "speedup" in leaf:
-            decrease = _relative_increase(cand_value, base_value)
-            if decrease > limit:
-                regressions.append(
-                    f"{path}: speedup {base_value:g} -> {cand_value:g} "
-                    f"(-{100 * decrease:.3g}% > {100 * limit:g}% allowed)"
-                )
-        else:
-            increase = _relative_increase(base_value, cand_value)
-            if increase > limit:
-                regressions.append(
-                    f"{path}: {base_value:g} -> {cand_value:g} "
-                    f"(+{100 * increase:.3g}% > {100 * limit:g}% allowed)"
-                )
     return regressions, notes
 
 

@@ -12,9 +12,8 @@ from a trace.  ``metrics`` materializes the trace's metrics snapshot —
 the same bytes a live :func:`repro.obs.metering` run would export —
 as JSON or Prometheus text; ``--deterministic`` drops the wall-clock
 ``*seconds*`` families so the output can serve as a byte-comparable
-baseline.  ``regress`` compares two snapshots (metrics exports or
-``BENCH_*.json`` records) and exits nonzero on any regression — the CI
-telemetry job gates on it.
+baseline.  ``regress`` compares two metrics snapshots and exits nonzero
+on any regression — the CI end-to-end smoke job gates on it.
 """
 
 from __future__ import annotations
@@ -132,8 +131,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     regress = subparsers.add_parser(
         "regress", help="compare two snapshots; exit nonzero on regression"
     )
-    regress.add_argument("baseline", help="baseline snapshot (metrics or BENCH json)")
-    regress.add_argument("candidate", help="candidate snapshot of the same kind")
+    regress.add_argument("baseline", help="baseline metrics snapshot (json)")
+    regress.add_argument("candidate", help="candidate metrics snapshot (json)")
     regress.add_argument(
         "--thresholds",
         default=None,

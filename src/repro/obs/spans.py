@@ -27,7 +27,7 @@ The layer is strictly opt-in: unless the active recorder was installed
 with ``spans=True`` (:func:`repro.obs.recorder.spans_enabled`),
 :func:`span` returns a shared no-op object and trackers default to
 :data:`NOOP_TRACKER`, keeping the disabled cost within the established
-~ns emit budget (pinned by ``BENCH_spans.json``).
+~ns emit budget (pinned by ``tests/test_spans.py``).
 
 Wall-clock discipline: the *only* sanctioned wall-clock read in this
 module is :func:`_wall_now`, which returns ``None`` unless its gate is
@@ -391,22 +391,18 @@ def span(
 def resource_attrs(timings: bool) -> Dict[str, Any]:
     """Resource-profile attributes for a root span.
 
-    Deterministic parts (perf *counters*: kernel invocation counts,
-    sparse allocation counters) are attached whenever a
-    :mod:`repro.perf` registry is collecting; volatile parts (peak RSS,
-    per-kernel cumulative seconds) only when ``timings`` is true, so
-    they are masked from byte-determinism exactly like ``seconds``.
+    The deterministic part (perf *counters*: kernel invocation counts,
+    sparse allocation counters) is attached whenever a
+    :mod:`repro.perf` registry is collecting; the volatile part (peak
+    RSS) only when ``timings`` is true, so it is masked from
+    byte-determinism exactly like ``seconds``.
     """
     from .. import perf
 
     attrs: Dict[str, Any] = {}
     registry = perf.active_registry()
-    if registry is not None:
-        snapshot = registry.snapshot()
-        if snapshot["counters"]:
-            attrs["perf_counters"] = snapshot["counters"]
-        if timings and snapshot["timings_s"]:
-            attrs["perf_timings_s"] = snapshot["timings_s"]
+    if registry is not None and registry.counters:
+        attrs["perf_counters"] = dict(registry.counters)
     if timings and _resource is not None:
         attrs["rss_peak_kb"] = int(
             _resource.getrusage(_resource.RUSAGE_SELF).ru_maxrss

@@ -420,9 +420,7 @@ def validate_events(events: List[Event]) -> List[str]:
 #: exact-name matches plus any key containing ``seconds``.  These are
 #: wall-clock (or wall-clock-derived resource) measurements, legitimately
 #: different between two otherwise identical ``timings=True`` runs.
-_VOLATILE_EVENT_KEYS = frozenset(
-    {"t0", "t1", "time_seconds", "rss_peak_kb", "perf_timings_s"}
-)
+_VOLATILE_EVENT_KEYS = frozenset({"t0", "t1", "time_seconds", "rss_peak_kb"})
 
 
 def _mask_event(event: Event) -> Event:

@@ -1,29 +1,24 @@
-"""Performance observability: timers, counters and their registry.
+"""Performance observability: event counters and their registry.
 
 See :mod:`repro.perf.registry` for the collection model and
-docs/performance.md for the counter glossary and benchmark harness.
+docs/performance.md for the counter glossary.  Wall-clock time is the
+span layer's job (:mod:`repro.obs.spans`); this package only counts.
 """
 
 from .registry import (
     PerfRegistry,
-    Timer,
     activate,
     active_registry,
-    add_time,
     collecting,
     count,
     deactivate,
-    timed,
 )
 
 __all__ = [
     "PerfRegistry",
-    "Timer",
     "activate",
     "active_registry",
-    "add_time",
     "collecting",
     "count",
     "deactivate",
-    "timed",
 ]

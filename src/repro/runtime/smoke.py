@@ -1,6 +1,6 @@
 """CI smoke driver for the socket runtime: ``python -m repro.runtime.smoke``.
 
-Three checks, exercised by the ``socket-smoke`` CI job:
+Three checks, exercised by the ``e2e-smoke`` CI job:
 
 * ``faultfree`` — solve each of two 3-SBS instances (the smoke instance
   and a densified small city, whose mostly-zero frames exercise the
@@ -135,7 +135,7 @@ def _cmd_faultfree(args: argparse.Namespace) -> int:
 
 
 def chaos_plan(seed: int) -> FaultConfig:
-    """The fixed chaos mix the smoke check and the runtime bench share."""
+    """The fixed chaos mix of the smoke checks and the span tests."""
     return FaultConfig(
         default=LinkFaultProfile(
             drop=0.08, duplicate=0.05, delay=0.08, reorder=0.05, truncate=0.04

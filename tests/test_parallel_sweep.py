@@ -5,6 +5,7 @@ import pytest
 
 from repro import obs
 from repro.core.distributed import DistributedConfig
+from repro.core.subproblem import SubproblemConfig
 from repro.exceptions import ValidationError
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import _CellTask, _evaluate_cells, run_sweep
@@ -36,6 +37,15 @@ class TestBitIdentity:
 
     def test_dedup_matches_plain_serial(self):
         assert _sweep(workers=1, dedup=False) == _sweep(workers=1, dedup=True)
+
+    def test_legacy_engine_matches_default_sweep(self):
+        """The pre-optimization engine (validating legacy oracle, no
+        dedup, serial) gives the default sweep's numbers bit for bit."""
+        legacy = DistributedConfig(
+            accuracy=1e-3, max_iterations=2, subproblem=SubproblemConfig(fast=False)
+        )
+        reference = _sweep(workers=1, dedup=False, seeds=(7,), distributed_config=legacy)
+        assert _sweep(seeds=(7,)) == reference
 
     def test_parallel_without_dedup_matches_serial(self):
         assert _sweep(workers=1, dedup=False) == _sweep(workers=2, dedup=False)
@@ -165,7 +175,7 @@ class TestValidation:
 
 
 class TestZeroCopyDispatch:
-    """The fork/shared-memory task publication: no per-task pickles, exact."""
+    """The initializer task publication: no per-task pickles, exact."""
 
     def test_effective_workers_clamps_on_single_cpu(self, monkeypatch):
         import repro.experiments.runner as runner
@@ -193,18 +203,25 @@ class TestZeroCopyDispatch:
         pooled = _sweep(workers=2)
         assert serial == pooled
 
-    def test_forced_shared_memory_path_bit_identical(self, monkeypatch):
-        """The spawn fallback ships tasks via one shared-memory block."""
+    def test_spawned_pool_bit_identical(self, monkeypatch):
+        """Under ``spawn`` the initializer pickles the task list once per
+        worker instead of inheriting it; the results are the same."""
+        import functools
+        import multiprocessing
+
         import repro.experiments.runner as runner
 
         serial = _sweep(workers=1)
         monkeypatch.setattr(
             runner, "_effective_workers", lambda w, c: min(w, c) if w > 1 else 1
         )
-        # Patch the runner's seam, NOT multiprocessing.get_start_method:
-        # lazily-imported stdlib submodules would capture a module-attr
-        # patch permanently and poison later spawn-based tests.
-        monkeypatch.setattr(runner, "_start_method", lambda: "forced-shm")
+        monkeypatch.setattr(
+            runner,
+            "ProcessPoolExecutor",
+            functools.partial(
+                runner.ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")
+            ),
+        )
         pooled = _sweep(workers=2)
         assert serial == pooled
 

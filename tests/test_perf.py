@@ -1,58 +1,30 @@
 """Tests for the perf instrumentation registry (repro.perf)."""
 
 import re
-import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
-from repro import perf
+from repro import obs, perf
 from repro.core.distributed import DistributedConfig, solve_distributed
 from repro.core.subproblem import solve_subproblem
 
 from conftest import random_problem
 
 
-class TestTimer:
-    def test_accumulates_across_intervals(self):
-        timer = perf.Timer()
-        with timer:
-            pass
-        first = timer.elapsed
-        assert first >= 0.0
-        with timer:
-            time.sleep(0.001)
-        assert timer.elapsed > first
-
-    def test_stop_without_start_is_harmless(self):
-        timer = perf.Timer()
-        assert timer.stop() == 0.0
-        assert timer.elapsed == 0.0
-
-
 class TestPerfRegistry:
-    def test_count_and_add_time(self):
+    def test_count_accumulates(self):
         registry = perf.PerfRegistry()
         registry.count("events")
         registry.count("events", 4)
-        registry.add_time("phase", 0.25)
-        snap = registry.snapshot()
-        assert snap["counters"]["events"] == 5
-        assert snap["timings_s"]["phase"] == pytest.approx(0.25)
-
-    def test_timer_context(self):
-        registry = perf.PerfRegistry()
-        with registry.timer("work"):
-            pass
-        assert registry.snapshot()["timings_s"]["work"] >= 0.0
+        assert registry.snapshot() == {"counters": {"events": 5}}
 
     def test_reset_clears_everything(self):
         registry = perf.PerfRegistry()
         registry.count("a")
-        registry.add_time("b", 1.0)
+        registry.count("b", 3)
         registry.reset()
-        assert registry.snapshot() == {"counters": {}, "timings_s": {}}
+        assert registry.snapshot() == {"counters": {}}
 
     def test_snapshot_is_a_copy(self):
         registry = perf.PerfRegistry()
@@ -66,8 +38,6 @@ class TestModuleHelpers:
     def test_inactive_by_default(self):
         assert perf.active_registry() is None
         perf.count("ignored")  # must be a silent no-op
-        with perf.timed("ignored"):
-            pass
 
     def test_collecting_installs_and_restores(self):
         registry = perf.PerfRegistry()
@@ -129,7 +99,7 @@ class TestSolverInstrumentation:
         assert counters["knapsack.calls"] >= 1
 
     def test_registry_thread_safety(self):
-        """Concurrent count/add_time must not lose increments."""
+        """Concurrent counts must not lose increments."""
         import threading
 
         registry = perf.PerfRegistry()
@@ -137,34 +107,36 @@ class TestSolverInstrumentation:
         def hammer():
             for _ in range(2000):
                 registry.count("hits")
-                registry.add_time("t", 0.001)
+                registry.count("bulk", 3)
 
         threads = [threading.Thread(target=hammer) for _ in range(4)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-        snap = registry.snapshot()
-        assert snap["counters"]["hits"] == 8000
-        assert abs(snap["timings_s"]["t"] - 8.0) < 1e-6
+        assert registry.snapshot() == {"counters": {"hits": 8000, "bulk": 24000}}
 
     def test_distributed_counters_and_timings(self):
+        """The registry counts; the timings are the spans' ``seconds``."""
         problem = random_problem(np.random.default_rng(5))
         config = DistributedConfig(accuracy=1e-3, max_iterations=3)
+        sink = obs.ListRecorder()
         with perf.collecting() as registry:
-            result = solve_distributed(problem, config, rng=0)
-        snap = registry.snapshot()
-        assert snap["counters"]["algorithm1.iterations"] == result.iterations
-        assert snap["counters"]["algorithm1.phases"] == (
-            result.iterations * problem.num_sbs
-        )
-        assert snap["timings_s"]["algorithm1.sweep"] > 0.0
-        assert snap["timings_s"]["algorithm1.phase_solve"] > 0.0
+            with obs.recording(sink, timings=True, spans=True):
+                result = solve_distributed(problem, config, rng=0)
+        counters = registry.snapshot()["counters"]
+        assert counters["algorithm1.iterations"] == result.iterations
+        assert counters["algorithm1.phases"] == result.iterations * problem.num_sbs
+        spans = [e for e in sink.events if e.get("type") == "span"]
+        sweeps = [e["seconds"] for e in spans if e["name"] == "iteration"]
+        solves = [e["seconds"] for e in spans if e["category"] == "solve"]
+        assert len(sweeps) == result.iterations and min(sweeps) > 0.0
+        assert len(solves) == counters["algorithm1.phases"]
         # The solve time is a component of the sweep time.
-        assert (
-            snap["timings_s"]["algorithm1.phase_solve"]
-            <= snap["timings_s"]["algorithm1.sweep"]
-        )
+        assert sum(solves) <= sum(sweeps)
+        root = [e for e in spans if e["parent"] is None][0]
+        assert root["perf_counters"] == counters
+        assert [key for key in root if key.startswith("perf_")] == ["perf_counters"]
 
     def test_instrumentation_does_not_change_results(self):
         problem = random_problem(np.random.default_rng(6))

@@ -73,7 +73,7 @@ class TestDisabled:
 
     def test_disabled_span_cost_is_nanoseconds(self):
         # Generous ceiling (2 us/call) so busy CI runners never flake;
-        # the committed BENCH_spans.json pins the real ~ns figure.
+        # the no-op itself costs a few hundred ns.
         calls = 20_000
         t0 = time.perf_counter()
         for _ in range(calls):
@@ -84,31 +84,39 @@ class TestDisabled:
 
 
 class TestInProcessTrees:
+    @staticmethod
+    def _transports():
+        """The reliable in-process transport and the resilient one."""
+        return (None, FaultConfig())
+
     def test_dense_run_tree_well_formed(self, problem):
-        sink = ListRecorder()
-        with obs.recording(sink, timings=False, spans=True):
-            solve_distributed(problem, _config(), faults=FaultConfig())
-        spans = _span_events(sink.events)
-        assert spans, "spans=True run emitted no span events"
-        assert check_spans(sink.events) == []
-        names = {e["name"] for e in spans}
-        assert {"run", "iteration", "phase"} <= names
-        assert {e["category"] for e in spans} <= set(SPAN_CATEGORIES)
-        roots = [e for e in spans if e["parent"] is None]
-        assert len(roots) == 1 and roots[0]["name"] == "run"
-        # Timings off: no wall-clock fields anywhere.
-        assert all("t0" not in e and "seconds" not in e for e in spans)
+        for faults in self._transports():
+            sink = ListRecorder()
+            with obs.recording(sink, timings=False, spans=True):
+                solve_distributed(problem, _config(), faults=faults)
+            spans = _span_events(sink.events)
+            assert spans, "spans=True run emitted no span events"
+            assert check_spans(sink.events) == []
+            names = {e["name"] for e in spans}
+            assert {"run", "iteration", "phase"} <= names
+            assert {e["category"] for e in spans} <= set(SPAN_CATEGORIES)
+            roots = [e for e in spans if e["parent"] is None]
+            assert len(roots) == 1 and roots[0]["name"] == "run"
+            # Timings off: no wall-clock fields anywhere.
+            assert all("t0" not in e and "seconds" not in e for e in spans)
 
     def test_spans_do_not_perturb_existing_stream(self, problem):
-        plain, spanned = ListRecorder(), ListRecorder()
-        with obs.recording(plain, timings=False):
-            solve_distributed(problem, _config(), faults=FaultConfig())
-        with obs.recording(spanned, timings=False, spans=True):
-            solve_distributed(problem, _config(), faults=FaultConfig())
-        non_span = [
-            e for e in spanned.events if e.get("type") not in ("span", "proxy")
-        ]
-        assert non_span == plain.events
+        for faults in self._transports():
+            plain, spanned = ListRecorder(), ListRecorder()
+            with obs.recording(plain, timings=False):
+                baseline = solve_distributed(problem, _config(), faults=faults)
+            with obs.recording(spanned, timings=False, spans=True):
+                result = solve_distributed(problem, _config(), faults=faults)
+            non_span = [
+                e for e in spanned.events if e.get("type") not in ("span", "proxy")
+            ]
+            assert non_span == plain.events
+            assert result.cost == baseline.cost
 
     def test_span_runs_are_deterministic(self, problem):
         streams = []
@@ -301,6 +309,15 @@ class TestSocketRuns:
             if cursor is not None:
                 assert segment["start"] >= cursor - 1e-9
             cursor = segment["end"]
+
+    def test_critical_path_covers_faultfree_root_wall_clock(self):
+        sink = ListRecorder()
+        with obs.recording(sink, timings=True, spans=True):
+            solve_over_sockets(smoke_problem(), _config(8), runtime=RuntimeConfig())
+        report = critical_path(sink.events)
+        assert report["basis"] == "wall"
+        root = [e for e in _span_events(sink.events) if e["parent"] is None][0]
+        assert abs(report["total"] - root["seconds"]) <= 0.05 * root["seconds"]
 
     def test_critical_path_logical_basis_without_timings(self, faultfree_traces):
         events = [

@@ -546,3 +546,49 @@ class TestCityScale:
         assert result.solution.check_feasibility(sparse).feasible
         # The compact solution stays small too.
         assert result.solution.nbytes() < 50_000_000
+
+
+#: The multi-axis scaling grid ``(N, U, F)``, growing SBSs, MU groups and
+#: contents together, with the deterministic final cost the compact
+#: solver reaches at each point under ``GRID_CONFIG``.
+GRID_COSTS = {
+    (4, 24, 2_000): 210684.47588731177,
+    (8, 48, 8_000): 524333.0748678491,
+    (16, 96, 32_000): 1025924.0765409091,
+}
+GRID_CONFIG = DistributedConfig(
+    accuracy=1e-3,
+    max_iterations=2,
+    subproblem=SubproblemConfig(polish=False, max_iter=40),
+)
+
+
+def grid_instance(num_sbs, num_groups, num_files):
+    """The seeded city instance at one scaling-grid point."""
+    return generate_city_instance(
+        num_sbs,
+        num_groups,
+        num_files,
+        reach=3,
+        files_per_group=min(64, max(8, num_files // 50)),
+        rng=42,
+    )
+
+
+class TestScalingGrid:
+    @pytest.mark.parametrize("point", list(GRID_COSTS), ids=str)
+    def test_cost_pinned(self, point):
+        result = solve_distributed_sparse(grid_instance(*point), GRID_CONFIG)
+        assert result.cost == pytest.approx(GRID_COSTS[point], rel=1e-6, abs=0.0)
+
+    @pytest.mark.parametrize("point", [(4, 24, 2_000), (8, 48, 8_000)], ids=str)
+    def test_sparse_matches_dense(self, point):
+        """Every grid point small enough to densify: the compact solver
+        picks the dense solver's cache sets, at its cost to 1e-9."""
+        instance = grid_instance(*point)
+        sparse = solve_distributed_sparse(instance, GRID_CONFIG)
+        dense = solve_distributed(instance.to_dense(), GRID_CONFIG, rng=0)
+        assert abs(sparse.cost - dense.cost) <= 1e-9 * max(abs(dense.cost), 1.0)
+        np.testing.assert_array_equal(
+            sparse.solution.to_dense(instance).caching, dense.solution.caching
+        )

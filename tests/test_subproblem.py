@@ -1,5 +1,7 @@
 """Tests for the per-SBS Lagrangian subproblem (Eqs. 10-23, Theorem 1)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -375,6 +377,26 @@ class TestBoundaryValidation:
         assert view.num_items == 0
         with pytest.raises(ValidationError, match="local subproblem is empty"):
             solve_subproblem(view, None, np.zeros(0), SubproblemConfig(oracle=oracle))
+
+    @pytest.mark.parametrize("oracle", ["batched", "legacy"])
+    @pytest.mark.parametrize(
+        "weight, message",
+        [
+            ([1.0, -1.0, 3.0], "weight must be nonnegative"),
+            ([1.0, np.nan, 3.0], "weight must be finite"),
+            ([1.0, np.inf, 3.0], "weight must be finite"),
+            ([1.0, 2.0], r"weight must have shape \(3,\)"),
+        ],
+        ids=["negative", "nan", "inf", "short"],
+    )
+    def test_view_weight_validated(self, oracle, weight, message):
+        """A caller-built view's weights used to split the oracles: a
+        negative weight solved under batched and failed under legacy, a
+        NaN failed batched as "performed no iterations"."""
+        view = TestItemView.pair_view(np.array([[1.0, 2.0], [0.0, 3.0]]))
+        view = dataclasses.replace(view, weight=np.array(weight))
+        with pytest.raises(ValidationError, match=message):
+            solve_subproblem(view, None, np.zeros(3), SubproblemConfig(oracle=oracle))
 
     @pytest.mark.parametrize("oracle", ["batched", "legacy"])
     def test_prices_shape_checked(self, tiny_problem, oracle):
