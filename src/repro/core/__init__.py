@@ -35,10 +35,8 @@ from .routing import optimal_routing_for_cache, optimal_routing_for_sbs, residua
 from .solution import ConstraintViolation, FeasibilityReport, Solution
 from .sparse import (
     SBSIndex,
-    SparseDistributedResult,
     SparseProblemInstance,
     SparseSolution,
-    as_dense_problem,
     solve_distributed_sparse,
     sparse_total_cost,
 )
@@ -93,10 +91,8 @@ __all__ = [
     "FeasibilityReport",
     "Solution",
     "SBSIndex",
-    "SparseDistributedResult",
     "SparseProblemInstance",
     "SparseSolution",
-    "as_dense_problem",
     "solve_distributed_sparse",
     "sparse_total_cost",
     "total_cost_sparse",

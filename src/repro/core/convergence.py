@@ -16,7 +16,18 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List, Optional, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Collection,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Union,
+)
 
 import numpy as np
 
@@ -232,8 +243,8 @@ def solve_stats(
 class RunLoop:
     """Algorithm 1's outer loop and phase driver, shared by every synchronous solver.
 
-    The in-process optimizer, the sparse solver and the socket server
-    differ only in how one phase travels between the SBS and the BS.
+    The in-process optimizer and the socket server differ only in how
+    one phase travels between the SBS and the BS.
     Everything else lives here, once: the ``run_start`` / ``phase`` /
     ``iteration`` / ``run_end`` events, the root, iteration and phase
     spans, the prices-mode slack and step schedule, the convergence
@@ -260,7 +271,9 @@ class RunLoop:
     ``span`` is the span factory (the ambient :func:`repro.obs.span`, or
     a node tracker's ``span``); ``root_attrs`` the root span's
     attributes; ``counter`` the :mod:`repro.perf` name counting
-    iterations (restoration excluded).
+    iterations (restoration excluded).  ``idle`` SBSs have nothing to
+    solve or upload: :meth:`phases` settles theirs as delivered without
+    handing them to the transport.
     """
 
     def __init__(
@@ -275,8 +288,10 @@ class RunLoop:
         span: Optional[Callable[..., Any]] = None,
         root_attrs: Optional[Dict[str, Any]] = None,
         counter: Optional[str] = None,
+        idle: Collection[int] = (),
     ) -> None:
         self.config = config
+        self.idle = idle
         self.problem = problem
         self.history = CostHistory(initial_cost=problem.max_cost())
         self.iterations = 0
@@ -369,9 +384,9 @@ class RunLoop:
 
         Phase ``k`` is the ``k``-th SBS of ``order``.  ``category`` is
         the span's category (``solve`` in process, ``network`` on
-        sockets); ``None`` opens no span, for the Jacobi fold and the
-        sparse sweep.  The caller hands each slot to :meth:`settle`
-        before asking for the next.
+        sockets); ``None`` opens no span, for the Jacobi fold.  The
+        caller hands each slot to :meth:`settle` before asking for the
+        next.
         """
         sweep = self._sweep
         factory = NOOP_TRACKER.span if category is None else self._span
@@ -379,7 +394,11 @@ class RunLoop:
             with factory(
                 "phase", category=category, sbs=sbs, iteration=sweep.iteration, phase=phase
             ) as span:
-                yield PhaseSlot(sweep, phase, sbs, span)
+                slot = PhaseSlot(sweep, phase, sbs, span)
+                if sbs in self.idle:
+                    self.settle(slot, PhaseOutcome("delivered"))
+                else:
+                    yield slot
 
     def run_phases(
         self,

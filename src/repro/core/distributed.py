@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -53,9 +54,9 @@ from .convergence import (
     solve_clock,
     solve_stats,
 )
-from .cost import total_cost
-from .problem import ProblemInstance
+from .layout import Instance, Layout, layout_for
 from .solution import Solution
+from .sparse import SparseSolution
 from .subproblem import SubproblemConfig, SubproblemWorkspace, solve_subproblem
 
 __all__ = [
@@ -238,16 +239,17 @@ class DistributedResult:
       would have served without the mechanism.  The attacker never sees
       it; :mod:`repro.attacks` measures how well it can be estimated.
 
-    Without privacy the two coincide.
+    Without privacy the two coincide.  A sparse instance's solution is
+    a :class:`~repro.core.sparse.SparseSolution` (routings per SBS pair).
     """
 
-    solution: Solution
+    solution: Union[Solution, SparseSolution]
     cost: float
     iterations: int
     converged: bool
     history: CostHistory
     channel: Channel
-    unperturbed_routing: Optional[np.ndarray] = None
+    unperturbed_routing: Any = None
     unperturbed_cost: Optional[float] = None
     accountant: Optional[PrivacyAccountant] = None
 
@@ -279,27 +281,31 @@ class DistributedResult:
 
 def close_run(
     loop: RunLoop,
-    problem: ProblemInstance,
+    layout: Layout,
     *,
     caching: Sequence[np.ndarray],
     true_routing: Sequence[np.ndarray],
-    reports: np.ndarray,
+    reports: Sequence[np.ndarray],
     channel: Channel,
     accountant: Optional[PrivacyAccountant],
 ) -> DistributedResult:
-    """Assemble a dense run's result from the final per-SBS state, then
-    emit ``run_end`` with its privacy, pre-noise cost and traffic totals.
+    """Assemble a run's result from the final per-SBS state (through the
+    ``layout``), then emit ``run_end`` with its privacy, pre-noise cost
+    and traffic totals.  Mail still queued on the ``channel`` is never
+    read, so it is dropped rather than kept alive by the result.
     """
-    unperturbed = np.stack(true_routing)
+    for node in channel.nodes:
+        channel.drain(node)
+    unperturbed = layout.solution(caching, true_routing)
     result = DistributedResult(
-        solution=Solution(caching=np.stack(caching), routing=reports.copy()),
+        solution=layout.solution(caching, reports),
         cost=loop.history.final_cost,
         iterations=loop.iterations,
         converged=loop.converged,
         history=loop.history,
         channel=channel,
-        unperturbed_routing=unperturbed,
-        unperturbed_cost=total_cost(problem, unperturbed),
+        unperturbed_routing=unperturbed.routing,
+        unperturbed_cost=unperturbed.cost(layout.problem),
         accountant=accountant,
     )
     # repro-taint: disable=REPRO701 -- deliberate accuracy-loss reporting: pre-noise cost is a scalar system aggregate (Fig. 5)
@@ -314,38 +320,45 @@ def close_run(
 class BaseStationAgent:
     """The BS of Algorithm 1: aggregates uploads, broadcasts the total.
 
-    In ``"prices"`` coordination the BS also maintains per-pair
-    congestion prices and piggybacks them on the broadcast: the payload
-    is then ``(2, U, F)`` — aggregate stacked on prices — instead of the
-    plain ``(U, F)`` aggregate.
+    Its reports live in the store of the instance's block ``layout``
+    (:mod:`repro.core.layout`), and every write to them goes through
+    :meth:`fold`.  In ``"prices"`` coordination the BS also maintains
+    per-pair congestion prices and piggybacks them on the broadcast: the
+    payload is then the aggregate stacked on the prices.
     """
 
-    def __init__(
-        self, problem: ProblemInstance, channel: Channel, *, with_prices: bool = False
-    ) -> None:
+    def __init__(self, problem: Instance, channel: Channel, *, with_prices: bool = False) -> None:
         self.name = "bs"
         self._problem = problem
+        self.layout = layout_for(problem)
         self._channel = channel
         channel.register(self.name)
-        self._reports = np.zeros(problem.shape)
+        self._reports = self.layout.new_reports()
         self._with_prices = with_prices
-        self.prices = np.zeros((problem.num_groups, problem.num_files))
+        self.prices = np.zeros(self.layout.broadcast_shape)
         # Price update scale: one unit of over-service on pair (u, f) is
         # worth about the pair's best margin times its demand.
-        best_margin = problem.savings_margin().max(axis=0)  # (U,)
-        self._price_scale = best_margin[:, np.newaxis] * problem.demand
+        self._price_scale = self.layout.price_scale()
         self._price_cap = 1.5 * self._price_scale
         # Highest upload sequence number folded per SBS (ARQ dedup state).
         self._folded_seq: Dict[int, int] = {}
 
     @property
-    def reports(self) -> np.ndarray:
-        """Latest (possibly perturbed) routing block reported by each SBS."""
+    def reports(self) -> Any:
+        """The layout's store of the latest (possibly perturbed) reports."""
         return self._reports
+
+    def report(self, index: int) -> np.ndarray:
+        """The latest report folded for SBS ``index``."""
+        return self.layout.report(self._reports, index)
+
+    def fold(self, index: int, block: np.ndarray) -> None:
+        """Fold SBS ``index``'s report into the aggregate."""
+        self.layout.fold(self._reports, index, block)
 
     def aggregate(self) -> np.ndarray:
         """The aggregated load ``sum_n y[n]`` the BS broadcasts."""
-        return self._reports.sum(axis=0)
+        return self.layout.aggregate(self._reports)
 
     def update_prices(self, step: float) -> None:
         """Projected subgradient step on the dual of constraint (4).
@@ -398,10 +411,14 @@ class BaseStationAgent:
             raise ProtocolError(
                 f"BS expected an upload from sbs-{expected_sbs}, got {message.sender}"
             )
+        block = self._checked_upload(expected_sbs, message)
+        self.fold(expected_sbs, block)
+        return block
+
+    def _checked_upload(self, index: int, message: Message) -> np.ndarray:
         block = np.asarray(message.payload)
-        if block.shape != (self._problem.num_groups, self._problem.num_files):
+        if block.shape != self.layout.report_shape(index):
             raise ProtocolError(f"upload has wrong shape {block.shape}")
-        self._reports[expected_sbs] = block
         return block
 
     def absorb_uploads(self) -> List[int]:
@@ -423,11 +440,9 @@ class BaseStationAgent:
             except (IndexError, ValueError):
                 raise ProtocolError(f"malformed upload sender {message.sender!r}")
             self._problem._check_sbs(index)
-            block = np.asarray(message.payload)
-            if block.shape != (self._problem.num_groups, self._problem.num_files):
-                raise ProtocolError(f"upload has wrong shape {block.shape}")
+            block = self._checked_upload(index, message)
             if message.seq > self._folded_seq.get(index, 0):
-                self._reports[index] = block
+                self.fold(index, block)
                 self._folded_seq[index] = message.seq
                 folded.append(index)
             self._channel.send(
@@ -457,7 +472,7 @@ class BaseStationAgent:
 
     def system_cost(self) -> float:
         """Network cost evaluated at the reported policies."""
-        return total_cost(self._problem, self._reports)
+        return self.layout.system_cost(self._reports)
 
 
 # Pre-noise per-SBS state the privacy layer exists to protect: the
@@ -470,11 +485,16 @@ taint.source_attribute("unperturbed_cost", "cost of the pre-noise solution")
 
 
 class SBSAgent:
-    """One SBS: solves ``P_n`` locally, optionally applies LPPM."""
+    """One SBS: solves ``P_n`` locally, optionally applies LPPM.
+
+    Its view (built once) and slice of each broadcast come from the
+    instance's block layout.  ``workspace`` is the kernel scratch, which
+    one run's agents share (one is made when omitted).
+    """
 
     def __init__(
         self,
-        problem: ProblemInstance,
+        problem: Instance,
         index: int,
         channel: Channel,
         *,
@@ -482,11 +502,13 @@ class SBSAgent:
         mechanism: Optional[LaplacePrivacyMechanism] = None,
         accountant: Optional[PrivacyAccountant] = None,
         warm_start: bool = False,
+        workspace: Optional[SubproblemWorkspace] = None,
     ) -> None:
         problem._check_sbs(index)
         self.index = index
         self.name = f"sbs-{index}"
-        self._problem = problem
+        self._layout = layout_for(problem)
+        self._view = self._layout.view(index)
         self._channel = channel
         channel.register(self.name)
         self._config = subproblem_config or SubproblemConfig()
@@ -494,23 +516,29 @@ class SBSAgent:
         self._accountant = accountant
         self._warm_start = warm_start
         # Scratch buffers shared by every solve this agent performs.
-        self._workspace = SubproblemWorkspace(problem)
-        self.caching = np.zeros(problem.num_files)
-        self.true_routing = np.zeros((problem.num_groups, problem.num_files))
-        self.last_report = np.zeros((problem.num_groups, problem.num_files))
-        self._last_multipliers = None  # last dual iterate (warm start / checkpoints)
-        self._has_solved = False
-        # Trace extras of the most recent solve (populated only while a
-        # repro.obs recorder is active; None otherwise).
-        self.last_solve_stats: Optional[Dict[str, float]] = None
+        if workspace is None:
+            workspace = SubproblemWorkspace(items=self._view.num_items)
+        self._workspace = workspace
         # Fault-tolerance state (inert on the reliable, failure-free path).
         self.resilient = False
         self.stale_aggregate_phases = 0
         self.recoveries = 0
         self._crashed = False
+        self._reset()
+
+    def _reset(self) -> None:
+        """Set the volatile state to its initial value (a crash loses it)."""
+        self.caching = np.zeros(self._view.num_files)
+        self.true_routing = np.zeros(self._view.shape)
+        self.last_report = np.zeros(self._view.shape)
+        self._acked_report = np.zeros(self._view.shape)
+        self._last_multipliers = None  # last dual iterate (warm start / checkpoints)
+        self._has_solved = False
+        # Trace extras of the most recent solve (populated only while a
+        # repro.obs recorder is active; None otherwise).
+        self.last_solve_stats: Optional[Dict[str, float]] = None
         self._seq = 0
         self._max_ack = 0
-        self._acked_report = np.zeros((problem.num_groups, problem.num_files))
         self._agg_payload: Optional[np.ndarray] = None
         self._agg_tag: Optional[tuple] = None
 
@@ -538,9 +566,8 @@ class SBSAgent:
     def read_latest_aggregate(self) -> tuple:
         """Drain the mailbox; return the freshest ``(aggregate, prices)``.
 
-        Plain broadcasts carry a ``(U, F)`` aggregate (prices ``None``);
-        price-coordination broadcasts carry a stacked ``(2, U, F)``
-        payload.
+        Plain broadcasts carry the layout's aggregate (prices ``None``);
+        price-coordination broadcasts stack the prices under it.
 
         On the reliable path a missing broadcast is a protocol-order bug
         and raises :class:`~repro.exceptions.ProtocolError`.  A resilient
@@ -554,11 +581,9 @@ class SBSAgent:
             if not self.resilient:
                 raise ProtocolError(f"{self.name} has no aggregate broadcast to read")
             self.stale_aggregate_phases += 1
-        if self._agg_payload is None:
-            payload = np.zeros((self._problem.num_groups, self._problem.num_files))
-        else:
-            payload = np.asarray(self._agg_payload)
-        if payload.ndim == 3:
+        shape = self._layout.broadcast_shape
+        payload = np.zeros(shape) if self._agg_payload is None else np.asarray(self._agg_payload)
+        if payload.ndim > len(shape):
             return payload[0], payload[1]
         return payload, None
 
@@ -569,8 +594,9 @@ class SBSAgent:
         """
         perf.count("algorithm1.phases")
         aggregate, prices = self.read_latest_aggregate()
-        aggregate_others = np.clip(aggregate - self.last_report, 0.0, None)
-        return aggregate_others, prices
+        gather, index = self._layout.gather, self.index
+        aggregate_others = np.clip(gather(aggregate, index) - self.last_report, 0.0, None)
+        return aggregate_others, None if prices is None else gather(prices, index)
 
     def compute_phase(self, iteration: int, phase: int, *, cap_slack: float = 0.0) -> tuple:
         """Read the aggregate, solve ``P_n``, apply LPPM; no upload yet.
@@ -583,8 +609,8 @@ class SBSAgent:
         aggregate_others, prices = self.begin_phase()
         started = solve_clock()
         result = solve_subproblem(
-            self._problem,
-            self.index,
+            self._view,
+            None,
             aggregate_others,
             self._config,
             prices=prices,
@@ -684,18 +710,7 @@ class SBSAgent:
         if self._crashed:
             return
         self._crashed = True
-        self.last_solve_stats = None
-        shape = (self._problem.num_groups, self._problem.num_files)
-        self.caching = np.zeros(self._problem.num_files)
-        self.true_routing = np.zeros(shape)
-        self.last_report = np.zeros(shape)
-        self._acked_report = np.zeros(shape)
-        self._last_multipliers = None
-        self._has_solved = False
-        self._seq = 0
-        self._max_ack = 0
-        self._agg_payload = None
-        self._agg_tag = None
+        self._reset()
         # A down node's mailbox does not accumulate: anything delivered
         # before the crash was lost with the volatile state.
         self._channel.drain(self.name)
@@ -753,11 +768,15 @@ class SBSAgent:
 
 
 class DistributedOptimizer:
-    """Orchestrates Algorithm 1 over the message-passing substrate."""
+    """Orchestrates Algorithm 1 over the message-passing substrate.
+
+    Dense and sparse instances run one protocol; the instance's block
+    layout (:mod:`repro.core.layout`) shapes each report and broadcast.
+    """
 
     def __init__(
         self,
-        problem: ProblemInstance,
+        problem: Instance,
         config: Optional[DistributedConfig] = None,
         *,
         privacy: Optional[MechanismConfig] = None,
@@ -765,12 +784,6 @@ class DistributedOptimizer:
         sweep_order: Optional[Sequence[int]] = None,
         faults: Optional[FaultConfig] = None,
     ) -> None:
-        # Sparse instances densify at the boundary (memory-guarded): on
-        # small instances the run is then bit-for-bit the dense one.
-        # Local import: `core.sparse` imports DistributedConfig from here.
-        from .sparse import as_dense_problem
-
-        problem = as_dense_problem(problem)
         self.problem = problem
         self.config = config or DistributedConfig()
         self._order = check_sweep_order(sweep_order, problem.num_sbs)
@@ -785,7 +798,13 @@ class DistributedOptimizer:
         self.base_station = BaseStationAgent(
             problem, self.channel, with_prices=self.config.coordination == "prices"
         )
+        self.layout = self.base_station.layout
         self.accountant = PrivacyAccountant() if privacy is not None else None
+        # One kernel workspace for the whole run, sized for the largest
+        # view, so no phase re-allocates it.
+        workspace = SubproblemWorkspace(
+            items=max(math.prod(self.layout.report_shape(n)) for n in problem.sbs_indices())
+        )
         generator = rng_from(rng)
         self.sbss: List[SBSAgent] = []
         for n in problem.sbs_indices():
@@ -802,6 +821,7 @@ class DistributedOptimizer:
                 mechanism=mechanism,
                 accountant=self.accountant,
                 warm_start=self.config.warm_start,
+                workspace=workspace,
             )
             agent.resilient = faults is not None
             self.sbss.append(agent)
@@ -809,16 +829,18 @@ class DistributedOptimizer:
     # ------------------------------------------------------------------
     def run(self) -> DistributedResult:
         """Execute Algorithm 1 until the accuracy level or iteration cap."""
-        resilient = self.faults is not None
+        resilient, layout = self.faults is not None, self.layout
         loop = RunLoop(
             self.config,
             self.problem,
             cost=self.base_station.system_cost,
             private=self.accountant is not None,
             resilient=resilient,
-            counter="algorithm1.iterations",
+            root_attrs={"mode": self.config.mode, **layout.run_fields},
+            counter=layout.counter,
+            idle=layout.idle(),
         )
-        loop.start()
+        loop.start(**layout.run_fields)
         # Initial broadcast: the all-zero aggregate every SBS starts from
         # (the paper's y_{-n}(tau=0) = 0 initialisation).
         self.base_station.broadcast_aggregate(iteration=-1, phase=-1)
@@ -834,10 +856,10 @@ class DistributedOptimizer:
 
         return close_run(
             loop,
-            self.problem,
+            layout,
             caching=[agent.caching for agent in self.sbss],
             true_routing=[agent.true_routing for agent in self.sbss],
-            reports=self.base_station.reports,
+            reports=[self.base_station.report(agent.index) for agent in self.sbss],
             channel=self.channel,
             accountant=self.accountant,
         )
@@ -955,6 +977,7 @@ class DistributedOptimizer:
         noise = {
             index: self.sbss[index].run_phase(sweep.iteration, phase=0, cap_slack=sweep.slack)
             for index in self._order
+            if index not in loop.idle
         }
         loop.run_phases(self._order, functools.partial(self._jacobi_fold, noise), category=None)
         if sweep.price_step is not None:
@@ -964,17 +987,17 @@ class DistributedOptimizer:
     def _jacobi_fold(self, noise: Dict[int, float], slot: PhaseSlot) -> PhaseOutcome:
         """Fold one Jacobi upload, damped toward the SBS's previous report."""
         agent, damping = self.sbss[slot.sbs], self.config.damping
-        previous = self.base_station.reports[slot.sbs].copy()
+        previous = self.base_station.report(slot.sbs).copy()
         block = self.base_station.collect_upload(slot.sbs)
         if damping < 1.0:
             damped = damping * block + (1.0 - damping) * previous
-            self.base_station.reports[slot.sbs] = damped
+            self.base_station.fold(slot.sbs, damped)
             agent.last_report = damped
         return PhaseOutcome("delivered", noise_l1=noise[slot.sbs], stats=agent.last_solve_stats)
 
 
 def solve_distributed(
-    problem: ProblemInstance,
+    problem: Instance,
     config: Optional[DistributedConfig] = None,
     *,
     privacy: Optional[MechanismConfig] = None,
@@ -996,14 +1019,11 @@ def solve_distributed(
     ack/retry, checkpoint-based crash recovery, graceful degradation);
     with ``faults=None`` the failure-free protocol runs unchanged.
 
-    A :class:`~repro.core.sparse.SparseProblemInstance` is accepted and
-    densified at the boundary (memory-guarded — see
-    :func:`repro.core.sparse.as_dense_problem`); at city scale use
-    :func:`repro.core.sparse.solve_distributed_sparse` instead.
+    A :class:`~repro.core.sparse.SparseProblemInstance` runs on pair
+    vectors (:class:`~repro.core.layout.PairLayout`) with every option
+    above, and its result carries a
+    :class:`~repro.core.sparse.SparseSolution`.
     """
-    from .sparse import as_dense_problem
-
-    problem = as_dense_problem(problem)
     config = config or DistributedConfig()
     if config.restarts == 1:
         return DistributedOptimizer(

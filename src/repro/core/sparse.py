@@ -16,14 +16,13 @@ two independent ways:
   too (CSR over ``u -> {f: lambda}``).
 
 :class:`SparseProblemInstance` stores exactly those two CSR structures
-plus the per-link transmission costs.  ``to_dense()`` materializes a
-:class:`ProblemInstance` (guarded by a cell budget), the bridge that
-runs the dense machinery on small instances *bit-for-bit*;
-``item_view(n)`` is SBS ``n``'s subproblem as a flat
-:class:`~repro.core.subproblem.ItemView` over the demand pairs it can
-serve, and :func:`solve_distributed_sparse` runs Algorithm 1 over those
-views with the base-station aggregate kept as a vector over the
-demand's nonzeros.  Per-phase work is ``O(nnz)``.
+plus the per-link transmission costs.  ``item_view(n)`` is SBS ``n``'s
+subproblem as a flat :class:`~repro.core.subproblem.ItemView` over the
+demand pairs it can serve; every solver takes the sparse instance and
+runs Algorithm 1 over those views in ``O(nnz)`` per phase
+(:class:`~repro.core.layout.PairLayout`).  ``to_dense()`` materializes
+a :class:`ProblemInstance` (guarded by a cell budget) for callers who
+want the dense run.
 
 Each view's file axis holds the SBS's demand support *plus* the ``C_n``
 lowest-indexed contents outside it, so the caching subproblem's
@@ -37,41 +36,35 @@ compact support, equal to the dense ones up to the last float bits.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .._validation import as_float_array, require
 from ..exceptions import ValidationError
-from .convergence import (
-    CostHistory,
-    PhaseOutcome,
-    PhaseSlot,
-    RunLoop,
-    check_sweep_order,
-    solve_clock,
-    solve_stats,
-)
-from .distributed import DistributedConfig
 from .problem import ProblemInstance
 from .solution import ConstraintViolation, FeasibilityReport, Solution
-from .subproblem import ItemView, SubproblemWorkspace, solve_subproblem
+
+# Bound here by name, though unused, so a per-layer probe wrapping
+# `repro.core.sparse.solve_subproblem` finds it.
+from .subproblem import ItemView, solve_subproblem  # noqa: F401
+
+if TYPE_CHECKING:
+    from .distributed import DistributedConfig, DistributedResult
 
 __all__ = [
     "SparseProblemInstance",
     "SparseSolution",
-    "SparseDistributedResult",
     "SBSIndex",
     "solve_distributed_sparse",
     "sparse_total_cost",
-    "as_dense_problem",
-    "DEFAULT_DENSE_CELL_BUDGET",
 ]
 
-#: Largest ``N * U * F`` the densify bridge accepts by default — the
-#: dense solvers materialize arrays of that size, so the budget is a
-#: memory guard (2e7 cells ~ 160 MB of float64), not a correctness one.
-DEFAULT_DENSE_CELL_BUDGET = 20_000_000
+#: Largest ``N * U * F`` :meth:`SparseProblemInstance.to_dense` accepts
+#: by default — the dense solvers materialize arrays of that size, so the
+#: budget is a memory guard (2e7 cells ~ 160 MB of float64), not a
+#: correctness one.
+_DENSE_CELL_BUDGET = 20_000_000
 
 #: Sentinel distinguishing "key absent" from a memoized ``None``.
 _MISSING = object()
@@ -245,8 +238,8 @@ class SparseProblemInstance:
             self.reach_sbs.min() < 0 or self.reach_sbs.max() >= num_sbs
         ):
             raise ValidationError("reach_sbs contains an out-of-range SBS id")
-        link_group = np.repeat(np.arange(num_groups), np.diff(self.reach_indptr))
-        if np.any(self.link_cost > self.bs_cost[link_group]):
+        self._derived: Dict[str, object] = {}
+        if np.any(self.link_cost > self.bs_cost[self.link_group()]):
             raise ValidationError(
                 "bs_cost must dominate link_cost on every reachable (n, u) pair; "
                 "otherwise offloading to the edge could increase cost"
@@ -263,7 +256,6 @@ class SparseProblemInstance:
             self.bs_cost,
         ):
             array.setflags(write=False)
-        self._derived: Dict[str, object] = {}
 
     # ------------------------------------------------------------------
     # Dimensions
@@ -319,6 +311,12 @@ class SparseProblemInstance:
             ),
         )
 
+    def link_group(self) -> np.ndarray:
+        """``(links,)`` MU-group id of every stored link (cached)."""
+        return self._cached(
+            "link_group", lambda: np.repeat(np.arange(self.num_groups), np.diff(self.reach_indptr))
+        )
+
     def group_demand(self) -> np.ndarray:
         """``(U,)`` total demand of each MU group (cached)."""
         return self._cached(
@@ -354,13 +352,10 @@ class SparseProblemInstance:
         """
 
         def build() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-            link_group = np.repeat(
-                np.arange(self.num_groups), np.diff(self.reach_indptr)
-            )
             order = np.argsort(self.reach_sbs, kind="stable")
             counts = np.bincount(self.reach_sbs, minlength=self.num_sbs)
             indptr = np.concatenate(([0], np.cumsum(counts)))
-            return indptr, link_group[order], self.link_cost[order]
+            return indptr, self.link_group()[order], self.link_cost[order]
 
         return self._cached("reach_csc", build)
 
@@ -386,6 +381,10 @@ class SparseProblemInstance:
             )
         lo, hi = self.demand_indptr[group], self.demand_indptr[group + 1]
         return self.demand_files[lo:hi], self.demand_values[lo:hi]
+
+    def sbs_indices(self) -> Iterator[int]:
+        """Iterate over SBS indices ``0..N-1`` (the Gauss-Seidel order)."""
+        return iter(range(self.num_sbs))
 
     def _check_sbs(self, sbs: int) -> None:
         if not 0 <= sbs < self.num_sbs:
@@ -479,26 +478,23 @@ class SparseProblemInstance:
             bs_cost=problem.bs_cost.copy(),
         )
 
-    def to_dense(
-        self, *, max_cells: Optional[int] = DEFAULT_DENSE_CELL_BUDGET
-    ) -> ProblemInstance:
+    def to_dense(self, *, max_cells: Optional[int] = _DENSE_CELL_BUDGET) -> ProblemInstance:
         """Materialize the dense :class:`ProblemInstance`.
 
         ``max_cells`` bounds ``N * U * F`` — the size of the arrays the
-        dense solvers allocate — and raises with a pointer to
-        :func:`solve_distributed_sparse` when exceeded.  ``None``
+        dense solvers allocate — and raises when exceeded.  ``None``
         disables the guard.
         """
         cells = self.num_sbs * self.num_groups * self.num_files
         if max_cells is not None and cells > max_cells:
             raise ValidationError(
                 f"densifying this instance would materialize {cells} cells "
-                f"(> {max_cells}); solve it with solve_distributed_sparse, or "
-                "pass max_cells=None to force the conversion"
+                f"(> {max_cells}); solve the sparse instance itself (every solver "
+                "takes it), or pass max_cells=None to force the conversion"
             )
         demand = np.zeros((self.num_groups, self.num_files))
         demand[self.row_of_pair(), self.demand_files] = self.demand_values
-        link_group = np.repeat(np.arange(self.num_groups), np.diff(self.reach_indptr))
+        link_group = self.link_group()
         connectivity = np.zeros((self.num_sbs, self.num_groups))
         connectivity[self.reach_sbs, link_group] = 1.0
         sbs_cost = np.zeros((self.num_sbs, self.num_groups))
@@ -585,23 +581,6 @@ class SparseProblemInstance:
         }
 
 
-def as_dense_problem(
-    problem: Union[ProblemInstance, SparseProblemInstance],
-    *,
-    max_cells: Optional[int] = DEFAULT_DENSE_CELL_BUDGET,
-) -> ProblemInstance:
-    """Densify sparse instances; pass dense ones through unchanged.
-
-    The bridge behind ``solve_distributed(sparse_instance)``: on small
-    instances the result is the dense solver's input bit-for-bit, on
-    city-scale ones the cell guard redirects callers to
-    :func:`solve_distributed_sparse`.
-    """
-    if isinstance(problem, SparseProblemInstance):
-        return problem.to_dense(max_cells=max_cells)
-    return problem
-
-
 # ----------------------------------------------------------------------
 # Sparse solutions and costs
 # ----------------------------------------------------------------------
@@ -627,6 +606,10 @@ class SparseSolution:
             raise ValidationError(
                 "caching and routing must hold one array per SBS"
             )
+
+    def cost(self, instance: SparseProblemInstance) -> float:
+        """Total serving cost on ``instance`` (see :func:`sparse_total_cost`)."""
+        return sparse_total_cost(instance, self)
 
     def cache_occupancy(self) -> np.ndarray:
         """``(N,)`` number of contents cached at each SBS."""
@@ -767,186 +750,28 @@ def sparse_total_cost(
     return edge + float(np.dot(instance.pair_bs_weight(), residual))
 
 
-# ----------------------------------------------------------------------
-# The sparse Gauss-Seidel solver
-# ----------------------------------------------------------------------
-@dataclasses.dataclass
-class SparseDistributedResult:
-    """Outcome of one sparse Algorithm 1 run (compact twin of
-    :class:`~repro.core.distributed.DistributedResult`)."""
-
-    solution: SparseSolution
-    cost: float
-    iterations: int
-    converged: bool
-    history: CostHistory
-
-    @property
-    def total_epsilon(self) -> None:
-        """Always ``None``: the sparse path never runs privately (private
-        runs densify through :func:`as_dense_problem`)."""
-        return None
-
-
-class _PairAggregate:
-    """The base station's aggregate as a vector over demand nonzeros.
-
-    ``values[p]`` is ``sum_n y[n, u_p, f_p]`` over every SBS reaching
-    pair ``p`` — the compact twin of ``reports.sum(axis=0)``.  After a
-    phase, only the active SBS's pairs change; ``refresh`` recomputes
-    exactly those entries from scratch (no incremental drift) using a
-    pair -> (report position) incidence CSR.
-    """
-
-    def __init__(self, instance: SparseProblemInstance, indexes: Sequence[SBSIndex]):
-        sizes = np.array([index.pair_ids.size for index in indexes], dtype=np.int64)
-        self.offsets = np.concatenate(([0], np.cumsum(sizes)))
-        self.reports = np.zeros(int(self.offsets[-1]))
-        self.values = np.zeros(instance.demand_nnz)
-        all_pairs = (
-            np.concatenate([index.pair_ids for index in indexes])
-            if indexes
-            else np.empty(0, dtype=np.int64)
-        )
-        order = np.argsort(all_pairs, kind="stable")
-        self._inc_pos = order
-        counts = np.bincount(all_pairs, minlength=instance.demand_nnz)
-        self._inc_indptr = np.concatenate(([0], np.cumsum(counts)))
-
-    def slice_of(self, sbs: int) -> slice:
-        return slice(int(self.offsets[sbs]), int(self.offsets[sbs + 1]))
-
-    def refresh(self, pairs: np.ndarray) -> None:
-        """Recompute the aggregate on a sorted subset of pair ids."""
-        if pairs.size == 0:
-            return
-        starts = self._inc_indptr[pairs]
-        counts = self._inc_indptr[pairs + 1] - starts
-        take = _expand_ranges(starts, counts)
-        contributions = self.reports[self._inc_pos[take]]
-        segment = np.repeat(np.arange(pairs.size), counts)
-        sums = np.bincount(segment, weights=contributions, minlength=pairs.size)
-        self.values[pairs] = sums
-
-
 def solve_distributed_sparse(
     instance: SparseProblemInstance,
     config: Optional[DistributedConfig] = None,
     *,
     sweep_order: Optional[Sequence[int]] = None,
-) -> SparseDistributedResult:
-    """Run Algorithm 1's Gauss-Seidel sweep on the compact representation.
+) -> DistributedResult:
+    """Run Algorithm 1 on a sparse instance's pair vectors.
 
-    Per phase, the active SBS solves ``P_n`` on its
-    :meth:`~SparseProblemInstance.item_view` with the stock
-    :func:`~repro.core.subproblem.solve_subproblem` — no local block is
-    materialized — and uploads a vector over its reachable demand pairs;
-    the base station refreshes the aggregate on exactly those pairs and
-    re-evaluates the system cost in ``O(nnz)``.  That pair refresh is the
-    transport; the dense optimizer's :class:`~repro.core.convergence.RunLoop`
-    drives the sweeps and records each (always delivered) phase, so the
-    ``run_start`` (tagged ``sparse=True``) / ``phase`` / ``iteration`` /
-    ``run_end`` events, ``solve_seconds`` included, are the dense run's.
-
-    Jacobi mode, price coordination and restarts raise; they, privacy
-    and fault injection need the dense solver (through
-    :func:`as_dense_problem`, guarded by the cell budget).  Kernel
-    scratch is one workspace sized for the largest view; polish adds
-    ``(32, P_n)`` trial buffers, linear in the SBS's demand pairs.
+    The one optimizer (:class:`~repro.core.distributed.DistributedOptimizer`)
+    runs it: each SBS solves ``P_n`` on its :meth:`~SparseProblemInstance.item_view`
+    and the base station keeps its aggregate over the demand's nonzeros
+    (:class:`~repro.core.layout.PairLayout`).  ``sweep_order`` fixes the
+    Gauss-Seidel order; without it the run is
+    :func:`~repro.core.distributed.solve_distributed`'s, restarts included.
     """
-    config = config or DistributedConfig()
-    if config.mode != "gauss-seidel":
+    # Local import: `core.distributed` builds on this module.
+    from .distributed import DistributedOptimizer, solve_distributed
+
+    if not isinstance(instance, SparseProblemInstance):
         raise ValidationError(
-            "solve_distributed_sparse implements the gauss-seidel sweep only; "
-            "densify with to_dense() for jacobi runs"
+            f"solve_distributed_sparse needs a SparseProblemInstance, got {type(instance).__name__}"
         )
-    if config.coordination != "caps":
-        raise ValidationError(
-            "price coordination needs the dense base station; densify with to_dense()"
-        )
-    if config.restarts != 1:
-        raise ValidationError(
-            "restarts are a dense-solver feature; run the sparse solver once per order"
-        )
-    num_sbs = instance.num_sbs
-    order = check_sweep_order(sweep_order, num_sbs)
-
-    indexes = [instance.sbs_index(n) for n in range(num_sbs)]
-    aggregate = _PairAggregate(instance, indexes)
-    f1_terms = np.zeros(num_sbs)
-    caching: List[np.ndarray] = [np.empty(0, dtype=np.int64) for _ in range(num_sbs)]
-    local_caching: List[Optional[np.ndarray]] = [None] * num_sbs
-    multipliers: List[Optional[np.ndarray]] = [None] * num_sbs
-    # One kernel workspace for the whole solve, sized for the largest
-    # local view, so no phase re-allocates it.
-    workspace = SubproblemWorkspace(
-        items=max((index.pair_ids.size for index in indexes), default=1)
-    )
-    pair_bs_weight = instance.pair_bs_weight()
-
-    def system_cost() -> float:
-        residual = np.maximum(1.0 - aggregate.values, 0.0)
-        return float(np.sum(f1_terms)) + float(np.dot(pair_bs_weight, residual))
-
-    def pair_phase(slot: PhaseSlot) -> PhaseOutcome:
-        """The sparse transport: solve on the SBS's demand pairs, refresh them."""
-        sbs = slot.sbs
-        index = indexes[sbs]
-        if not index.pair_ids.size:
-            # No reachable demand: nothing to route, and the dense
-            # filler would cache the lowest-indexed contents.
-            caching[sbs] = index.files[: index.capacity]
-            return PhaseOutcome("delivered")
-        own = aggregate.reports[aggregate.slice_of(sbs)]
-        others = aggregate.values[index.pair_ids] - own
-        np.clip(others, 0.0, None, out=others)
-        started = solve_clock()
-        solution = solve_subproblem(
-            instance.item_view(sbs),
-            None,
-            others,
-            config.subproblem,
-            initial_multipliers=multipliers[sbs],
-            candidate_caching=local_caching[sbs],
-            workspace=workspace,
-        )
-        stats = solve_stats(solution, started)
-        report = solution.routing
-        aggregate.reports[aggregate.slice_of(sbs)] = report
-        aggregate.refresh(index.pair_ids)
-        f1_terms[sbs] = float(np.dot(index.pair_link_weight, report))
-        local_caching[sbs] = solution.caching
-        caching[sbs] = index.files[np.flatnonzero(solution.caching > 0.0)]
-        if config.warm_start:
-            multipliers[sbs] = solution.multipliers
-        return PhaseOutcome("delivered", stats=stats)
-
-    loop = RunLoop(
-        config,
-        instance,
-        cost=system_cost,
-        root_attrs={"mode": config.mode, "sparse": True},
-        counter="algorithm1.sparse_iterations",
-    )
-    loop.start(sparse=True, demand_nnz=instance.demand_nnz, num_links=instance.num_links)
-    for _sweep in loop.sweeps():
-        loop.run_phases(order, pair_phase, category=None)
-
-    solution = SparseSolution(
-        num_sbs=num_sbs,
-        num_groups=instance.num_groups,
-        num_files=instance.num_files,
-        caching=tuple(caching),
-        routing=tuple(
-            aggregate.reports[aggregate.slice_of(sbs)].copy() for sbs in range(num_sbs)
-        ),
-    )
-    result = SparseDistributedResult(
-        solution=solution,
-        cost=loop.history.final_cost,
-        iterations=loop.iterations,
-        converged=loop.converged,
-        history=loop.history,
-    )
-    loop.finish()
-    return result
+    if sweep_order is None:
+        return solve_distributed(instance, config)
+    return DistributedOptimizer(instance, config, sweep_order=sweep_order).run()

@@ -29,8 +29,8 @@ and an exhaustive solver is provided for validating optimality on tiny
 instances.
 
 Everything runs on a flat :class:`ItemView` with one item per ``(row,
-file)`` cell: dense callers get the full ``(U, F)`` grid, the sparse
-solver only an SBS's demand pairs.  The batched kernel's dual ascent
+file)`` cell: a dense instance's SBS gets the full ``(U, F)`` grid, a
+sparse instance's only its demand pairs.  The batched kernel's dual ascent
 then iterates over the view's **live items** only::
 
     live = (priced < 0) & (caps > 0)   |  (start > 0) when warm-started
@@ -44,8 +44,8 @@ free, or its cap is ``0``, so it takes ``0``; its subgradient is
 ``+0.0``.  Its terms are signed zeros, and skipping them is exact where
 the kernel adds sequentially: per-file sums (``bincount`` accumulates
 from ``+0.0``) and the greedy's cumulative budget, whose stable order of
-the other items does not change.  Zero-demand cells, which the sparse
-solver drops from its views, are one dead class: their coefficient is a
+the other items does not change.  Zero-demand cells, which a sparse
+instance's views drop, are one dead class: their coefficient is a
 signed zero.  The three pairwise-summed reductions (the dual value, a
 recovery's cost and the polish trial costs) keep the full view's
 summation tree: the live products are scattered into a full-length
@@ -62,7 +62,7 @@ polish candidates are exact stable top-``k`` selections
 (:func:`_top_k`, a threshold from ``np.partition`` with ties to the
 lowest index), and the dual routing row sorts only its paid items' value
 densities, in one fused knapsack pass.  The **legacy** oracle
-(``fast=False``) routes every dual iteration through the public,
+(``oracle="legacy"``) routes every dual iteration through the public,
 validating helpers (:func:`cache_subproblem`, :func:`routing_subproblem`)
 on the dense problem the view flattens; it is the reference the kernel
 is cross-checked against bit for bit.
@@ -70,14 +70,21 @@ is cross-checked against bit for bit.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
+import math
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
 from .. import perf
-from .._validation import as_float_array, check_positive_int
+from .._validation import (
+    as_binary_array,
+    as_float_array,
+    check_nonnegative_float,
+    check_positive_int,
+)
 from ..exceptions import ValidationError
 from ..solvers.fractional_knapsack import KnapsackBatchWorkspace, solve_fractional_knapsack
 from ..solvers.subgradient import StepSchedule, SubgradientResult, subgradient_ascent
@@ -125,15 +132,11 @@ class SubproblemConfig:
         :func:`repro.solvers.subgradient.subgradient_ascent`).
     polish:
         Run single-swap local search on the recovered cache set.
-    fast:
-        Use the batched, buffer-reusing kernel (see the module
-        docstring).  ``False`` selects the legacy per-iteration
-        validated helpers; both produce bit-identical solutions.
     oracle:
         Which implementation backs the dual ascent: ``"batched"`` (the
-        kernel) or ``"legacy"`` (per-iteration validated helpers).
-        ``None`` derives the choice from ``fast`` (``True`` →
-        ``"batched"``, ``False`` → ``"legacy"``).
+        buffer-reusing kernel, see the module docstring) or ``"legacy"``
+        (per-iteration validated helpers); both produce bit-identical
+        solutions.
     """
 
     schedule: Optional[StepSchedule] = None
@@ -141,24 +144,15 @@ class SubproblemConfig:
     tol: float = 1e-7
     patience: int = 25
     polish: bool = True
-    fast: bool = True
-    oracle: Optional[str] = None
+    oracle: str = "batched"
 
     def __post_init__(self) -> None:
         check_positive_int(self.max_iter, "max_iter")
         check_positive_int(self.patience, "patience")
         if self.tol < 0:
             raise ValidationError(f"tol must be nonnegative, got {self.tol}")
-        if self.oracle not in (None, "batched", "legacy"):
-            raise ValidationError(
-                f"oracle must be 'batched', 'legacy' or None, got {self.oracle!r}"
-            )
-
-    def resolved_oracle(self) -> str:
-        """The effective oracle after applying the ``fast`` default."""
-        if self.oracle is not None:
-            return self.oracle
-        return "batched" if self.fast else "legacy"
+        if self.oracle not in ("batched", "legacy"):
+            raise ValidationError(f"oracle must be 'batched' or 'legacy', got {self.oracle!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -171,7 +165,7 @@ class SubproblemSolution:
 
     ``routing`` and ``multipliers`` follow the layout of the view solved
     (``ItemView.shape``): ``(U, F)`` for a dense problem's full grid,
-    ``(P_n,)`` — one entry per demand pair — for the sparse solver.
+    ``(P_n,)`` — one entry per demand pair — for a sparse instance.
     """
 
     caching: np.ndarray  # (F,)
@@ -182,6 +176,12 @@ class SubproblemSolution:
     iterations: int
     converged: bool
     multipliers: Optional[np.ndarray] = None  # ItemView.shape, final dual iterate
+
+
+def _check_items(name: str, values: np.ndarray, items: Tuple[int], bound: int) -> None:
+    """Raise unless ``values`` holds ``items`` indices in ``[0, bound)``."""
+    if values.shape != items or (values.size and not 0 <= values.min() <= values.max() < bound):
+        raise ValidationError(f"{name} must hold {items[0]} indices in [0, {bound})")
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -198,9 +198,15 @@ class ItemView:
     ``item_row`` / ``item_file`` / ``weight`` are ``(P,)``;
     ``link_cost`` / ``reach`` / ``bs_cost`` are the per-row ``d[n, u]``,
     ``l[n, u]`` and ``d_hat[u]``.  ``constant_offset`` is added to the
-    ``y``-independent part of the objective: the sparse solver passes
-    the BS cost of the demand outside the SBS's reach, so a local view
+    ``y``-independent part of the objective: a sparse instance's view
+    carries the BS cost of the demand outside the SBS's reach, so it
     reports its objective on the dense solver's absolute scale.
+
+    Everything is validated once, when the view is built, against the
+    rules of the one-SBS :class:`ProblemInstance` it flattens (finite,
+    nonnegative weights, costs and capacities, a binary ``reach``,
+    ``bs_cost`` dominating every reached ``link_cost``, items inside
+    the grid), so every oracle trusts the same view.
     """
 
     item_row: np.ndarray
@@ -214,6 +220,23 @@ class ItemView:
     bandwidth: float
     constant_offset: float
     shape: Tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        items = (self.item_row.size,)
+        as_float_array(self.weight, "weight", shape=items, nonnegative=True)
+        rows = (self.reach.size,)
+        reach = as_binary_array(self.reach, "reach", shape=rows)
+        link_cost = as_float_array(self.link_cost, "link_cost", shape=rows, nonnegative=True)
+        bs_cost = as_float_array(self.bs_cost, "bs_cost", shape=rows, nonnegative=True)
+        if np.any((link_cost > bs_cost) & (reach > 0)):
+            raise ValidationError("bs_cost must dominate link_cost on every reached row")
+        check_nonnegative_float(self.cache_capacity, "cache_capacity")
+        check_nonnegative_float(self.bandwidth, "bandwidth")
+        _check_items("item_row", self.item_row, items, rows[0])
+        _check_items("item_file", self.item_file, items, self.num_files)
+        if math.prod(self.shape) != items[0]:
+            raise ValidationError(f"shape {self.shape} does not hold {items[0]} items")
+        object.__setattr__(self, "reach", reach)
 
     @classmethod
     def grid(
@@ -262,14 +285,17 @@ class ItemView:
         return np.bincount(self.item_file, weights=values, minlength=self.num_files)
 
     def subset(self, items: np.ndarray) -> "ItemView":
-        """The 1-D view of ``items`` (ascending item indices)."""
-        return dataclasses.replace(
-            self,
-            item_row=self.item_row.take(items),
-            item_file=self.item_file.take(items),
-            weight=self.weight.take(items),
-            shape=(items.size,),
-        )
+        """The 1-D view of ``items`` (ascending item indices).
+
+        Items of a validated view are valid, so the per-solve subset
+        skips :meth:`__post_init__`.
+        """
+        view = copy.copy(self)
+        object.__setattr__(view, "item_row", self.item_row.take(items))
+        object.__setattr__(view, "item_file", self.item_file.take(items))
+        object.__setattr__(view, "weight", self.weight.take(items))
+        object.__setattr__(view, "shape", (items.size,))
+        return view
 
 
 class SubproblemWorkspace:
@@ -280,8 +306,8 @@ class SubproblemWorkspace:
     (row 0: the dual routing subproblem, row 1: primal recovery), so a
     repeat caller pays the allocations once.  Buffers only grow: a solve
     takes prefix views of its item count, so one workspace serves views
-    of different sizes — the sparse sweep sizes it for its largest SBS
-    view.  Full-view buffers span the view's ``items``; the dual
+    of different sizes — an in-process run sizes one for its largest SBS
+    view and shares it across its agents.  Full-view buffers span the view's ``items``; the dual
     ascent's buffers and the knapsack scratch span its ``live`` items.
     Every allocation bumps ``subproblem.workspace_allocs``.
     """
@@ -753,9 +779,6 @@ def solve_subproblem(
     if isinstance(problem, ItemView):
         if sbs is not None:
             raise ValidationError("an ItemView is one SBS's subproblem; pass sbs=None")
-        # A grid view's weights are the instance's demand, which
-        # ProblemInstance has validated; a caller's view is checked here.
-        as_float_array(problem.weight, "weight", shape=(problem.num_items,), nonnegative=True)
         view = problem
     else:
         problem._check_sbs(sbs)
@@ -782,7 +805,7 @@ def solve_subproblem(
     if candidate_caching is not None:
         seed = as_float_array(candidate_caching, "candidate_caching", shape=(view.num_files,))
 
-    if config.resolved_oracle() == "batched":
+    if config.oracle == "batched":
         if workspace is None:
             workspace = SubproblemWorkspace(items=view.num_items)
         caching, routing, cost, result = _dual_decomposition(

@@ -23,7 +23,7 @@ from typing import Any, Dict, Mapping, Optional
 
 from .._validation import check_in_interval
 from ..core.distributed import DistributedConfig
-from ..core.problem import ProblemInstance
+from ..core.layout import Instance
 from ..exceptions import ValidationError
 from ..network.faults import FaultConfig
 from ..privacy.factory import MechanismConfig
@@ -154,7 +154,7 @@ class ClientSession:
     index: int
     host: str
     port: int
-    problem: ProblemInstance
+    problem: Instance
     config: DistributedConfig
     ack_timeout: float
     control_timeout: float

@@ -58,8 +58,7 @@ from ..core.distributed import (
     DistributedResult,
     close_run,
 )
-from ..core.problem import ProblemInstance
-from ..core.sparse import SparseProblemInstance, as_dense_problem
+from ..core.layout import Instance
 from ..exceptions import ProtocolError, ProtocolTimeout, ValidationError
 from ..network.messaging import Channel, Message, MessageKind
 from ..privacy.accountant import PrivacyAccountant
@@ -98,7 +97,7 @@ class RuntimeServer:
 
     def __init__(
         self,
-        problem: ProblemInstance,
+        problem: Instance,
         config: DistributedConfig,
         runtime: RuntimeConfig,
         *,
@@ -115,6 +114,7 @@ class RuntimeServer:
         self.base_station = BaseStationAgent(
             problem, self.bus, with_prices=config.coordination == "prices"
         )
+        self.layout = self.base_station.layout
         for index in problem.sbs_indices():
             self.bus.register(f"sbs-{index}")
         self.accountant = PrivacyAccountant() if privacy is not None else None
@@ -132,8 +132,6 @@ class RuntimeServer:
             index: asyncio.Event() for index in problem.sbs_indices()
         }
         self._fold_count: Dict[int, int] = {index: 0 for index in problem.sbs_indices()}
-        self._final_caching: Dict[int, np.ndarray] = {}
-        self._final_routing: Dict[int, np.ndarray] = {}
         self._slack = 0.0
         self._server: Optional[asyncio.base_events.Server] = None
         self.port: Optional[int] = None
@@ -241,9 +239,9 @@ class RuntimeServer:
                 link.alive = False
 
     # -- upload ingestion ----------------------------------------------
-    def _byzantine_verdict(self, block: np.ndarray) -> Optional[str]:
-        """Why the filter dislikes ``block`` (``None`` when it is clean)."""
-        if block.shape != self.problem.shape[1:]:
+    def _byzantine_verdict(self, index: int, block: np.ndarray) -> Optional[str]:
+        """Why the filter dislikes SBS ``index``'s ``block`` (``None`` when clean)."""
+        if block.shape != self.layout.report_shape(index):
             return "shape"
         if not np.all(np.isfinite(block)):
             return "nonfinite"
@@ -263,7 +261,7 @@ class RuntimeServer:
             return
         block = frame.array
         if self.runtime.byzantine_filter:
-            reason = self._byzantine_verdict(block)
+            reason = self._byzantine_verdict(link.index, block)
             if reason is not None:
                 action = (
                     "reject"
@@ -289,7 +287,7 @@ class RuntimeServer:
                     0.0,
                     1.0 + self._slack,
                 )
-        elif block.shape != self.problem.shape[1:]:
+        elif block.shape != self.layout.report_shape(link.index):
             # Without the filter a malformed block is indistinguishable
             # from wire corruption; count it, never crash the fold.
             self.bus.stats.corrupted += 1
@@ -512,7 +510,8 @@ class RuntimeServer:
         )
 
     # -- run orchestration ---------------------------------------------
-    async def _shutdown_clients(self) -> None:
+    async def _shutdown_clients(self) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+        """Release every client; return their final caching and routing."""
         finals: Dict[int, Mapping[str, Any]] = {}
         for index in self.problem.sbs_indices():
             link = self._links[index]
@@ -545,25 +544,25 @@ class RuntimeServer:
                 finals[index] = meta
         # Decoded only once every client is released, so a malformed
         # state cannot strand the clients still waiting for shutdown.
+        caching: List[np.ndarray] = []
+        routing: List[np.ndarray] = []
         for index in self.problem.sbs_indices():
+            shapes = (self.layout.cache_size(index),), self.layout.report_shape(index)
             meta = finals.get(index)
             if meta is None:
                 # A dead client's volatile state is gone, exactly like a
                 # crashed in-process agent: zeros.
-                self._final_caching[index] = np.zeros(self.problem.num_files)
-                self._final_routing[index] = np.zeros(self.problem.shape[1:])
+                caching.append(np.zeros(shapes[0]))
+                routing.append(np.zeros(shapes[1]))
                 continue
             try:
-                self._final_caching[index] = scatter_entries(
-                    meta, "caching", (self.problem.num_files,)
-                )
-                self._final_routing[index] = scatter_entries(
-                    meta, "true_routing", self.problem.shape[1:]
-                )
+                caching.append(scatter_entries(meta, "caching", shapes[0]))
+                routing.append(scatter_entries(meta, "true_routing", shapes[1]))
             except ValueError as error:
                 raise ProtocolError(
                     f"{self._links[index].name}: malformed final_state {error}"
                 ) from None
+        return caching, routing
 
     async def run(self) -> DistributedResult:
         """Execute Algorithm 1 against the connected clients."""
@@ -571,7 +570,7 @@ class RuntimeServer:
             spans.SpanTracker("bs") if obs.spans_enabled() else spans.NOOP_TRACKER
         )
         await self._await_hellos()
-        problem = self.problem
+        problem, layout = self.problem, self.layout
         run_loop = RunLoop(
             self.config,
             problem,
@@ -582,9 +581,14 @@ class RuntimeServer:
                 np.floor((1.0 - self.runtime.quorum) * problem.num_sbs + 1e-9)
             ),
             span=self._spans.span,
-            root_attrs={"mode": self.runtime.mode, "num_sbs": problem.num_sbs},
+            root_attrs={
+                "mode": self.runtime.mode,
+                "num_sbs": problem.num_sbs,
+                **layout.run_fields,
+            },
+            idle=layout.idle(),
         )
-        run_loop.start()
+        run_loop.start(**layout.run_fields)
         self.base_station.broadcast_aggregate(iteration=-1, phase=-1)
         await self._flush_all()
         for sweep in run_loop.sweeps():
@@ -593,7 +597,7 @@ class RuntimeServer:
             for slot in run_loop.phases(problem.sbs_indices(), category="network"):
                 run_loop.settle(slot, await self._phase(slot))
 
-        await self._shutdown_clients()
+        caching, true_routing = await self._shutdown_clients()
         if obs.spans_enabled() and self.proxy is not None:
             # Chaos-proxy fault fates (deterministically ordered by link
             # and frame ordinal) belong inside the run bracket, before
@@ -601,20 +605,19 @@ class RuntimeServer:
             for fate in self.proxy.fate_events():
                 obs.emit("proxy", **fate)
             obs.emit("proxy", fate="summary", **self.proxy.stats_dict())
-        indices = list(problem.sbs_indices())
         return close_run(
             run_loop,
-            problem,
-            caching=[self._final_caching[index] for index in indices],
-            true_routing=[self._final_routing[index] for index in indices],
-            reports=self.base_station.reports,
+            layout,
+            caching=caching,
+            true_routing=true_routing,
+            reports=[self.base_station.report(index) for index in problem.sbs_indices()],
             channel=self.bus,
             accountant=self.accountant,
         )
 
 
 async def _run_runtime(
-    problem: ProblemInstance,
+    problem: Instance,
     config: DistributedConfig,
     runtime: RuntimeConfig,
     privacy: Optional[MechanismConfig],
@@ -698,7 +701,7 @@ async def _run_runtime(
 
 
 def solve_over_sockets(
-    problem: Union[ProblemInstance, SparseProblemInstance],
+    problem: Instance,
     config: Optional[DistributedConfig] = None,
     *,
     privacy: Optional[MechanismConfig] = None,
@@ -715,11 +718,10 @@ def solve_over_sockets(
     :class:`~repro.runtime.config.RuntimeReport` (wall time, stragglers,
     byzantine rejections, chaos-proxy ledger).
 
-    A :class:`~repro.core.sparse.SparseProblemInstance` is densified at
-    the boundary, exactly as :func:`~repro.core.distributed.solve_distributed`
-    does (memory-guarded by :func:`~repro.core.sparse.as_dense_problem`).
+    A :class:`~repro.core.sparse.SparseProblemInstance` runs on pair
+    vectors, as in process: every frame carries an SBS's ``P_n`` pair
+    entries or the ``nnz``-long aggregate, never a ``(U, F)`` block.
     """
-    problem = as_dense_problem(problem)
     config = config or DistributedConfig()
     runtime = runtime or RuntimeConfig()
     if config.mode != "gauss-seidel":

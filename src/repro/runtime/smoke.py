@@ -2,9 +2,10 @@
 
 Three checks, exercised by the ``e2e-smoke`` CI job:
 
-* ``faultfree`` — solve each of two 3-SBS instances (the smoke instance
-  and a densified small city, whose mostly-zero frames exercise the
-  sparse wire payload) twice, once over sockets and once with the
+* ``faultfree`` — solve each of three 3-SBS instances (the smoke
+  instance, a densified small city, whose mostly-zero frames exercise
+  the sparse wire payload, and the same city left sparse, whose frames
+  are pair vectors) twice, once over sockets and once with the
   in-process simulator (quiet ``FaultConfig``), and demand
   **bit-identical** traces (byte comparison plus ``repro-trace diff``
   for a readable report on divergence) and identical solutions;
@@ -32,12 +33,13 @@ import json
 import sys
 import tempfile
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
 from .. import obs
 from ..core.distributed import DistributedConfig, solve_distributed
+from ..core.layout import Instance
 from ..core.problem import ProblemInstance
 from ..network.faults import FaultConfig, FaultSchedule, LinkFaultProfile
 from ..obs.cli import main as trace_cli
@@ -73,17 +75,25 @@ def smoke_problem(seed: int = 2024) -> ProblemInstance:
     )
 
 
-def faultfree_problems() -> Dict[str, ProblemInstance]:
+def faultfree_problems() -> Dict[str, Instance]:
     """The instances ``faultfree`` solves both ways, by trace-file label.
 
     ``smoke`` is :func:`smoke_problem`; ``city`` is a densified small
     city instance whose blocks are mostly zero, so its frames take the
-    sparse path of the wire's array payload.
+    sparse path of the wire's array payload; ``city-sparse`` is the same
+    city left sparse, so its frames carry pair vectors.
     """
-    return {
-        "smoke": smoke_problem(),
-        "city": generate_city_instance(NUM_SBS, 8, 60, rng=1).to_dense(),
-    }
+    city = generate_city_instance(NUM_SBS, 8, 60, rng=1)
+    return {"smoke": smoke_problem(), "city": city.to_dense(), "city-sparse": city}
+
+
+def _same_solution(first: Any, second: Any) -> bool:
+    """Equal caching and routing arrays, dense or per-SBS pair vectors."""
+    for field in ("caching", "routing"):
+        ours, theirs = getattr(first, field), getattr(second, field)
+        if len(ours) != len(theirs) or not all(map(np.array_equal, ours, theirs)):
+            return False
+    return True
 
 
 def _config() -> DistributedConfig:
@@ -118,11 +128,7 @@ def _cmd_faultfree(args: argparse.Namespace) -> int:
             f"iterations={result_socket.iterations} | in-process "
             f"cost={result_sim.cost:.6f} iterations={result_sim.iterations}"
         )
-        if not np.array_equal(
-            result_socket.solution.routing, result_sim.solution.routing
-        ) or not np.array_equal(
-            result_socket.solution.caching, result_sim.solution.caching
-        ):
+        if not _same_solution(result_socket.solution, result_sim.solution):
             print(f"FAIL: {label}: socket and in-process solutions differ", file=sys.stderr)
             failures += 1
         if filecmp.cmp(socket_trace, sim_trace, shallow=False):

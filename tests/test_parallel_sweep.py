@@ -42,7 +42,7 @@ class TestBitIdentity:
         """The pre-optimization engine (validating legacy oracle, no
         dedup, serial) gives the default sweep's numbers bit for bit."""
         legacy = DistributedConfig(
-            accuracy=1e-3, max_iterations=2, subproblem=SubproblemConfig(fast=False)
+            accuracy=1e-3, max_iterations=2, subproblem=SubproblemConfig(oracle="legacy")
         )
         reference = _sweep(workers=1, dedup=False, seeds=(7,), distributed_config=legacy)
         assert _sweep(seeds=(7,)) == reference

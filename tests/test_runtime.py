@@ -15,7 +15,7 @@ from conftest import random_problem
 
 from repro import obs
 from repro.core.distributed import DistributedConfig, DistributedResult, solve_distributed
-from repro.core.sparse import SparseProblemInstance
+from repro.core.sparse import SparseProblemInstance, SparseSolution
 from repro.exceptions import ProtocolError, ProtocolTimeout, ValidationError
 from repro.network.faults import FaultConfig, FaultSchedule, LinkFaultProfile
 from repro.network.messaging import MessageKind
@@ -128,9 +128,10 @@ class TestBitIdentity:
         assert filecmp.cmp(tasks_trace, proc_trace, shallow=False)
 
 
-    def test_sparse_instance_densifies_like_in_process(self, tmp_path):
-        """A sparse instance densifies at the socket boundary, exactly as
-        ``solve_distributed`` densifies it."""
+    def test_sparse_instance_runs_on_pairs_like_in_process(self, tmp_path):
+        """A sparse instance runs on pair vectors over sockets exactly as
+        in process: same cost, iterations, caching, routing, channel
+        bytes and trace bytes, with every frame a pair vector."""
         sparse = SparseProblemInstance.from_dense(_problem())
         config = _config(max_iterations=3)
         socket_trace = tmp_path / "socket.jsonl"
@@ -140,13 +141,17 @@ class TestBitIdentity:
             sim_trace,
             lambda: solve_distributed(sparse, config, faults=FaultConfig()),
         )
+        assert isinstance(result.solution, SparseSolution)
         assert result.cost == reference.cost
-        np.testing.assert_array_equal(
-            result.solution.caching, reference.solution.caching
-        )
-        np.testing.assert_array_equal(
-            result.solution.routing, reference.solution.routing
-        )
+        assert result.iterations == reference.iterations
+        for field in ("caching", "routing"):
+            ours, theirs = getattr(result.solution, field), getattr(reference.solution, field)
+            assert len(ours) == len(theirs) == sparse.num_sbs
+            for block, expected in zip(ours, theirs):
+                np.testing.assert_array_equal(block, expected)
+        for index, block in enumerate(result.solution.routing):
+            assert block.shape == sparse.sbs_index(index).pair_ids.shape
+        assert result.channel.stats.bytes_sent == reference.channel.stats.bytes_sent
         assert filecmp.cmp(socket_trace, sim_trace, shallow=False)
 
 

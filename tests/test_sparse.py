@@ -3,15 +3,16 @@
 The parity contract has two tiers (see ``core/sparse.py``'s module
 docstring):
 
-* the **densify bridge** (``solve_distributed(sparse_instance)``) is
+* the **densify bridge** (``solve_distributed(sparse.to_dense())``) is
   bit-for-bit the dense run — cost, caching, routing *and* trace
   events;
-* the **compact solver** (``solve_distributed_sparse``) reuses the
-  stock subproblem oracle on local blocks, so cache sets match the
-  dense run set-for-set and routing matches bit-for-bit on the seeded
-  suite; recorded costs are compact sums and may differ from the dense
-  einsum in the last float bits, so they are pinned to a 1e-12
-  relative tolerance.
+* a **sparse instance** runs the one optimizer on pair vectors
+  (``core/layout.py``), reusing the stock subproblem oracle on local
+  views, so cache sets match the dense run set-for-set and routing
+  matches bit-for-bit on the seeded suite, in every mode (Jacobi,
+  prices, restarts, faults, sweep orders); recorded costs are compact
+  sums and may differ from the dense einsum in the last float bits, so
+  they are pinned to a 1e-12 relative tolerance.
 """
 
 from __future__ import annotations
@@ -34,9 +35,12 @@ from repro.core import (
     total_cost,
     total_cost_sparse,
 )
-from repro.core.sparse import _expand_ranges, as_dense_problem
+from repro.core.distributed import DistributedOptimizer
+from repro.core.sparse import _expand_ranges
 from repro.core.subproblem import ItemView
 from repro.exceptions import ValidationError
+from repro.network.faults import FaultConfig
+from repro.privacy.mechanism import LPPMConfig
 from repro.obs.trace import TraceReader, validate_events
 from repro.workload import generate_city_instance
 
@@ -166,7 +170,7 @@ class TestDensifyBridge:
             sparse = SparseProblemInstance.from_dense(problem)
             config = DistributedConfig(max_iterations=5)
             dense = solve_distributed(problem, config)
-            bridged = solve_distributed(sparse, config)
+            bridged = solve_distributed(sparse.to_dense(), config)
             assert bridged.cost == dense.cost
             assert bridged.iterations == dense.iterations
             np.testing.assert_array_equal(
@@ -184,7 +188,7 @@ class TestDensifyBridge:
         with obs.recording(paths[0], timings=False):
             solve_distributed(problem, config)
         with obs.recording(paths[1], timings=False):
-            solve_distributed(sparse, config)
+            solve_distributed(sparse.to_dense(), config)
         dense_events = TraceReader(paths[0]).events
         bridge_events = TraceReader(paths[1]).events
         assert dense_events == bridge_events
@@ -202,24 +206,33 @@ class TestDensifyBridge:
             bandwidth=[1.0, 1.0, 1.0],
             bs_cost=[100.0],
         )
-        with pytest.raises(ValidationError, match="solve_distributed_sparse"):
+        with pytest.raises(ValidationError, match="solve the sparse instance itself"):
             sparse.to_dense()
-        with pytest.raises(ValidationError, match="solve_distributed_sparse"):
-            solve_distributed(sparse, DistributedConfig(max_iterations=1))
-        assert as_dense_problem(sparse, max_cells=None).num_files == 10_000_000
-
-    def test_as_dense_problem_passthrough(self, tiny_problem):
-        assert as_dense_problem(tiny_problem) is tiny_problem
+        # The solvers never densify: the instance runs on its pair vectors.
+        result = solve_distributed(sparse, DistributedConfig(max_iterations=1))
+        assert isinstance(result.solution, SparseSolution)
+        assert sparse.to_dense(max_cells=None).num_files == 10_000_000
 
 
 class TestCompactParity:
     """solve_distributed_sparse against the dense Gauss-Seidel run."""
 
-    def assert_parity(self, problem, config=None, *, exact_routing=True):
+    def assert_parity(
+        self, problem, config=None, *, exact_routing=True, sweep_order=None, **options
+    ):
+        """The sparse run of ``problem`` against its dense run, both under
+        ``config``, ``sweep_order`` and the solver ``options``."""
         config = config or DistributedConfig(max_iterations=6)
         sparse = SparseProblemInstance.from_dense(problem)
-        dense = solve_distributed(problem, config)
-        compact = solve_distributed_sparse(sparse, config)
+        if sweep_order is not None:
+            dense = DistributedOptimizer(problem, config, sweep_order=sweep_order).run()
+            compact = solve_distributed_sparse(sparse, config, sweep_order=sweep_order)
+        elif options:
+            dense = solve_distributed(problem, config, **options)
+            compact = solve_distributed(sparse, config, **options)
+        else:
+            dense = solve_distributed(problem, config)
+            compact = solve_distributed_sparse(sparse, config)
         assert compact.iterations == dense.iterations
         assert compact.converged == dense.converged
         assert compact.cost == pytest.approx(dense.cost, rel=1e-12)
@@ -256,7 +269,7 @@ class TestCompactParity:
         self.assert_parity(
             problem,
             DistributedConfig(
-                max_iterations=4, subproblem=SubproblemConfig(fast=False)
+                max_iterations=4, subproblem=SubproblemConfig(oracle="legacy")
             ),
         )
 
@@ -347,23 +360,21 @@ class TestCompactParity:
         assert starts[0]["demand_nnz"] == sparse.demand_nnz
 
     def test_sparse_events_match_dense(self):
-        """Both solvers emit one event stream: the same types in the same
+        """Both layouts emit one event stream: the same types in the same
         order and the same keys — apart from the sparse tags on
-        ``run_start`` and the dense run's transport and pre-noise fields
-        on ``run_end`` — with equal integers and floats to 1e-12.  With
-        timings on, both runs' phase events carry ``solve_seconds``."""
+        ``run_start`` — with equal integers and floats to 1e-12.  The
+        channel carries the same messages; only their bytes differ (pair
+        vectors against ``(U, F)`` blocks).  With timings on, both runs'
+        phase events carry ``solve_seconds``."""
         sparse = generate_city_instance(5, 40, 300, files_per_group=16, rng=21)
         config = DistributedConfig(max_iterations=6)
-        only = {
-            "run_start": ({"sparse", "demand_nnz", "num_links"}, set()),
-            "run_end": (set(), {"channel", "unperturbed_cost"}),
-        }
+        only = {"run_start": ({"sparse", "demand_nnz", "num_links"}, set())}
         for timings in (False, True):
             compact, dense = obs.ListRecorder(), obs.ListRecorder()
             with obs.recording(compact, timings=timings):
                 solve_distributed_sparse(sparse, config)
             with obs.recording(dense, timings=timings):
-                solve_distributed(sparse, config)
+                solve_distributed(sparse.to_dense(), config)
             assert [e["type"] for e in compact.events] == [e["type"] for e in dense.events]
             phases = [e for e in compact.events if e["type"] == "phase"]
             assert all(("solve_seconds" in e) == timings for e in phases)
@@ -372,21 +383,71 @@ class TestCompactParity:
                 assert set(ours) - set(theirs) == ours_only
                 assert set(theirs) - set(ours) == theirs_only
                 for key in set(ours) & set(theirs) - {"solve_seconds"}:
-                    if isinstance(ours[key], float) or isinstance(theirs[key], float):
+                    if key == "channel":
+                        assert ours[key]["by_kind"] == theirs[key]["by_kind"]
+                        assert ours[key]["bytes_sent"] < theirs[key]["bytes_sent"]
+                    elif isinstance(ours[key], float) or isinstance(theirs[key], float):
                         assert ours[key] == pytest.approx(theirs[key], rel=1e-12), key
                     else:
                         assert ours[key] == theirs[key], key
 
     def test_unsupported_modes_raise(self, rng):
         sparse = SparseProblemInstance.from_dense(sparse_random_problem(rng))
-        with pytest.raises(ValidationError, match="gauss-seidel"):
-            solve_distributed_sparse(sparse, DistributedConfig(mode="jacobi"))
-        with pytest.raises(ValidationError, match="coordination"):
-            solve_distributed_sparse(sparse, DistributedConfig(coordination="prices"))
-        with pytest.raises(ValidationError, match="restarts"):
-            solve_distributed_sparse(sparse, DistributedConfig(restarts=3))
         with pytest.raises(ValidationError, match="permutation"):
             solve_distributed_sparse(sparse, sweep_order=[0, 0, 1])
+
+    PARITY_SEEDS = range(8)
+
+    @pytest.mark.parametrize(
+        "config, options",
+        [
+            (DistributedConfig(max_iterations=6, mode="jacobi", damping=0.5), {}),
+            (DistributedConfig(max_iterations=6, coordination="prices"), {}),
+            (DistributedConfig(max_iterations=6, restarts=3), {"rng": 0}),
+            (DistributedConfig(max_iterations=6), {"faults": FaultConfig()}),
+            (DistributedConfig(max_iterations=6), {"sweep_order": [2, 0, 1]}),
+        ],
+        ids=["jacobi", "prices", "restarts", "faults", "sweep_order"],
+    )
+    def test_modes_the_sparse_driver_refused(self, config, options):
+        """Jacobi, prices, restarts, faults and sweep orders run on pair
+        vectors exactly as on the dense grid: same iterations, caching
+        and scattered routing, cost to 1e-12."""
+        for seed in self.PARITY_SEEDS:
+            problem = sparse_random_problem(np.random.default_rng(seed))
+            self.assert_parity(problem, config, **options)
+
+    def test_lppm_on_pairs(self):
+        """LPPM on pair vectors: a complete ledger (one release per fresh
+        phase per SBS, releases x epsilon = booked), a feasible solution,
+        and every release perturbs exactly the SBS's ``P_n`` pairs."""
+        epsilon = 0.5
+        for seed in self.PARITY_SEEDS:
+            sparse = SparseProblemInstance.from_dense(
+                sparse_random_problem(np.random.default_rng(seed))
+            )
+            optimizer = DistributedOptimizer(
+                sparse,
+                DistributedConfig(max_iterations=4),
+                privacy=LPPMConfig(epsilon=epsilon),
+                rng=seed,
+            )
+            result = optimizer.run()
+            assert result.solution.check_feasibility(sparse).feasible
+            for agent in optimizer.sbss:
+                party = agent.name
+                releases = [r for r in result.accountant.releases if r.party == party]
+                phases = [
+                    record
+                    for record in result.history.phases
+                    if record.sbs == agent.index and not record.stale
+                ]
+                assert len(releases) == len(phases) > 0
+                assert result.accountant.total_epsilon_basic(party) == pytest.approx(
+                    len(releases) * epsilon, rel=1e-12
+                )
+                coordinates = {record.coordinates for record in agent._mechanism.records}
+                assert coordinates == {sparse.sbs_index(agent.index).pair_ids.size}
 
 
 class TestSparseSolution:
@@ -504,7 +565,7 @@ class TestCityScale:
         result = solve_distributed_sparse(sparse, DistributedConfig(max_iterations=3))
         assert result.solution.check_feasibility(sparse).feasible
         legacy = DistributedConfig(
-            max_iterations=3, subproblem=SubproblemConfig(fast=False)
+            max_iterations=3, subproblem=SubproblemConfig(oracle="legacy")
         )
         with pytest.raises(AssertionError, match="local block"):
             solve_distributed_sparse(sparse, legacy)

@@ -73,7 +73,7 @@ def test_sweep_engine_beats_legacy_engine():
     Measured 3.2x on two CPUs; floor 1.5x."""
 
     def legacy():
-        _sweep(SubproblemConfig(fast=False), seeds=(7,), max_iterations=1, dedup=False)
+        _sweep(SubproblemConfig(oracle="legacy"), seeds=(7,), max_iterations=1, dedup=False)
 
     def default():
         _sweep(SubproblemConfig(), seeds=(7,), max_iterations=1)

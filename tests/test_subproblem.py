@@ -177,7 +177,7 @@ class TestFastOracleParity:
             problem,
             sbs,
             aggregate,
-            SubproblemConfig(fast=True),
+            SubproblemConfig(oracle="batched"),
             prices=prices,
             cap_slack=cap_slack,
             workspace=workspace,
@@ -186,7 +186,7 @@ class TestFastOracleParity:
             problem,
             sbs,
             aggregate,
-            SubproblemConfig(fast=False),
+            SubproblemConfig(oracle="legacy"),
             prices=prices,
             cap_slack=cap_slack,
         )
@@ -325,7 +325,7 @@ class TestItemView:
             assert pairs.cost == pytest.approx(cells.cost, rel=1e-12)
             # The legacy reference solves the padded block itself.
             legacy = solve_subproblem(
-                sparse.item_view(sbs), None, others, SubproblemConfig(fast=False)
+                sparse.item_view(sbs), None, others, SubproblemConfig(oracle="legacy")
             )
             assert np.array_equal(legacy.routing, pairs.routing)
             assert legacy.dual_history == cells.dual_history
@@ -392,10 +392,33 @@ class TestBoundaryValidation:
     def test_view_weight_validated(self, oracle, weight, message):
         """A caller-built view's weights used to split the oracles: a
         negative weight solved under batched and failed under legacy, a
-        NaN failed batched as "performed no iterations"."""
+        NaN failed batched as "performed no iterations".  The view now
+        refuses them when it is built."""
         view = TestItemView.pair_view(np.array([[1.0, 2.0], [0.0, 3.0]]))
-        view = dataclasses.replace(view, weight=np.array(weight))
         with pytest.raises(ValidationError, match=message):
+            view = dataclasses.replace(view, weight=np.array(weight))
+            solve_subproblem(view, None, np.zeros(3), SubproblemConfig(oracle=oracle))
+
+    @pytest.mark.parametrize("oracle", ["batched", "legacy"])
+    @pytest.mark.parametrize(
+        "field, spoiled, message",
+        [
+            ("link_cost", np.array([np.nan, 0.0]), "link_cost must be finite"),
+            ("bs_cost", np.array([-1.0, 1.0]), "bs_cost must be nonnegative"),
+            ("reach", np.array([2.0, 1.0]), "reach must be binary"),
+            ("bandwidth", np.nan, "bandwidth must be finite"),
+            ("cache_capacity", -1.0, "cache_capacity must be finite and nonnegative"),
+        ],
+        ids=["link_cost", "bs_cost", "reach", "bandwidth", "cache_capacity"],
+    )
+    def test_view_rows_and_scalars_validated(self, oracle, field, spoiled, message):
+        """A spoiled per-row array or scalar used to split the oracles:
+        batched solved (or failed as "performed no iterations") where
+        legacy raised.  The view validates them once, when it is built,
+        so both oracles raise the same error."""
+        view = TestItemView.pair_view(np.array([[1.0, 2.0], [0.0, 3.0]]))
+        with pytest.raises(ValidationError, match=message):
+            view = dataclasses.replace(view, **{field: spoiled})
             solve_subproblem(view, None, np.zeros(3), SubproblemConfig(oracle=oracle))
 
     @pytest.mark.parametrize("oracle", ["batched", "legacy"])
