@@ -35,6 +35,11 @@ from .. import obs, perf
 from ..exceptions import ProtocolTimeout, ValidationError
 from ..obs.spans import NOOP_TRACKER
 
+try:  # pragma: no cover - resource is POSIX-only
+    import resource
+except ImportError:  # pragma: no cover
+    resource = None  # type: ignore[assignment]
+
 if TYPE_CHECKING:
     from .distributed import DistributedConfig
     from .problem import ProblemInstance
@@ -55,6 +60,10 @@ __all__ = [
 
 #: The four ways a phase can end; :meth:`RunLoop.settle` maps each one.
 VERDICTS = ("delivered", "degraded", "crashed", "expired")
+
+#: Prices mode at iteration ``tau``: price step ``PRICE_ETA0 / (1 +
+#: PRICE_ALPHA * tau)`` and cap slack ``SLACK0 * SLACK_DECAY ** tau``.
+PRICE_ETA0, PRICE_ALPHA, SLACK0, SLACK_DECAY = 0.5, 0.5, 0.5, 0.65
 
 
 @dataclasses.dataclass(frozen=True)
@@ -271,7 +280,9 @@ class RunLoop:
     ``span`` is the span factory (the ambient :func:`repro.obs.span`, or
     a node tracker's ``span``); ``root_attrs`` the root span's
     attributes; ``counter`` the :mod:`repro.perf` name counting
-    iterations (restoration excluded).  ``idle`` SBSs have nothing to
+    iterations (restoration excluded).  With recording on, ``run_end``
+    carries ``counters``: what the active recorder counted between
+    :meth:`start` and :meth:`finish`.  ``idle`` SBSs have nothing to
     solve or upload: :meth:`phases` settles theirs as delivered without
     handing them to the transport.
     """
@@ -303,6 +314,7 @@ class RunLoop:
         self._span = span or obs.span
         self._root_attrs = root_attrs or {"mode": config.mode}
         self._counter = counter
+        self._counted: Dict[str, int] = {}
         self._root: Any = None
         self._iteration = -1
         self._sweep = Sweep(-1, 0.0, None)
@@ -312,7 +324,9 @@ class RunLoop:
     def start(self, **fields: Any) -> None:
         """Emit ``run_start`` (plus the caller's ``fields``), open the root span."""
         config, problem = self.config, self.problem
-        if obs.enabled():
+        table = obs.active_counters()
+        if table is not None:
+            self._counted = dict(table.counters)
             obs.emit(
                 "run_start",
                 run="algorithm1",
@@ -339,12 +353,8 @@ class RunLoop:
         with_prices = config.coordination == "prices"
         previous_cost = self.history.initial_cost
         for iteration in range(config.max_iterations):
-            slack = config.slack0 * config.slack_decay**iteration if with_prices else 0.0
-            price_step = (
-                config.price_eta0 / (1.0 + config.price_alpha * iteration)
-                if with_prices
-                else None
-            )
+            slack = SLACK0 * SLACK_DECAY**iteration if with_prices else 0.0
+            price_step = PRICE_ETA0 / (1.0 + PRICE_ALPHA * iteration) if with_prices else None
             if self._counter is not None:
                 perf.count(self._counter)
             self._begin(iteration)
@@ -474,10 +484,12 @@ class RunLoop:
 
     def finish(self, *, total_epsilon: Optional[float] = None, **fields: Any) -> None:
         """Close the root span, then emit ``run_end`` (plus the caller's ``fields``)."""
-        if obs.spans_enabled():
-            self._root.annotate(**obs.resource_attrs(obs.timings_enabled()))
+        if obs.spans_enabled() and obs.timings_enabled() and resource is not None:
+            # Peak RSS is volatile: masked from determinism like ``seconds``.
+            self._root.annotate(rss_peak_kb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
         self._root.finish()
-        if obs.enabled():
+        table = obs.active_counters()
+        if table is not None:
             history = self.history
             obs.emit(
                 "run_end",
@@ -488,6 +500,7 @@ class RunLoop:
                 stale_phases=history.stale_phase_count(),
                 total_retries=history.total_retries(),
                 phases=len(history.phases),
+                counters=table.since(self._counted),
                 **fields,
             )
 

@@ -70,6 +70,10 @@ __all__ = [
     "solve_distributed",
 ]
 
+#: Fault-tolerant runs: the cap, in channel ticks, of the exponential
+#: backoff between upload retransmissions (waits go 1, 2, 4, ...).
+RETRY_BACKOFF_CAP = 8
+
 
 @dataclasses.dataclass(frozen=True)
 class DistributedConfig:
@@ -104,14 +108,10 @@ class DistributedConfig:
         ``sum_n y - 1``, SBSs see them as per-unit charges, and residual
         caps are loosened by a decaying slack so contested pairs can be
         transiently over-served while prices equilibrate.  A final
-        zero-slack sweep restores feasibility.  DESIGN.md discusses the
-        trade-off; the evaluation defaults to the paper-literal mode.
-    price_eta0 / price_alpha:
-        Price subgradient step schedule ``eta0 / (1 + alpha * tau)``
-        (prices mode only).
-    slack0 / slack_decay:
-        Initial cap slack and its per-iteration geometric decay
-        (prices mode only).
+        zero-slack sweep restores feasibility (the price step and slack
+        schedules are constants of :mod:`repro.core.convergence`).
+        DESIGN.md discusses the trade-off; the evaluation defaults to
+        the paper-literal mode.
     warm_start:
         Reuse each SBS's final dual multipliers ``mu`` from its previous
         Gauss-Seidel phase as the starting point of the next dual ascent
@@ -123,10 +123,9 @@ class DistributedConfig:
         in the tests) in fewer subgradient iterations.
     max_retries:
         Fault-tolerant runs only: how many times an SBS retransmits an
-        unacknowledged ``POLICY_UPLOAD`` before declaring the phase lost.
-    retry_backoff_cap:
-        Cap (in channel ticks) of the exponential backoff between
-        retransmissions: waits go 1, 2, 4, ... up to this cap.
+        unacknowledged ``POLICY_UPLOAD`` before declaring the phase lost
+        (the backoff between tries is capped at
+        :data:`RETRY_BACKOFF_CAP` channel ticks).
     on_timeout:
         What to do when every retry fails: ``"degrade"`` (the default)
         lets the BS reuse the SBS's last known report and the unserved
@@ -140,14 +139,9 @@ class DistributedConfig:
     mode: str = "gauss-seidel"
     damping: float = 1.0
     coordination: str = "caps"
-    price_eta0: float = 0.5
-    price_alpha: float = 0.5
-    slack0: float = 0.5
-    slack_decay: float = 0.65
     restarts: int = 1
     warm_start: bool = False
     max_retries: int = 4
-    retry_backoff_cap: int = 8
     on_timeout: str = "degrade"
 
     def __post_init__(self) -> None:
@@ -161,14 +155,9 @@ class DistributedConfig:
             raise ValidationError(
                 f"coordination must be 'caps' or 'prices', got {self.coordination!r}"
             )
-        if self.price_eta0 <= 0 or self.price_alpha < 0:
-            raise ValidationError("price_eta0 must be > 0 and price_alpha >= 0")
-        if not 0.0 <= self.slack0 <= 1.0 or not 0.0 < self.slack_decay < 1.0:
-            raise ValidationError("slack0 must lie in [0, 1] and slack_decay in (0, 1)")
         check_positive_int(self.restarts, "restarts")
         if self.max_retries < 0:
             raise ValidationError(f"max_retries must be nonnegative, got {self.max_retries}")
-        check_positive_int(self.retry_backoff_cap, "retry_backoff_cap")
         if self.on_timeout not in ("degrade", "raise"):
             raise ValidationError(
                 f"on_timeout must be 'degrade' or 'raise', got {self.on_timeout!r}"
@@ -521,7 +510,6 @@ class SBSAgent:
         self._workspace = workspace
         # Fault-tolerance state (inert on the reliable, failure-free path).
         self.resilient = False
-        self.stale_aggregate_phases = 0
         self.recoveries = 0
         self._crashed = False
         self._reset()
@@ -541,10 +529,6 @@ class SBSAgent:
         self._max_ack = 0
         self._agg_payload: Optional[np.ndarray] = None
         self._agg_tag: Optional[tuple] = None
-
-    @property
-    def is_private(self) -> bool:
-        return self._mechanism is not None
 
     def _ingest(self, messages) -> None:
         """Fold drained messages into local state (aggregate memory, acks).
@@ -580,7 +564,6 @@ class SBSAgent:
         if not any(message.kind is MessageKind.AGGREGATE_BROADCAST for message in messages):
             if not self.resilient:
                 raise ProtocolError(f"{self.name} has no aggregate broadcast to read")
-            self.stale_aggregate_phases += 1
         shape = self._layout.broadcast_shape
         payload = np.zeros(shape) if self._agg_payload is None else np.asarray(self._agg_payload)
         if payload.ndim > len(shape):
@@ -926,7 +909,7 @@ class DistributedOptimizer:
         Sends the sequenced upload, lets the BS absorb whatever arrived,
         and polls for the cumulative ack.  Between attempts the channel
         clock advances by an exponentially growing backoff (capped at
-        ``retry_backoff_cap`` ticks) so delayed in-flight messages get a
+        :data:`RETRY_BACKOFF_CAP` ticks) so delayed in-flight messages get a
         chance to surface before the next retransmission.  Returns the
         number of retries used, or ``None`` when the budget was
         exhausted.
@@ -946,13 +929,13 @@ class DistributedOptimizer:
                     seq=seq,
                 )
                 self.channel.advance(backoff)
-                backoff = min(2 * backoff, self.config.retry_backoff_cap)
+                backoff = min(2 * backoff, RETRY_BACKOFF_CAP)
             agent.send_upload(report, iteration, phase, seq=seq)
             self.base_station.absorb_uploads()
             if agent.await_ack(seq):
                 return attempt
         # Last chance: flush any still-delayed traffic before giving up.
-        self.channel.advance(self.config.retry_backoff_cap)
+        self.channel.advance(RETRY_BACKOFF_CAP)
         self.base_station.absorb_uploads()
         if agent.await_ack(seq):
             return self.config.max_retries

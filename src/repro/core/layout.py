@@ -23,6 +23,7 @@ from typing import Any, Dict, FrozenSet, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..obs.events import ITERATION_COUNTERS
 from .cost import total_cost
 from .problem import ProblemInstance
 from .solution import Solution
@@ -39,7 +40,7 @@ class GridLayout:
     """``(U, F)`` blocks of a dense instance: SBS ``n`` solves its full grid."""
 
     #: The :mod:`repro.perf` counter of Algorithm 1 iterations.
-    counter = "algorithm1.iterations"
+    counter = ITERATION_COUNTERS[False]
 
     def __init__(self, problem: ProblemInstance) -> None:
         self.problem = problem
@@ -147,7 +148,7 @@ class PairLayout:
     pair is idle: its cache holds the filler the dense solver picks.
     """
 
-    counter = "algorithm1.sparse_iterations"
+    counter = ITERATION_COUNTERS[True]
 
     def __init__(self, instance: SparseProblemInstance) -> None:
         self.problem = instance

@@ -218,12 +218,20 @@ class Channel:
     def _deliver(self, message: Message, recipients: List[str]) -> None:
         """Enqueue ``message`` for each recipient (reliable, in order).
 
-        Subclasses (:class:`repro.network.faults.FaultyChannel`) override
-        this hook to drop, duplicate, delay or reorder deliveries; taps
-        and stats have already observed the send by the time it runs.
+        A new aggregate broadcast evicts the same sender's older one
+        still queued (in order, the newest is the freshest).  Subclasses
+        (:class:`repro.network.faults.FaultyChannel`) override this hook
+        to drop, duplicate, delay or reorder deliveries; taps and stats
+        have already observed the send by the time it runs.
         """
+        supersedes = message.kind is MessageKind.AGGREGATE_BROADCAST
         for name in recipients:
-            self._queues[name].append(message)
+            queue = self._queues[name]
+            for position, queued in enumerate(queue if supersedes else ()):
+                if queued.kind is message.kind and queued.sender == message.sender:
+                    del queue[position]  # at most one is ever queued
+                    break
+            queue.append(message)
 
     def receive(self, node_name: str) -> Message:
         """Pop the oldest pending message for ``node_name``."""

@@ -19,7 +19,7 @@ Usage::
     # $ repro-trace validate run.jsonl
 
 Tracing is off by default: every hook in the solver core is a single
-attribute check when no recorder is active, so the hot path keeps PR 2's
+attribute check when no recorder is active, so the hot path keeps its
 optimized performance (``benchmarks/test_trace_overhead.py``).  See
 docs/observability.md for the event schema and recorder API.
 """
@@ -28,6 +28,7 @@ from .derive import MetricsDeriver, MetricsRecorder, derive_metrics, metering
 from .events import EVENT_TYPES, REQUIRED_FIELDS, TRACE_VERSION
 from .metrics import Counter, Gauge, Histogram, MetricFamily, MetricsRegistry
 from .recorder import (
+    CounterTable,
     Event,
     ListRecorder,
     NullRecorder,
@@ -35,6 +36,7 @@ from .recorder import (
     TraceRecorder,
     TraceWriter,
     activate,
+    active_counters,
     active_recorder,
     deactivate,
     emit,
@@ -53,7 +55,7 @@ from .span_analysis import (
     proxy_fates_by_span,
     render_timeline,
 )
-from .spans import NOOP_TRACKER, SpanTracker, resource_attrs, span
+from .spans import NOOP_TRACKER, SpanTracker, span
 from .trace import (
     RunSegment,
     RunSummary,
@@ -68,6 +70,7 @@ __all__ = [
     "EVENT_TYPES",
     "REQUIRED_FIELDS",
     "TRACE_VERSION",
+    "CounterTable",
     "Event",
     "ListRecorder",
     "NullRecorder",
@@ -75,6 +78,7 @@ __all__ = [
     "TraceRecorder",
     "TraceWriter",
     "activate",
+    "active_counters",
     "active_recorder",
     "deactivate",
     "emit",
@@ -85,7 +89,6 @@ __all__ = [
     "NOOP_TRACKER",
     "SpanTracker",
     "span",
-    "resource_attrs",
     "SpanNode",
     "build_span_tree",
     "check_spans",

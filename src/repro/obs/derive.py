@@ -132,6 +132,14 @@ class MetricsDeriver:
         channel = event.get("channel")
         if isinstance(channel, dict):
             self._channel_ledger(channel)
+        counters = event.get("counters")
+        if isinstance(counters, dict):
+            for name in sorted(counters):
+                registry.counter(
+                    "repro_run_counters_total",
+                    "Program event counts (repro.perf names) of finished runs.",
+                    ("run", "counter"),
+                ).labels(run=run, counter=name).inc(float(counters[name]))
         cell = event.get("cell")
         if cell is not None:
             self._cell_rollup(str(cell), event)
@@ -462,6 +470,7 @@ class MetricsRecorder(TraceRecorder):
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
+        super().__init__()
         self.deriver = MetricsDeriver(registry)
 
     @property

@@ -19,7 +19,11 @@ Event types
     (``"algorithm1"``, ``"async"``, ``"online"``); ``run_end`` carries
     the solver-reported ``final_cost`` / ``iterations`` (and, when
     private, ``total_epsilon``) that :mod:`repro.obs.trace` cross-checks
-    against the values *reconstructed* from the per-step events.
+    against the values *reconstructed* from the per-step events.  An
+    Algorithm 1 ``run_end`` also carries ``counters``, the nonzero
+    :mod:`repro.perf` counts of the run by name (the metric family
+    ``repro_run_counters_total``); its :data:`ITERATION_COUNTERS` entry
+    must equal ``iterations``.
 ``phase``
     One Gauss-Seidel / Jacobi phase: ``iteration``, ``phase``, ``sbs``,
     post-phase system ``cost``, LPPM ``noise_l1``, ARQ ``retries``,
@@ -28,7 +32,7 @@ Event types
     dual bound), the multiplier norm ``mu_norm`` and, unless the
     recorder was activated with ``timings=False``, the wall-clock
     ``solve_seconds`` of the subproblem solve (measured inline by the
-    solver; no :mod:`repro.perf` registry required).  Timing fields are
+    solver).  Timing fields are
     wall-clock and therefore excluded from determinism comparisons —
     record with ``timings=False`` when traces must be byte-identical.
 ``iteration``
@@ -84,7 +88,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet
 
-__all__ = ["TRACE_VERSION", "EVENT_TYPES", "REQUIRED_FIELDS"]
+__all__ = ["TRACE_VERSION", "EVENT_TYPES", "REQUIRED_FIELDS", "ITERATION_COUNTERS"]
 
 #: Schema version stamped into every ``trace_start`` header.
 TRACE_VERSION = 1
@@ -110,3 +114,9 @@ REQUIRED_FIELDS: Dict[str, FrozenSet[str]] = {
 
 #: The known event types (keys of :data:`REQUIRED_FIELDS`).
 EVENT_TYPES: FrozenSet[str] = frozenset(REQUIRED_FIELDS)
+
+#: Algorithm 1's iteration counter, by ``run_start.sparse`` (pair layout).
+ITERATION_COUNTERS: Dict[bool, str] = {
+    False: "algorithm1.iterations",
+    True: "algorithm1.sparse_iterations",
+}

@@ -1,11 +1,15 @@
 """Trace recorders and the module-global emission hook.
 
 The solver core calls :func:`emit` at well-defined protocol points
-(phase completed, privacy release booked, retry issued, ...).  Like the
-:mod:`repro.perf` registry, emission is *opt-in*: with no recorder
-active every :func:`emit` call is a single attribute check and an
-immediate return, so the hot path stays within measurement noise when
-tracing is off (``benchmarks/test_trace_overhead.py`` pins this).
+(phase completed, privacy release booked, retry issued, ...).  Emission
+is *opt-in*: with no recorder active every :func:`emit` call is a single
+attribute check and an immediate return, so the hot path stays within
+measurement noise when tracing is off
+(``benchmarks/test_trace_overhead.py`` pins this).
+
+While a recorder is active, ``repro.perf.count`` adds to its
+:class:`CounterTable`; each Algorithm 1 run reports its share as
+``run_end.counters``.
 
 Recorders:
 
@@ -33,9 +37,10 @@ byte-comparable traces.
 from __future__ import annotations
 
 import json
+import threading
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Any, Dict, Iterator, List, Optional, Union
+from typing import IO, Any, Dict, Iterator, List, Mapping, Optional, Union
 
 import numpy as np
 
@@ -43,6 +48,7 @@ from ..analysis.taint import decl as taint
 from .events import TRACE_VERSION
 
 __all__ = [
+    "CounterTable",
     "TraceRecorder",
     "NullRecorder",
     "ListRecorder",
@@ -51,6 +57,7 @@ __all__ = [
     "activate",
     "deactivate",
     "active_recorder",
+    "active_counters",
     "recording",
     "enabled",
     "timings_enabled",
@@ -75,8 +82,47 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
+class CounterTable:
+    """Named event counters (``repro.perf.count`` names), lock-guarded."""
+
+    __slots__ = ("counters", "_lock")
+
+    def __init__(self) -> None:
+        self.counters: Dict[str, int] = {}
+        self._lock = threading.Lock()
+
+    def count(self, name: str, amount: int = 1) -> None:
+        """Add ``amount`` to counter ``name`` (creating it at zero)."""
+        with self._lock:
+            self.counters[name] = self.counters.get(name, 0) + int(amount)
+
+    def fold(self, counts: Mapping[str, int]) -> None:
+        """Add every ``name: amount`` of ``counts``."""
+        with self._lock:
+            for name, amount in counts.items():
+                self.counters[name] = self.counters.get(name, 0) + int(amount)
+
+    def since(self, before: Mapping[str, int]) -> Dict[str, int]:
+        """The counters that moved since ``before`` (an earlier copy), sorted by name."""
+        now = dict(self.counters)
+        delta = {name: now[name] - before.get(name, 0) for name in sorted(now)}
+        return {name: amount for name, amount in delta.items() if amount}
+
+    def snapshot(self) -> Dict[str, Dict[str, int]]:
+        """A JSON-ready copy: ``{"counters": {...}}``."""
+        return {"counters": dict(self.counters)}
+
+    def reset(self) -> None:
+        """Drop every counter."""
+        with self._lock:
+            self.counters.clear()
+
+
 class TraceRecorder:
-    """Interface every recorder implements: accept one event at a time."""
+    """Interface every recorder implements: accept one event at a time, and count."""
+
+    def __init__(self) -> None:
+        self.counters = CounterTable()
 
     def record(self, event: Event) -> None:
         """Consume one event (subclasses override)."""
@@ -100,6 +146,7 @@ class ListRecorder(TraceRecorder):
     """
 
     def __init__(self) -> None:
+        super().__init__()
         self.events: List[Event] = []
 
     def record(self, event: Event) -> None:
@@ -116,6 +163,7 @@ class TraceWriter(TraceRecorder):
     """
 
     def __init__(self, target: Union[str, Path, IO[str]]) -> None:
+        super().__init__()
         self._owns_handle = isinstance(target, (str, Path))
         if isinstance(target, (str, Path)):
             self.path: Optional[Path] = Path(target)
@@ -160,6 +208,7 @@ class TeeRecorder(TraceRecorder):
     """
 
     def __init__(self, *recorders: TraceRecorder) -> None:
+        super().__init__()
         self.recorders: List[TraceRecorder] = list(recorders)
 
     def record(self, event: Event) -> None:
@@ -199,6 +248,11 @@ def deactivate() -> None:
 def active_recorder() -> Optional[TraceRecorder]:
     """The currently active recorder, or ``None`` when tracing is off."""
     return _recorder
+
+
+def active_counters() -> Optional[CounterTable]:
+    """The active recorder's counter table, or ``None`` when tracing is off."""
+    return None if _recorder is None else _recorder.counters
 
 
 def enabled() -> bool:

@@ -43,17 +43,11 @@ from typing import Any, Dict, List, Mapping, Optional
 from . import recorder as _recorder
 from .recorder import spans_enabled
 
-try:  # pragma: no cover - resource is POSIX-only
-    import resource as _resource
-except ImportError:  # pragma: no cover
-    _resource = None  # type: ignore[assignment]
-
 __all__ = [
     "SpanTracker",
     "NOOP_TRACKER",
     "span",
     "spans_enabled",
-    "resource_attrs",
     "SPAN_CATEGORIES",
 ]
 
@@ -386,25 +380,3 @@ def span(
     if not spans_enabled():
         return _NOOP
     return Span(None, name, parent=parent, category=category, **attrs)
-
-
-def resource_attrs(timings: bool) -> Dict[str, Any]:
-    """Resource-profile attributes for a root span.
-
-    The deterministic part (perf *counters*: kernel invocation counts,
-    sparse allocation counters) is attached whenever a
-    :mod:`repro.perf` registry is collecting; the volatile part (peak
-    RSS) only when ``timings`` is true, so it is masked from
-    byte-determinism exactly like ``seconds``.
-    """
-    from .. import perf
-
-    attrs: Dict[str, Any] = {}
-    registry = perf.active_registry()
-    if registry is not None and registry.counters:
-        attrs["perf_counters"] = dict(registry.counters)
-    if timings and _resource is not None:
-        attrs["rss_peak_kb"] = int(
-            _resource.getrusage(_resource.RUSAGE_SELF).ru_maxrss
-        )
-    return attrs

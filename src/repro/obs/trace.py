@@ -14,9 +14,9 @@ live:
 * :func:`validate_events` checks the stream's structural invariants
   (header, contiguous ``seq``, known types, required fields, balanced
   brackets) and the semantic cross-checks — the reconstructed final
-  cost, booked epsilon, retry and stale-phase counts must *exactly*
-  equal what the solver reported.  A trace that validates is a faithful
-  record of the run;
+  cost, booked epsilon, retry, stale-phase and iteration counts must
+  *exactly* equal what the solver reported.  A trace that validates is
+  a faithful record of the run;
 * :func:`diff_traces` compares two traces run by run, the machinery
   behind ``repro-trace diff``.
 """
@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..exceptions import ValidationError
-from .events import REQUIRED_FIELDS, TRACE_VERSION
+from .events import ITERATION_COUNTERS, REQUIRED_FIELDS, TRACE_VERSION
 from .recorder import Event
 
 __all__ = [
@@ -401,6 +401,10 @@ def _check_run(segment: RunSegment, issues: List[str]) -> None:
             f"{label}: {summary.stale_phases} stale phase events but run_end "
             f"reports {reported_stale}"
         )
+    counters, iterations = segment.end.get("counters"), segment.end.get("iterations")
+    name = ITERATION_COUNTERS[bool(segment.start.get("sparse"))]
+    if isinstance(counters, dict) and counters.get(name, 0) != iterations:
+        issues.append(f"{label}: counter {name} is {counters.get(name, 0)}, not {iterations}")
 
 
 def validate_events(events: List[Event]) -> List[str]:

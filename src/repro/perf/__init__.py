@@ -1,24 +1,11 @@
-"""Performance observability: event counters and their registry.
+"""Performance observability: the event counters' ``count`` call and adapter.
 
 See :mod:`repro.perf.registry` for the collection model and
-docs/performance.md for the counter glossary.  Wall-clock time is the
-span layer's job (:mod:`repro.obs.spans`); this package only counts.
+docs/performance.md for the counter glossary.  Counts are trace facts
+(``run_end.counters``); wall-clock time is the span layer's job
+(:mod:`repro.obs.spans`).
 """
 
-from .registry import (
-    PerfRegistry,
-    activate,
-    active_registry,
-    collecting,
-    count,
-    deactivate,
-)
+from .registry import PROCESS_COUNTERS, PerfRegistry, collecting, count
 
-__all__ = [
-    "PerfRegistry",
-    "activate",
-    "active_registry",
-    "collecting",
-    "count",
-    "deactivate",
-]
+__all__ = ["PROCESS_COUNTERS", "PerfRegistry", "collecting", "count"]

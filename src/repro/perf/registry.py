@@ -1,106 +1,39 @@
-"""Event counters for the hot paths.
+"""The hot paths' event counters: :func:`count` and a process-global adapter.
 
-The solvers are instrumented with *optional* counters: every
-:func:`count` call is a no-op costing one attribute lookup unless a
-:class:`PerfRegistry` has been activated.  Benchmarks (and curious
-users) activate one around a run and read back a snapshot:
-
-    from repro import perf
+While a recorder is active, :func:`count` adds to its counter table,
+and each Algorithm 1 run reports its share as ``run_end.counters``
+(:mod:`repro.obs.events`).  :func:`collecting` installs a registry that
+sees every count this process makes, recording or not::
 
     with perf.collecting() as registry:
         solve_distributed(problem)
     print(registry.snapshot())
 
-Instrumented events (see docs/performance.md for the full glossary):
-
-* ``subproblem.solves`` / ``subgradient.iterations`` — Lagrangian
-  solves of ``P_n`` and their dual-ascent iterations;
-* ``knapsack.calls`` — fractional-knapsack invocations (the innermost
-  hot path of Algorithm 1);
-* ``lp.calls`` / ``lp.scipy_fallbacks`` — generic LP solves and how
-  often the ``auto`` backend escalated to scipy/HiGHS;
-* ``algorithm1.iterations`` / ``algorithm1.phases`` — the Gauss-Seidel
-  outer loop.
-
-Nothing here reads a clock: where the time goes is recorded by the
-span layer (:mod:`repro.obs.spans`), whose ``seconds`` fields the
-critical path (:func:`repro.obs.critical_path`) attributes by layer.
-
-The registry is deliberately process-local: worker processes of the
-parallel sweep runner keep their own (discarded) registries, so
-counters describe exactly the work done in the measuring process.
+docs/performance.md has the counter glossary.
 """
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional
+from typing import Iterator, Optional
 
-__all__ = [
-    "PerfRegistry",
-    "activate",
-    "deactivate",
-    "active_registry",
-    "collecting",
-    "count",
-]
+from ..obs.recorder import CounterTable, active_counters
 
+__all__ = ["PROCESS_COUNTERS", "PerfRegistry", "collecting", "count"]
 
-class PerfRegistry:
-    """Named event counters.
+PerfRegistry = CounterTable
 
-    :meth:`count` is cheap enough for inner loops; it allocates nothing
-    beyond the dictionary entry for a first-seen name.  Updates are
-    guarded by a lock so solves instrumented from several threads never
-    lose increments to read-modify-write races.
-    """
-
-    __slots__ = ("counters", "_lock")
-
-    def __init__(self) -> None:
-        self.counters: Dict[str, int] = {}
-        self._lock = threading.Lock()
-
-    def count(self, name: str, amount: int = 1) -> None:
-        """Add ``amount`` to counter ``name`` (creating it at zero)."""
-        with self._lock:
-            self.counters[name] = self.counters.get(name, 0) + int(amount)
-
-    def snapshot(self) -> Dict[str, Dict[str, int]]:
-        """A JSON-ready copy: ``{"counters": {...}}``."""
-        return {"counters": dict(self.counters)}
-
-    def reset(self) -> None:
-        """Drop every counter."""
-        with self._lock:
-            self.counters.clear()
-
+#: Counters of what one process allocated rather than of what a run did:
+#: a socket client owns a kernel workspace where an in-process run shares
+#: one.  They reach :func:`collecting` only, never a recorder's table.
+PROCESS_COUNTERS = frozenset({"subproblem.workspace_allocs"})
 
 _active: Optional[PerfRegistry] = None
 
 
-def activate(registry: Optional[PerfRegistry] = None) -> PerfRegistry:
-    """Install ``registry`` (or a fresh one) as the active collector."""
-    global _active
-    _active = registry if registry is not None else PerfRegistry()
-    return _active
-
-
-def deactivate() -> None:
-    """Stop collecting; instrumentation reverts to no-ops."""
-    global _active
-    _active = None
-
-
-def active_registry() -> Optional[PerfRegistry]:
-    """The currently active registry, or ``None`` when collection is off."""
-    return _active
-
-
 @contextmanager
 def collecting(registry: Optional[PerfRegistry] = None) -> Iterator[PerfRegistry]:
-    """Activate a registry for the body and restore the previous one after."""
+    """Install a process-global registry for the body, restoring the previous one after."""
     global _active
     previous = _active
     _active = registry if registry is not None else PerfRegistry()
@@ -111,6 +44,9 @@ def collecting(registry: Optional[PerfRegistry] = None) -> Iterator[PerfRegistry
 
 
 def count(name: str, amount: int = 1) -> None:
-    """Increment a counter on the active registry (no-op when inactive)."""
+    """Add to the active recorder's table and the adapter (each only if present)."""
+    table = active_counters()
+    if table is not None and name not in PROCESS_COUNTERS:
+        table.count(name, amount)
     if _active is not None:
         _active.count(name, amount)

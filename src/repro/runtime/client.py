@@ -18,12 +18,15 @@ The BS drives the protocol with ``CONTROL`` grants:
 * ``shutdown``— ship final caching/routing state (nonzero entries
   only, see :func:`nonzero_entries`) and exit.
 
-Trace events the agent emits (privacy releases, recoveries) are captured
-in a local :class:`~repro.obs.ListRecorder` and *shipped* with
-``phase_done`` for the BS to replay into the authoritative trace.  In
-``"tasks"`` mode the capture windows swap the process-global recorder,
-which is safe because they contain no ``await`` — nothing else can run
-while the swap is active.
+Trace events the agent emits (privacy releases, recoveries) and the
+:mod:`repro.perf` counts it makes are captured in a local
+:class:`~repro.obs.ListRecorder` and *shipped* with ``phase_done`` for
+the BS to replay into the authoritative trace and fold into its
+recorder's counters.  In ``"tasks"`` mode the capture windows swap the
+process-global recorder, which is safe because they contain no
+``await`` — nothing else can run while the swap is active.  (Outside a
+window, where a count would reach the BS's recorder in tasks mode
+only, the agent counts nothing once the run has started.)
 
 When the session opts into spans, the client owns a per-node
 :class:`~repro.obs.spans.SpanTracker` (``sbs-i`` ids, Lamport clock
@@ -188,6 +191,11 @@ class _ClientLoop:
         events = list(self.events.events)
         self.events.events.clear()
         return events
+
+    def _take_counters(self) -> Dict[str, int]:
+        counts = self.events.counters.since({})
+        self.events.counters.reset()
+        return counts
 
     def _take_corrupted(self) -> int:
         delta = self.corrupted - self._corrupt_shipped
@@ -364,6 +372,7 @@ class _ClientLoop:
                 "noise_l1": noise_l1,
                 "stats": dict(self.agent.last_solve_stats or {}),
                 "events": self._take_events(),
+                "counters": self._take_counters(),
                 "corrupted": self._take_corrupted(),
             },
         )
@@ -397,6 +406,7 @@ class _ClientLoop:
                         "caching": nonzero_entries(self.agent.caching),
                         "true_routing": nonzero_entries(self.agent.true_routing),
                         "events": self._take_events(),
+                        "counters": self._take_counters(),
                         "corrupted": self._take_corrupted(),
                     },
                 )

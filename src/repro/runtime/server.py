@@ -308,10 +308,8 @@ class RuntimeServer:
         await self._flush_link(link)
 
     # -- event replay --------------------------------------------------
-    def _replay_events(
-        self, events: List[Dict[str, Any]], *, rebase: Optional[float] = None
-    ) -> None:
-        """Re-emit client-captured trace events into the server's trace.
+    def _replay(self, meta: Mapping[str, Any], *, rebase: Optional[float] = None) -> None:
+        """Fold a client report's trace events, corrupt frames and counters in.
 
         Only the event families the in-process optimizer emits from
         *inside* a phase are replayed — privacy releases (also folded
@@ -319,6 +317,9 @@ class RuntimeServer:
         span-enabled runs, the client's ``span`` events (solve + upload
         attempts).  Retries are synthesized separately from the
         ``phase_done`` retry count so they can never be double-reported.
+        The counters go into the active recorder's table only: in tasks
+        mode the client's ``perf.count`` calls already reached the
+        process adapter.
 
         ``rebase`` is the server-side wall-clock at grant time: client
         span ``t0``/``t1`` values come from a foreign ``perf_counter``
@@ -326,6 +327,12 @@ class RuntimeServer:
         shifted onto the server's clock before re-emission, anchoring
         the earliest client span at the grant.
         """
+        self.bus.stats.corrupted += int(meta.get("corrupted", 0))
+        table, counts = obs.active_counters(), meta.get("counters")
+        if table is not None and isinstance(counts, Mapping):
+            # From the network: fold only the integer counts.
+            table.fold({str(name): n for name, n in counts.items() if type(n) is int})
+        events: List[Dict[str, Any]] = list(meta.get("events", []))
         shift: Optional[float] = None
         if rebase is not None:
             t0s = [
@@ -371,11 +378,10 @@ class RuntimeServer:
         """Handle a ``phase_done`` for a phase the deadline already closed.
 
         The record is final — only the client-side events (privacy
-        spends, recoveries) are salvaged, never retries — but the client
+        spends, recoveries) and counts are salvaged, never retries — but the client
         is still waiting on a verdict, so send the recorded one.
         """
-        self._replay_events(list(meta.get("events", [])))
-        self.bus.stats.corrupted += int(meta.get("corrupted", 0))
+        self._replay(meta)
         tag = (int(meta.get("iteration", -1)), int(meta.get("phase", -1)))
         await self._send_verdict(link, *tag, link.resolved.get(tag, "degraded"))
 
@@ -482,8 +488,7 @@ class RuntimeServer:
                 await self._broadcast(slot)
             self.bus.stats.deadline_expired += 1
             return PhaseOutcome("expired", folded=folded)
-        self._replay_events(list(meta.get("events", [])), rebase=window_t0)
-        self.bus.stats.corrupted += int(meta.get("corrupted", 0))
+        self._replay(meta, rebase=window_t0)
         retries = int(meta.get("retries", 0))
         seq = int(meta.get("seq", 0))
         for attempt in range(1, retries + 1):
@@ -539,8 +544,7 @@ class RuntimeServer:
                         elif frame_meta.get("action") == "phase_done":
                             await self._replay_late(link, frame_meta)
             if meta is not None:
-                self._replay_events(list(meta.get("events", [])))
-                self.bus.stats.corrupted += int(meta.get("corrupted", 0))
+                self._replay(meta)
                 finals[index] = meta
         # Decoded only once every client is released, so a malformed
         # state cannot strand the clients still waiting for shutdown.
@@ -586,6 +590,7 @@ class RuntimeServer:
                 "num_sbs": problem.num_sbs,
                 **layout.run_fields,
             },
+            counter=layout.counter,
             idle=layout.idle(),
         )
         run_loop.start(**layout.run_fields)

@@ -8,7 +8,8 @@ Three checks, exercised by the ``e2e-smoke`` CI job:
   are pair vectors) twice, once over sockets and once with the
   in-process simulator (quiet ``FaultConfig``), and demand
   **bit-identical** traces (byte comparison plus ``repro-trace diff``
-  for a readable report on divergence) and identical solutions;
+  for a readable report on divergence), counters included, identical
+  solutions and socket traces that pass ``repro-trace validate``;
 * ``chaos`` — run the same instance through the chaos proxy on a fixed
   seed (drops, duplicates, delays, reordering, truncation, one crash
   window) and demand that the run still converges and that the trace
@@ -136,6 +137,8 @@ def _cmd_faultfree(args: argparse.Namespace) -> int:
         else:
             print(f"FAIL: {label}: traces differ — repro-trace diff follows", file=sys.stderr)
             trace_cli(["diff", str(socket_trace), str(sim_trace)])
+            failures += 1
+        if trace_cli(["validate", str(socket_trace)]) != 0:
             failures += 1
     return 1 if failures else 0
 

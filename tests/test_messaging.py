@@ -127,6 +127,35 @@ class TestBroadcast:
         assert channel.pending("sbs-1") == 1
         assert channel.pending("bs") == 0
 
+    def test_newer_broadcast_supersedes_a_queued_one(self):
+        """A mailbox keeps only the newest broadcast of each sender, in
+        order among the other mail; stats and taps still see every send."""
+        channel = Channel()
+        for name in ("bs", "relay", "sbs-0"):
+            channel.register(name)
+        tapped = []
+        channel.tap(tapped.append)
+
+        def broadcast(sender, iteration):
+            message = make_message(
+                sender=sender, recipient="*", kind=MessageKind.AGGREGATE_BROADCAST
+            )
+            channel.send(dataclasses.replace(message, iteration=iteration))
+
+        broadcast("bs", 0)
+        broadcast("relay", 0)
+        channel.send(make_message(sender="bs", recipient="sbs-0", kind=MessageKind.ACK))
+        broadcast("bs", 1)
+        broadcast("bs", 2)
+        queued = [(m.sender, m.kind, m.iteration) for m in channel.drain("sbs-0")]
+        assert queued == [
+            ("relay", MessageKind.AGGREGATE_BROADCAST, 0),
+            ("bs", MessageKind.ACK, 0),
+            ("bs", MessageKind.AGGREGATE_BROADCAST, 2),
+        ]
+        assert len(tapped) == 5
+        assert channel.stats.by_kind == {"aggregate": 4, "ack": 1}
+
     def test_broadcast_without_nodes(self):
         channel = Channel()
         channel.register("bs")

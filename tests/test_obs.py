@@ -369,6 +369,23 @@ class TestValidateCatchesCorruption:
                 event["epsilon"] *= 2.0
         assert any("epsilon" in issue for issue in validate_events(events))
 
+    @pytest.mark.parametrize("dense", [True, False], ids=["grid", "pairs"])
+    def test_tampered_iteration_counter_is_caught(self, tmp_path, dense):
+        """The layout's iteration counter must equal ``run_end.iterations``."""
+        from repro.core.sparse import SparseProblemInstance
+
+        problem = random_problem(np.random.default_rng(0))
+        if not dense:
+            problem = SparseProblemInstance.from_dense(problem)
+        _, events = traced_run(tmp_path, problem=problem)
+        assert validate_events(events) == []
+        (end,) = [event for event in events if event["type"] == "run_end"]
+        name = "algorithm1.iterations" if dense else "algorithm1.sparse_iterations"
+        assert end["counters"][name] == end["iterations"]
+        end["counters"][name] += 1
+        issues = validate_events(events)
+        assert any(f"counter {name}" in issue for issue in issues)
+
     def test_truncated_run_is_caught(self, tmp_path):
         _, events = traced_run(tmp_path)
         truncated = [event for event in events if event["type"] != "run_end"]

@@ -71,6 +71,18 @@ class TestValidate:
         assert main(["validate", str(tampered)]) == 1
         assert "INVALID" in capsys.readouterr().out
 
+    def test_miscounted_iterations_fail(self, trace_path, tmp_path, capsys):
+        mutant = tmp_path / "mutant.jsonl"
+        lines = []
+        for line in trace_path.read_text().splitlines():
+            event = json.loads(line)
+            if event["type"] == "run_end":
+                event["counters"]["algorithm1.iterations"] -= 1
+            lines.append(json.dumps(event, sort_keys=True))
+        mutant.write_text("\n".join(lines) + "\n")
+        assert main(["validate", str(mutant)]) == 1
+        assert "counter algorithm1.iterations" in capsys.readouterr().out
+
     def test_missing_file_exits_with_message(self, tmp_path):
         with pytest.raises(SystemExit, match="cannot read"):
             main(["validate", str(tmp_path / "nope.jsonl")])

@@ -248,6 +248,21 @@ class TestLiveOfflineParity:
         cost = families["repro_run_final_cost"]["series"][0]["value"]
         assert cost == pytest.approx(result.cost)
 
+    def test_run_counters_family(self, tmp_path):
+        """``run_end.counters`` becomes one labeled counter family, live
+        and offline alike, with no perf registry active."""
+        problem = self._problem()
+        trace = tmp_path / "run.jsonl"
+        with obs.metering(trace=trace) as registry:
+            result = solve_distributed(problem, CONFIG, rng=1)
+        assert registry.to_json() == obs.derive_metrics(trace).to_json()
+        series = registry.snapshot()["families"]["repro_run_counters_total"]["series"]
+        counted = {row["labels"]["counter"]: row["value"] for row in series}
+        (end,) = [e for e in obs.TraceReader(trace).events if e["type"] == "run_end"]
+        assert counted == {name: float(value) for name, value in end["counters"].items()}
+        assert counted["algorithm1.iterations"] == result.iterations
+        assert {row["labels"]["run"] for row in series} == {"algorithm1"}
+
     def test_async_run_derives_staleness(self, tmp_path):
         problem = self._problem()
         trace = tmp_path / "async.jsonl"

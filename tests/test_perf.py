@@ -36,16 +36,18 @@ class TestPerfRegistry:
 
 class TestModuleHelpers:
     def test_inactive_by_default(self):
-        assert perf.active_registry() is None
+        assert obs.active_counters() is None
         perf.count("ignored")  # must be a silent no-op
+        with perf.collecting() as registry:
+            pass
+        assert registry.snapshot() == {"counters": {}}
 
     def test_collecting_installs_and_restores(self):
         registry = perf.PerfRegistry()
         with perf.collecting(registry) as active:
             assert active is registry
-            assert perf.active_registry() is registry
             perf.count("seen")
-        assert perf.active_registry() is None
+        perf.count("seen")  # after the body: the adapter is gone again
         assert registry.snapshot()["counters"]["seen"] == 1
 
     def test_collecting_creates_registry_when_omitted(self):
@@ -58,18 +60,70 @@ class TestModuleHelpers:
         with perf.collecting(outer):
             with perf.collecting(inner):
                 perf.count("tick")
-            assert perf.active_registry() is outer
-        assert inner.snapshot()["counters"]["tick"] == 1
-        assert "tick" not in outer.snapshot()["counters"]
+            perf.count("tock")
+        assert inner.snapshot()["counters"] == {"tick": 1}
+        assert outer.snapshot()["counters"] == {"tock": 1}
 
     def test_activate_deactivate(self):
-        registry = perf.activate()
+        """Activating a recorder activates its counter table too."""
+        recorder = obs.activate(obs.ListRecorder())
         try:
+            assert obs.active_counters() is recorder.counters
             perf.count("n")
-            assert registry.snapshot()["counters"]["n"] == 1
+            assert recorder.counters.snapshot()["counters"]["n"] == 1
         finally:
-            perf.deactivate()
-        assert perf.active_registry() is None
+            obs.deactivate()
+        assert obs.active_counters() is None
+
+
+class TestRecorderCounters:
+    def test_counts_land_in_the_active_recorder(self):
+        outer, inner = obs.ListRecorder(), obs.ListRecorder()
+        with obs.recording(outer):
+            perf.count("a")
+            with obs.recording(inner):
+                perf.count("b", 3)
+            perf.count("a")
+        assert outer.counters.counters == {"a": 2}
+        assert inner.counters.counters == {"b": 3}
+
+    def test_process_counters_reach_the_adapter_only(self):
+        sink = obs.ListRecorder()
+        with perf.collecting() as registry, obs.recording(sink):
+            for name in sorted(perf.PROCESS_COUNTERS):
+                perf.count(name)
+        assert sink.counters.counters == {}
+        assert registry.counters == {name: 1 for name in perf.PROCESS_COUNTERS}
+
+    def test_since_reports_sorted_nonzero_changes(self):
+        table = obs.CounterTable()
+        table.fold({"b": 2, "a": 1})
+        before = dict(table.counters)
+        table.fold({"c": 4, "a": 0})
+        table.count("b")
+        assert list(table.since(before).items()) == [("b", 1), ("c", 4)]
+
+    def test_run_end_carries_counters_without_a_registry(self):
+        problem = random_problem(np.random.default_rng(5))
+        sink = obs.ListRecorder()
+        with obs.recording(sink, timings=False):
+            result = solve_distributed(problem, DistributedConfig(max_iterations=3), rng=0)
+        (end,) = [e for e in sink.events if e["type"] == "run_end"]
+        counters = end["counters"]
+        assert list(counters) == sorted(counters)
+        assert counters["algorithm1.iterations"] == result.iterations
+        assert counters["algorithm1.phases"] == result.iterations * problem.num_sbs
+        assert counters["subproblem.solves"] == counters["algorithm1.phases"]
+
+    def test_each_run_reports_only_its_own_counts(self):
+        problem = random_problem(np.random.default_rng(5))
+        config = DistributedConfig(max_iterations=3)
+        sink = obs.ListRecorder()
+        with obs.recording(sink, timings=False):
+            solve_distributed(problem, config, rng=0)
+            solve_distributed(problem, config, rng=0)
+        first, second = [e["counters"] for e in sink.events if e["type"] == "run_end"]
+        assert first == second
 
 
 class TestSolverInstrumentation:
@@ -99,7 +153,8 @@ class TestSolverInstrumentation:
         assert counters["knapsack.calls"] >= 1
 
     def test_registry_thread_safety(self):
-        """Concurrent counts must not lose increments."""
+        """Concurrent counts and folds must not lose increments."""
+        import sys
         import threading
 
         registry = perf.PerfRegistry()
@@ -108,13 +163,22 @@ class TestSolverInstrumentation:
             for _ in range(2000):
                 registry.count("hits")
                 registry.count("bulk", 3)
+                registry.fold({"hits": 1, "folded": 2})
 
-        threads = [threading.Thread(target=hammer) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert registry.snapshot() == {"counters": {"hits": 8000, "bulk": 24000}}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert registry.snapshot() == {
+            "counters": {"hits": 16000, "bulk": 24000, "folded": 16000}
+        }
 
     def test_distributed_counters_and_timings(self):
         """The registry counts; the timings are the spans' ``seconds``."""
@@ -134,9 +198,14 @@ class TestSolverInstrumentation:
         assert len(solves) == counters["algorithm1.phases"]
         # The solve time is a component of the sweep time.
         assert sum(solves) <= sum(sweeps)
+        # The run's counters are a ``run_end`` fact, not a root-span
+        # attribute; only process counters stay adapter-only.
         root = [e for e in spans if e["parent"] is None][0]
-        assert root["perf_counters"] == counters
-        assert [key for key in root if key.startswith("perf_")] == ["perf_counters"]
+        assert not [key for key in root if key.startswith("perf_")]
+        (end,) = [e for e in sink.events if e["type"] == "run_end"]
+        assert end["counters"] == {
+            name: counters[name] for name in sorted(counters) if name not in perf.PROCESS_COUNTERS
+        }
 
     def test_instrumentation_does_not_change_results(self):
         problem = random_problem(np.random.default_rng(6))

@@ -81,6 +81,11 @@ class TestBitIdentity:
             result.solution.routing, reference.solution.routing
         )
         assert filecmp.cmp(socket_trace, sim_trace, shallow=False)
+        # The identical traces carry the clients' counts, folded in by the BS.
+        events = [json.loads(line) for line in socket_trace.read_text().splitlines()]
+        (end,) = [event for event in events if event["type"] == "run_end"]
+        assert end["counters"]["algorithm1.iterations"] == result.iterations
+        assert end["counters"]["subproblem.solves"] == end["phases"]
         assert isinstance(report, RuntimeReport)
         assert report.num_clients == problem.num_sbs
         assert report.proxy is None
@@ -153,6 +158,17 @@ class TestBitIdentity:
             assert block.shape == sparse.sbs_index(index).pair_ids.shape
         assert result.channel.stats.bytes_sent == reference.channel.stats.bytes_sent
         assert filecmp.cmp(socket_trace, sim_trace, shallow=False)
+
+
+class TestClientCounters:
+    def test_malformed_counters_are_not_folded(self):
+        """Counters arrive from the network: only integer counts fold."""
+        server = RuntimeServer(_problem(), _config(), RuntimeConfig())
+        sink = obs.ListRecorder()
+        with obs.recording(sink, timings=False):
+            server._replay({"counters": {"ok": 2, "text": "x", "flag": True, "real": 1.5}})
+            server._replay({"counters": ["not", "a", "mapping"]})
+        assert sink.counters.counters == {"ok": 2}
 
 
 class TestChaosDeterminism:

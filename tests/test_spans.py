@@ -155,7 +155,9 @@ class TestInProcessTrees:
             with obs.recording(sink, timings=True, spans=True):
                 solve_distributed(problem, _config(), faults=FaultConfig())
         root = [e for e in _span_events(sink.events) if e["parent"] is None][0]
-        assert "perf_counters" in root
+        # Counters moved to ``run_end``; the root keeps the volatile part.
+        assert "perf_counters" not in root
+        assert [e for e in sink.events if e["type"] == "run_end"][0]["counters"]
         assert root["rss_peak_kb"] > 0
         assert root["seconds"] > 0
 
@@ -408,3 +410,84 @@ class TestDiffMasking:
         ) != 0
         out = capsys.readouterr().out
         assert "differ" in out or "mismatch" in out
+
+
+class TestCriticalPathMatchesProbes:
+    """``repro-trace critical-path`` against perfbench's per-layer probes.
+
+    A shrunk ``socket-wide`` solve (3 SBSs x 20 groups x 200 files,
+    densified, tasks mode, the workload's own configs) is traced with
+    spans and timings while perfbench's probes time each layer's public
+    functions.  The protocol is serial, so each bucket must hold the
+    probed work that runs inside its spans:
+
+    * ``solve``: the subproblem kernel (and LPPM) busy time, within
+      -10% / +25% plus 2 ms (the span also covers the aggregate gather
+      and the recovery bookkeeping);
+    * ``aggregate``: ``BaseStationAgent.broadcast_aggregate`` and
+      ``update_prices``, within -30% / +30% plus 0.5 ms (the run's
+      initial broadcast is probed but sits outside any aggregate span);
+    * ``network`` (with ``broadcast``, where the flushed frames are
+      encoded): every frame's codec time plus the BS's upload ingest and
+      cost evaluation, which must fit in it (+5%) and make at least a
+      fifth of it (the rest is socket I/O and the event loop).
+
+    These are wall times on a shared host: a preemption inside a short
+    span can break one solve's figures, so the check passes when one of
+    three solves meets every bound.
+    """
+
+    @staticmethod
+    def _mismatches(tmp_path, capsys, layers, workload, instance):
+        probes = layers.ProbeSet(layers.default_probes())
+        trace = tmp_path / "socket-wide.jsonl"
+        probes.install()
+        try:
+            with obs.recording(trace, timings=True, spans=True):
+                solve_over_sockets(instance, workload.config, runtime=workload.runtime)
+        finally:
+            assert probes.uninstall() == []
+        capsys.readouterr()
+        assert trace_cli(["critical-path", str(trace), "--format", "json"]) == 0
+        buckets = json.loads(capsys.readouterr().out)["by_category"]
+        solve = probes.busy_s("subproblem.") + probes.busy_s("privacy.")
+        aggregate = probes["bs.broadcast_aggregate"].busy_s + probes["bs.update_prices"].busy_s
+        wire = buckets["network"] + buckets.get("broadcast", 0.0)
+        probed = (
+            probes.busy_s("wire.")
+            + probes["bs.absorb_uploads"].busy_s
+            + probes["bs.has_folded"].busy_s
+            + probes["bs.system_cost"].busy_s
+        )
+        checks = {
+            "solve": (solve, buckets["solve"], 0.9 * solve, 1.25 * solve + 0.002),
+            "aggregate": (
+                aggregate,
+                buckets["aggregate"],
+                0.7 * aggregate,
+                1.3 * aggregate + 0.0005,
+            ),
+            "network": (probed, wire, probed / 1.05, 5.0 * probed),
+        }
+        return [
+            f"{name}: probes {probe:.6f}s, critical path {bucket:.6f}s, "
+            f"bounds [{low:.6f}, {high:.6f}]"
+            for name, (probe, bucket, low, high) in checks.items()
+            if not (probe > 0.0 and low <= bucket <= high)
+        ]
+
+    def test_socket_wide_buckets_match_probes(self, tmp_path, monkeypatch, capsys):
+        from pathlib import Path
+
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+        from perfbench import layers
+        from perfbench.workloads import WORKLOADS
+        from repro.workload.cityscale import generate_city_instance
+
+        workload = WORKLOADS["socket-wide"]
+        instance = generate_city_instance(3, 20, 200, rng=7).to_dense()
+        for _attempt in range(3):
+            mismatches = self._mismatches(tmp_path, capsys, layers, workload, instance)
+            if not mismatches:
+                break
+        assert mismatches == []

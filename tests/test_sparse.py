@@ -364,8 +364,10 @@ class TestCompactParity:
         order and the same keys — apart from the sparse tags on
         ``run_start`` — with equal integers and floats to 1e-12.  The
         channel carries the same messages; only their bytes differ (pair
-        vectors against ``(U, F)`` blocks).  With timings on, both runs'
-        phase events carry ``solve_seconds``."""
+        vectors against ``(U, F)`` blocks).  The ``run_end`` counters are
+        equal once the iteration counter's layout-specific name is
+        mapped.  With timings on, both runs' phase events carry
+        ``solve_seconds``."""
         sparse = generate_city_instance(5, 40, 300, files_per_group=16, rng=21)
         config = DistributedConfig(max_iterations=6)
         only = {"run_start": ({"sparse", "demand_nnz", "num_links"}, set())}
@@ -386,6 +388,13 @@ class TestCompactParity:
                     if key == "channel":
                         assert ours[key]["by_kind"] == theirs[key]["by_kind"]
                         assert ours[key]["bytes_sent"] < theirs[key]["bytes_sent"]
+                    elif key == "counters":
+                        # Each layout counts iterations under its own name.
+                        ours_counts = dict(ours[key])
+                        ours_counts["algorithm1.iterations"] = ours_counts.pop(
+                            "algorithm1.sparse_iterations"
+                        )
+                        assert ours_counts == theirs[key]
                     elif isinstance(ours[key], float) or isinstance(theirs[key], float):
                         assert ours[key] == pytest.approx(theirs[key], rel=1e-12), key
                     else:
