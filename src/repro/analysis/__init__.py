@@ -12,8 +12,6 @@ rest on, none of which a generic linter knows about:
   accounting sound (``REPRO201``);
 * **numerical safety** — no exact float ``==``, no mutable default
   arguments, no bare ``except`` (``REPRO301``–``REPRO303``);
-* **trusted-path hygiene** — ``validate=False`` fast paths only in
-  scopes that validated at the boundary (``REPRO401``);
 * **API hygiene** — ``__all__`` consistent with module definitions
   (``REPRO501``).
 

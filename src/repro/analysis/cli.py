@@ -33,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description="AST-based invariant linter for the repro codebase "
         "(determinism, DP-noise provenance, numerical safety, "
-        "trusted-path hygiene, API hygiene).",
+        "API hygiene).",
     )
     parser.add_argument(
         "paths",

@@ -6,7 +6,7 @@ surface re-exports the registry accessors from :mod:`.base`.
 """
 
 from .base import FileContext, Rule, all_rules, dotted_name, register, resolve_rule
-from . import api, determinism, hotpath, numerics, privacy, threading, trusted  # noqa: F401  (registration imports)
+from . import api, determinism, hotpath, numerics, privacy, threading  # noqa: F401  (registration imports)
 
 __all__ = [
     "FileContext",

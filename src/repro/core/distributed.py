@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -57,7 +56,7 @@ from .convergence import (
 from .layout import Instance, Layout, layout_for
 from .solution import Solution
 from .sparse import SparseSolution
-from .subproblem import SubproblemConfig, SubproblemWorkspace, solve_subproblem
+from .subproblem import SubproblemConfig, solve_subproblem
 
 __all__ = [
     "DistributedConfig",
@@ -477,8 +476,7 @@ class SBSAgent:
     """One SBS: solves ``P_n`` locally, optionally applies LPPM.
 
     Its view (built once) and slice of each broadcast come from the
-    instance's block layout.  ``workspace`` is the kernel scratch, which
-    one run's agents share (one is made when omitted).
+    instance's block layout.
     """
 
     def __init__(
@@ -491,7 +489,6 @@ class SBSAgent:
         mechanism: Optional[LaplacePrivacyMechanism] = None,
         accountant: Optional[PrivacyAccountant] = None,
         warm_start: bool = False,
-        workspace: Optional[SubproblemWorkspace] = None,
     ) -> None:
         problem._check_sbs(index)
         self.index = index
@@ -504,10 +501,6 @@ class SBSAgent:
         self._mechanism = mechanism
         self._accountant = accountant
         self._warm_start = warm_start
-        # Scratch buffers shared by every solve this agent performs.
-        if workspace is None:
-            workspace = SubproblemWorkspace(items=self._view.num_items)
-        self._workspace = workspace
         # Fault-tolerance state (inert on the reliable, failure-free path).
         self.resilient = False
         self.recoveries = 0
@@ -527,7 +520,8 @@ class SBSAgent:
         self.last_solve_stats: Optional[Dict[str, float]] = None
         self._seq = 0
         self._max_ack = 0
-        self._agg_payload: Optional[np.ndarray] = None
+        # This SBS's entries of the newest broadcast: (aggregate, prices).
+        self._agg_entries: Optional[tuple] = None
         self._agg_tag: Optional[tuple] = None
 
     def _ingest(self, messages) -> None:
@@ -536,22 +530,31 @@ class SBSAgent:
         Broadcasts can arrive late or out of order on a faulty channel,
         so "latest" is decided by the ``(iteration, phase)`` tag rather
         than arrival order; stale stragglers never overwrite a fresher
-        view.
+        view.  Only this SBS's entries of the payload are kept.
         """
         for message in messages:
             if message.kind is MessageKind.AGGREGATE_BROADCAST:
                 tag = (message.iteration, message.phase)
                 if self._agg_tag is None or tag >= self._agg_tag:
                     self._agg_tag = tag
-                    self._agg_payload = message.payload
+                    self._agg_entries = self._own_entries(message.payload)
             elif message.kind is MessageKind.ACK:
                 self._max_ack = max(self._max_ack, int(message.payload[0]))
 
-    def read_latest_aggregate(self) -> tuple:
-        """Drain the mailbox; return the freshest ``(aggregate, prices)``.
+    def _own_entries(self, payload: np.ndarray) -> tuple:
+        """This SBS's ``(aggregate, prices)`` entries of a broadcast.
 
         Plain broadcasts carry the layout's aggregate (prices ``None``);
         price-coordination broadcasts stack the prices under it.
+        """
+        gather, index = self._layout.gather, self.index
+        if payload.ndim > len(self._layout.broadcast_shape):
+            return gather(payload[0], index), gather(payload[1], index)
+        return gather(payload, index), None
+
+    def read_latest_aggregate(self) -> tuple:
+        """Drain the mailbox; return this SBS's entries of the freshest
+        broadcast, ``(aggregate, prices)``, laid out as its view.
 
         On the reliable path a missing broadcast is a protocol-order bug
         and raises :class:`~repro.exceptions.ProtocolError`.  A resilient
@@ -564,11 +567,9 @@ class SBSAgent:
         if not any(message.kind is MessageKind.AGGREGATE_BROADCAST for message in messages):
             if not self.resilient:
                 raise ProtocolError(f"{self.name} has no aggregate broadcast to read")
-        shape = self._layout.broadcast_shape
-        payload = np.zeros(shape) if self._agg_payload is None else np.asarray(self._agg_payload)
-        if payload.ndim > len(shape):
-            return payload[0], payload[1]
-        return payload, None
+        if self._agg_entries is None:
+            return np.zeros(self._view.shape), None
+        return self._agg_entries
 
     def begin_phase(self) -> tuple:
         """Drain the mailbox and form ``y_{-n}`` (counts one phase).
@@ -577,9 +578,7 @@ class SBSAgent:
         """
         perf.count("algorithm1.phases")
         aggregate, prices = self.read_latest_aggregate()
-        gather, index = self._layout.gather, self.index
-        aggregate_others = np.clip(gather(aggregate, index) - self.last_report, 0.0, None)
-        return aggregate_others, None if prices is None else gather(prices, index)
+        return np.clip(aggregate - self.last_report, 0.0, None), prices
 
     def compute_phase(self, iteration: int, phase: int, *, cap_slack: float = 0.0) -> tuple:
         """Read the aggregate, solve ``P_n``, apply LPPM; no upload yet.
@@ -600,7 +599,6 @@ class SBSAgent:
             cap_slack=cap_slack,
             initial_multipliers=self._last_multipliers if self._warm_start else None,
             candidate_caching=self.caching if self._has_solved else None,
-            workspace=self._workspace,
         )
         self.last_solve_stats = solve_stats(result, started)
         self._last_multipliers = result.multipliers
@@ -783,11 +781,6 @@ class DistributedOptimizer:
         )
         self.layout = self.base_station.layout
         self.accountant = PrivacyAccountant() if privacy is not None else None
-        # One kernel workspace for the whole run, sized for the largest
-        # view, so no phase re-allocates it.
-        workspace = SubproblemWorkspace(
-            items=max(math.prod(self.layout.report_shape(n)) for n in problem.sbs_indices())
-        )
         generator = rng_from(rng)
         self.sbss: List[SBSAgent] = []
         for n in problem.sbs_indices():
@@ -804,7 +797,6 @@ class DistributedOptimizer:
                 mechanism=mechanism,
                 accountant=self.accountant,
                 warm_start=self.config.warm_start,
-                workspace=workspace,
             )
             agent.resilient = faults is not None
             self.sbss.append(agent)

@@ -41,9 +41,6 @@ def residual_caps(
     problem: ProblemInstance,
     sbs: int,
     aggregate_others: np.ndarray,
-    *,
-    out: Optional[np.ndarray] = None,
-    validate: bool = True,
 ) -> np.ndarray:
     """Per-(u, f) upper bounds on ``y[sbs, u, f]`` given the others.
 
@@ -52,29 +49,16 @@ def residual_caps(
     aggregate is clipped to ``[0, 1]`` first so a slightly over-serving
     aggregate (possible transiently under the privacy mechanism) never
     produces negative caps.
-
-    ``out`` (a writable ``(U, F)`` float64 buffer) receives the caps in
-    place, letting callers that solve per sweep phase — one
-    :class:`~repro.core.distributed.SBSAgent` per Gauss-Seidel round —
-    reuse one allocation for the whole run.  ``validate=False`` skips the
-    array validation for trusted internal callers that already hold a
-    conforming float64 aggregate.
     """
     problem._check_sbs(sbs)
-    if validate:
-        aggregate = as_float_array(
-            aggregate_others,
-            "aggregate_others",
-            shape=(problem.num_groups, problem.num_files),
-        )
-    else:
-        aggregate = aggregate_others
-    if out is None:
-        out = np.empty((problem.num_groups, problem.num_files))
-    np.subtract(1.0, aggregate, out=out)
-    np.clip(out, 0.0, 1.0, out=out)
-    out *= problem.connectivity[sbs][:, np.newaxis]
-    return out
+    aggregate = as_float_array(
+        aggregate_others,
+        "aggregate_others",
+        shape=(problem.num_groups, problem.num_files),
+    )
+    caps = np.clip(1.0 - aggregate, 0.0, 1.0)
+    caps *= problem.connectivity[sbs][:, np.newaxis]
+    return caps
 
 
 def optimal_routing_for_sbs(

@@ -54,9 +54,10 @@ computation puts there.
 
 The dual ascent has two oracles.  The **batched kernel** (the default)
 hoists every loop invariant, validates arrays once at this API
-boundary, solves the dual routing subproblem and primal recovery as one
-two-row knapsack batch, screens recoveries by weak duality and runs in
-the buffers of a :class:`SubproblemWorkspace`.  A dual iteration sorts
+boundary, solves the dual routing subproblem and primal recovery on one
+:class:`~repro.solvers.fractional_knapsack.KnapsackWorkspace`, screens
+recoveries by weak duality, and allocates its scratch afresh on every
+call, sized by the live items.  A dual iteration sorts
 nothing it only needs the top of: the cache set, its filler and the
 polish candidates are exact stable top-``k`` selections
 (:func:`_top_k`, a threshold from ``np.partition`` with ties to the
@@ -86,7 +87,7 @@ from .._validation import (
     check_positive_int,
 )
 from ..exceptions import ValidationError
-from ..solvers.fractional_knapsack import KnapsackBatchWorkspace, solve_fractional_knapsack
+from ..solvers.fractional_knapsack import KnapsackWorkspace, solve_fractional_knapsack
 from ..solvers.subgradient import StepSchedule, SubgradientResult, subgradient_ascent
 from .problem import ProblemInstance
 from .routing import optimal_routing_for_sbs, residual_caps
@@ -95,7 +96,6 @@ __all__ = [
     "ItemView",
     "SubproblemConfig",
     "SubproblemSolution",
-    "SubproblemWorkspace",
     "solve_subproblem",
     "solve_subproblem_exhaustive",
     "cache_subproblem",
@@ -105,16 +105,11 @@ __all__ = [
 # Polish trials are evaluated in chunks of this many candidate cache
 # vectors: improving passes usually accept a trial from the first chunk
 # (the scalar loop would have stopped there too), so later chunks are
-# never materialized, and the chunk size bounds the trial scratch
-# buffers preallocated in :class:`SubproblemWorkspace`.
+# never materialized, and the chunk size bounds the trial scratch one
+# chunk allocates.
 _TRIAL_CHUNK = 32
 
 _EPS = float(np.finfo(np.float64).eps)
-
-# The per-item vectors of :class:`SubproblemWorkspace`: full-view ones,
-# then the live-item ones of the dual ascent.
-_FULL_VECTORS = ("caps", "dual_prod", "cost_prod", "terms")
-_LIVE_VECTORS = ("mu", "dual_costs", "subgrad", "priced_mu", "products", "gap")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -296,62 +291,6 @@ class ItemView:
         object.__setattr__(view, "weight", self.weight.take(items))
         object.__setattr__(view, "shape", (items.size,))
         return view
-
-
-class SubproblemWorkspace:
-    """Preallocated scratch buffers for the batched subproblem kernel.
-
-    Holds every per-item buffer of a dual iteration, including the 2-row
-    :class:`~repro.solvers.fractional_knapsack.KnapsackBatchWorkspace`
-    (row 0: the dual routing subproblem, row 1: primal recovery), so a
-    repeat caller pays the allocations once.  Buffers only grow: a solve
-    takes prefix views of its item count, so one workspace serves views
-    of different sizes — an in-process run sizes one for its largest SBS
-    view and shares it across its agents.  Full-view buffers span the view's ``items``; the dual
-    ascent's buffers and the knapsack scratch span its ``live`` items.
-    Every allocation bumps ``subproblem.workspace_allocs``.
-    """
-
-    def __init__(self, problem: Optional[ProblemInstance] = None, *, items: int = 1) -> None:
-        if problem is not None:
-            items = max(items, problem.num_groups * problem.num_files)
-        self.capacity = 0
-        self.bind(max(items, 1))
-
-    def bind(self, items: int, live: Optional[int] = None) -> None:
-        """Point the full-view buffers at their first ``items`` entries and
-        the live-item ones at their first ``live`` (default ``items``),
-        growing if needed."""
-        live = items if live is None else live
-        if items > self.capacity:
-            perf.count("subproblem.workspace_allocs")
-            self.capacity = items
-            self._vectors = [np.empty(items) for _ in _FULL_VECTORS + _LIVE_VECTORS]
-            self.knapsack = KnapsackBatchWorkspace(2, items)
-            self._trials: Optional[Tuple[np.ndarray, KnapsackBatchWorkspace]] = None
-        self.items, self.live = items, live
-        full = len(_FULL_VECTORS)
-        self.caps, self.dual_prod, self.cost_prod, self.terms = [
-            vector[:items] for vector in self._vectors[:full]
-        ]
-        self.mu, self.dual_costs, self.subgrad, self.priced_mu, self.products, self.gap = [
-            vector[:live] for vector in self._vectors[full:]
-        ]
-        self.knapsack.resize(live)
-        if self._trials is not None:
-            self._trials[1].resize(live)
-
-    def trials(self) -> Tuple[np.ndarray, KnapsackBatchWorkspace]:
-        """Polish trial scratch: ``(_TRIAL_CHUNK, items)`` products and a
-        ``_TRIAL_CHUNK``-row knapsack workspace over the live items — the
-        largest buffers here, so they are allocated on first use only."""
-        if self._trials is None:
-            perf.count("subproblem.workspace_allocs")
-            scratch = KnapsackBatchWorkspace(_TRIAL_CHUNK, self.capacity)
-            scratch.resize(self.live)
-            self._trials = (np.empty(_TRIAL_CHUNK * self.capacity), scratch)
-        products, scratch = self._trials
-        return products[: _TRIAL_CHUNK * self.items].reshape(_TRIAL_CHUNK, -1), scratch
 
 
 def _routing_coefficients(problem: ProblemInstance, sbs: int) -> np.ndarray:
@@ -558,8 +497,7 @@ class _RecoveryScreen:
     ``view`` may be the live restriction of the view the cost is summed
     over; ``full`` then holds that view's ``(priced, caps)``, so ``P``
     and ``S`` are its own.  Dead items only add signed zeros to ``g``,
-    so leaving them out changes no bound.  ``scratch`` holds at least
-    ``P`` entries.
+    so leaving them out changes no bound.
     """
 
     def __init__(
@@ -571,43 +509,37 @@ class _RecoveryScreen:
         order: np.ndarray,
         order_file: np.ndarray,
         order_caps: np.ndarray,
-        scratch: Tuple[np.ndarray, np.ndarray],
         full: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> None:
         self.view, self.priced, self.caps, self.constant = view, priced, caps, constant
         self.order, self.order_file, self.order_caps = order, order_file, order_caps
         full_priced, full_caps = (priced, caps) if full is None else full
-        terms = scratch[0][: full_priced.size]
-        np.minimum(full_priced, 0.0, out=terms)
-        np.multiply(terms, full_caps, out=terms)
+        terms = np.minimum(full_priced, 0.0)
+        terms *= full_caps
         self.scale = abs(constant) - float(np.add.reduce(terms))
         self.slack = 8.0 * (full_priced.size + 1) * _EPS
-        self.terms, self.gap = [buffer[: view.num_items] for buffer in scratch]
         self.offset = -np.inf
         self.g = np.zeros(view.num_files)
 
     def refresh(self, caching: np.ndarray, routing: np.ndarray) -> None:
         """Re-derive ``lam`` and ``g`` from a new incumbent."""
         lam = 0.0
-        paid = self.order.size
-        if paid:
-            available, gap = self.terms[:paid], self.gap[:paid]
-            np.take(caching, self.order_file, out=available)
-            np.multiply(available, self.order_caps, out=available)
+        if self.order.size:
+            available = caching.take(self.order_file)
+            available *= self.order_caps
             # Items at their cap sit within a few ulps of it; one clearly
             # below is where the budget ran out.
             available *= 1.0 - 4.0 * _EPS
-            np.take(routing, self.order, out=gap)
-            np.less(gap, available, out=gap)
+            gap = routing.take(self.order) < available
             split = int(np.argmax(gap))
             if gap[split]:
                 item = self.order[split]
                 lam = -float(self.priced[item]) / float(self.view.weight[item])
-        np.multiply(self.view.weight, lam, out=self.terms)
-        np.add(self.terms, self.priced, out=self.terms)
-        np.minimum(self.terms, 0.0, out=self.terms)
-        np.multiply(self.terms, self.caps, out=self.terms)
-        self.g = self.view.file_sums(self.terms)
+        terms = self.view.weight * lam
+        terms += self.priced
+        np.minimum(terms, 0.0, out=terms)
+        terms *= self.caps
+        self.g = self.view.file_sums(terms)
         budget = lam * self.view.bandwidth
         self.offset = self.constant - budget - self.slack * (self.scale + budget)
 
@@ -743,7 +675,6 @@ def solve_subproblem(
     cap_slack: float = 0.0,
     initial_multipliers: Optional[np.ndarray] = None,
     candidate_caching: Optional[np.ndarray] = None,
-    workspace: Optional[SubproblemWorkspace] = None,
 ) -> SubproblemSolution:
     """Solve ``P_n`` by the paper's dual decomposition with primal recovery.
 
@@ -771,9 +702,6 @@ def solve_subproblem(
     the returned solution is never worse than keeping the incumbent —
     which is what makes every Gauss-Seidel phase non-increasing
     regardless of dual-ascent noise.
-
-    ``workspace`` supplies the batched kernel's scratch (one is created
-    per call when omitted); repeat callers should pass one in.
     """
     config = config or SubproblemConfig()
     if isinstance(problem, ItemView):
@@ -806,10 +734,8 @@ def solve_subproblem(
         seed = as_float_array(candidate_caching, "candidate_caching", shape=(view.num_files,))
 
     if config.oracle == "batched":
-        if workspace is None:
-            workspace = SubproblemWorkspace(items=view.num_items)
         caching, routing, cost, result = _dual_decomposition(
-            view, others, prices, cap_slack, start, seed, config, workspace=workspace
+            view, others, prices, cap_slack, start, seed, config
         )
     else:
         # The legacy oracle is the dense reference: it solves the grid of
@@ -850,6 +776,20 @@ def solve_subproblem(
     )
 
 
+def _live_items(priced: np.ndarray, caps: np.ndarray, start: Optional[np.ndarray]) -> np.ndarray:
+    """The items the batched dual ascent runs on (module docstring).
+
+    A view without any keeps item 0, which stays dead when computed
+    explicitly, so the knapsack rows are never empty.
+    """
+    live = np.less(priced, 0.0)
+    live &= caps > 0
+    if start is not None:
+        live |= start > 0
+    live_items = np.flatnonzero(live)
+    return live_items if live_items.size else np.zeros(1, dtype=np.intp)
+
+
 def _dual_decomposition(
     view: ItemView,
     others: np.ndarray,
@@ -859,21 +799,17 @@ def _dual_decomposition(
     seed: Optional[np.ndarray],
     config: SubproblemConfig,
     *,
-    workspace: Optional[SubproblemWorkspace] = None,
     dense: Optional[ProblemInstance] = None,
 ) -> Tuple[np.ndarray, np.ndarray, float, SubgradientResult]:
-    """The dual ascent on validated item vectors: the batched kernel in
-    ``workspace``, or the legacy oracle on ``dense``, the one-SBS problem
-    whose full grid ``view`` is.  Routing and multipliers are ``(P,)``."""
+    """The dual ascent on validated item vectors: the batched kernel, or
+    the legacy oracle on ``dense``, the one-SBS problem whose full grid
+    ``view`` is.  Routing and multipliers are ``(P,)``."""
     num_files, bandwidth = view.num_files, view.bandwidth
     item_row, weights = view.item_row, view.weight
     capacity = int(np.floor(view.cache_capacity + 1e-9))
-    ws = workspace
-    if ws is not None:
-        ws.bind(view.num_items)
     # Residual caps, exactly as :func:`repro.core.routing.residual_caps`.
     reach = view.reach.take(item_row)
-    caps = np.subtract(1.0, others, out=None if ws is None else ws.caps)
+    caps = np.subtract(1.0, others)
     np.clip(caps, 0.0, 1.0, out=caps)
     caps *= reach
     if cap_slack > 0:
@@ -944,18 +880,7 @@ def _dual_decomposition(
             patience=config.patience,
         )
     else:
-        assert ws is not None
-        # The dual ascent runs on the live items (module docstring); a
-        # view without any keeps one dead item, which stays dead when
-        # computed explicitly, so the knapsack rows are never empty.
-        live = np.less(priced, 0.0)
-        live &= caps > 0
-        if start is not None:
-            live |= start > 0
-        live_items = np.flatnonzero(live)
-        if not live_items.size:
-            live_items = np.zeros(1, dtype=np.intp)
-        ws.bind(view.num_items, live_items.size)
+        live_items = _live_items(priced, caps, start)
         sub = view.subset(live_items)
         sub_caps = caps.take(live_items)
         sub_priced = priced.take(live_items)
@@ -965,111 +890,53 @@ def _dual_decomposition(
         # run over, exactly as the full computation fills them:
         # ``(priced + 0.0) * 0.0`` for the dual value, ``priced * 0.0`` for
         # recovery and polish trial costs.
-        np.add(priced, 0.0, out=ws.dual_prod)
-        ws.dual_prod *= 0.0
-        np.multiply(priced, 0.0, out=ws.cost_prod)
-        # Row 0 of the knapsack batch is the dual routing subproblem
-        # (costs change with mu each iteration), row 1 is primal
-        # recovery: its costs are the fixed priced coefficients, so its
-        # greedy order and the caps along it are hoisted here, and a
-        # candidate cache set (every polish trial too) only contributes
-        # its (F,)-sized mask, gathered along the paid prefix.
-        kw = ws.knapsack
-        kw.bind_weights(sub.weight)
-        kw.prepare_row(1, sub_priced)
-        recovery_paid = int(kw.paid_count[1])
-        recovery_order = kw.order[1, :recovery_paid]
-        recovery_file = sub.item_file.take(recovery_order)
-        recovery_caps = sub_caps.take(recovery_order)
-        recovery_w_eff = kw.w_eff[1, :recovery_paid]
-        recovery_w = kw.w_sorted[1, :recovery_paid]
-        free_items = np.flatnonzero(kw.free[1]) if kw.has_free(1) else None
+        dual_prod = np.add(priced, 0.0)
+        dual_prod *= 0.0
+        cost_prod = np.multiply(priced, 0.0)
+        # The dual routing subproblem's costs change with mu every
+        # iteration; primal recovery's are the fixed priced coefficients,
+        # so its greedy order and the caps along it are prepared here,
+        # and a candidate cache set (every polish trial too) only
+        # contributes its (F,)-sized mask, gathered along the paid prefix.
+        knapsack = KnapsackWorkspace(sub.weight)
+        knapsack.prepare_row(sub_priced, sub_caps, sub.item_file)
         screen = _RecoveryScreen(
             sub,
             sub_priced,
             sub_caps,
             constant,
-            recovery_order,
-            recovery_file,
-            recovery_caps,
-            (ws.terms, ws.gap),
+            knapsack.order,
+            knapsack.order_groups,
+            knapsack.order_caps,
             full=(priced, caps),
         )
 
-        def recover(
-            trials: np.ndarray, scratch: KnapsackBatchWorkspace, rows: Union[int, slice]
-        ) -> np.ndarray:
-            """Live recovery allocation of one ``(F,)`` cache set, or of each
-            of ``(T, F)`` trials, along row 1's order in ``scratch[rows]``."""
-            perf.count("knapsack.batched_rows", 1 if trials.ndim == 1 else trials.shape[0])
-            allocation = scratch.allocation[rows]
-            allocation.fill(0.0)
-            if recovery_paid:
-                sorted_full = scratch.sorted_full[rows, :recovery_paid]
-                # Same grouping as the scalar solver: (cap * mask) * w.
-                np.multiply(recovery_caps, trials.take(recovery_file, axis=-1), out=sorted_full)
-                np.multiply(sorted_full, recovery_w_eff, out=sorted_full)
-                before = scratch.before[rows, :recovery_paid]
-                before[..., 0] = 0.0
-                sorted_full[..., :-1].cumsum(axis=-1, out=before[..., 1:])
-                take = scratch.take[rows, :recovery_paid]
-                np.subtract(bandwidth, before, out=take)
-                np.maximum(take, 0.0, out=take)
-                np.minimum(take, sorted_full, out=take)
-                positive = scratch.positive[rows, :recovery_paid]
-                np.greater(take, 0.0, out=positive)
-                vals = scratch.vals[rows, :recovery_paid]
-                vals.fill(0.0)
-                np.divide(take, recovery_w, out=vals, where=positive)
-                allocation[..., recovery_order] = vals
-            if free_items is not None:
-                allocation[..., free_items] = (
-                    sub_caps[free_items] * trials.take(sub.item_file.take(free_items), axis=-1)
-                )
-            return allocation
-
-        def recovered(caching: np.ndarray) -> Tuple[np.ndarray, float]:
-            """Live routing (a buffer view) and cost of one cache set."""
-            allocation = recover(caching, kw, 1)
-            np.multiply(sub_priced, allocation, out=ws.products)
-            ws.cost_prod[live_items] = ws.products
-            return allocation, constant + float(np.add.reduce(ws.cost_prod))
-
         def evaluate(caching: np.ndarray) -> Tuple[np.ndarray, float]:
-            routing, cost = recovered(caching)
-            return routing.copy(), cost
+            """Live routing and cost of one cache set."""
+            allocation = knapsack.solve_masked(caching, bandwidth)
+            cost_prod[live_items] = sub_priced * allocation
+            return allocation, constant + float(np.add.reduce(cost_prod))
 
         def batch_evaluate(trials: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            products, scratch = ws.trials()
-            count = trials.shape[0]
-            products = products[:count]
+            allocation = knapsack.solve_masked(trials, bandwidth)
             # The dead slots of ``cost_prod``; the live ones are rewritten.
-            np.copyto(products, ws.cost_prod)
-            allocation = recover(trials, scratch, slice(0, count))
-            # Row 1's order is shared, so the trial scratch's ``ratio``
-            # rows are free to hold the live products.
-            live_products = scratch.ratio[:count]
-            np.multiply(allocation, sub_priced, out=live_products)
-            products[:, live_items] = live_products
+            products = np.tile(cost_prod, (trials.shape[0], 1))
+            products[:, live_items] = allocation * sub_priced
             return allocation, constant + np.add.reduce(products, axis=1)
 
         if seed is not None:
             consider(seed, *evaluate(seed))
         # Inlined projected-subgradient ascent: the exact control flow of
         # :func:`repro.solvers.subgradient.subgradient_ascent` with the
-        # oracle fused in.  One knapsack batch (dual routing + primal
-        # recovery) and a handful of in-place array ops over the live
-        # items per multiplier update — nothing allocated per iteration
-        # beyond row 0's paid-item sort and the (F,)-sized cache-set
-        # selection, and no other sort.
-        mu = ws.mu
-        if start is None:
-            mu.fill(0.0)
-        else:
-            start.take(live_items, out=mu)
+        # oracle fused in.  One fused knapsack row, a recovery when the
+        # cache set is new, and a handful of in-place array ops over the
+        # live items per multiplier update; the only sort is the dual
+        # row's paid-item one.
+        mu = np.zeros(live_items.size) if start is None else start.take(live_items)
         np.maximum(mu, 0.0, out=mu)
-        # Row 0's caps never change during the ascent, so the greedy's
-        # ``caps * weights`` products are computed exactly once.
+        dual_costs, priced_mu, subgrad = [np.empty(live_items.size) for _ in range(3)]
+        # The dual row's caps never change during the ascent, so the
+        # greedy's ``caps * weights`` products are computed exactly once.
         caps_weights = sub_caps * sub.weight
         best_dual = -np.inf
         dual_history = []
@@ -1086,23 +953,23 @@ def _dual_decomposition(
         for iteration in range(config.max_iter):
             aggregated = sub.file_sums(mu)
             caching = _select_cache_set(num_files, capacity, aggregated, tie_break)
-            np.add(sub_coefficients, mu, out=ws.dual_costs)
+            np.add(sub_coefficients, mu, out=dual_costs)
             if sub_prices is not None:
-                ws.dual_costs += sub_prices
-            alloc0 = kw.solve_row_once(0, ws.dual_costs, caps_weights, sub_caps, bandwidth)
+                dual_costs += sub_prices
+            alloc0 = knapsack.solve_row_once(dual_costs, caps_weights, sub_caps, bandwidth)
             cache_key = caching.tobytes()
             if cache_key not in seen_cache_sets:
                 seen_cache_sets.add(cache_key)
                 if screen.bound(caching) < best["cost"]:
-                    consider(caching, *recovered(caching))
+                    consider(caching, *evaluate(caching))
                 else:
                     perf.count("subproblem.recoveries_screened")
-            np.add(sub_priced, mu, out=ws.priced_mu)
-            np.multiply(ws.priced_mu, alloc0, out=ws.priced_mu)
-            ws.dual_prod[live_items] = ws.priced_mu
+            np.add(sub_priced, mu, out=priced_mu)
+            np.multiply(priced_mu, alloc0, out=priced_mu)
+            dual_prod[live_items] = priced_mu
             dual_value = (
                 constant
-                + float(np.add.reduce(ws.dual_prod))
+                + float(np.add.reduce(dual_prod))
                 - float(np.add.reduce(aggregated * caching))
             )
             dual_history.append(float(dual_value))
@@ -1113,10 +980,10 @@ def _dual_decomposition(
             if stall >= config.patience:
                 converged = True
                 break
-            caching.take(sub.item_file, out=ws.subgrad)
-            np.subtract(alloc0, ws.subgrad, out=ws.subgrad)
-            np.multiply(ws.subgrad, schedule(iteration), out=ws.subgrad)
-            np.add(mu, ws.subgrad, out=mu)
+            caching.take(sub.item_file, out=subgrad)
+            np.subtract(alloc0, subgrad, out=subgrad)
+            np.multiply(subgrad, schedule(iteration), out=subgrad)
+            np.add(mu, subgrad, out=mu)
             np.maximum(mu, 0.0, out=mu)
         multipliers = np.zeros(view.num_items)
         multipliers[live_items] = mu

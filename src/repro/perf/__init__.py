@@ -6,6 +6,6 @@ docs/performance.md for the counter glossary.  Counts are trace facts
 (:mod:`repro.obs.spans`).
 """
 
-from .registry import PROCESS_COUNTERS, PerfRegistry, collecting, count
+from .registry import PerfRegistry, collecting, count
 
-__all__ = ["PROCESS_COUNTERS", "PerfRegistry", "collecting", "count"]
+__all__ = ["PerfRegistry", "collecting", "count"]

@@ -19,14 +19,9 @@ from typing import Iterator, Optional
 
 from ..obs.recorder import CounterTable, active_counters
 
-__all__ = ["PROCESS_COUNTERS", "PerfRegistry", "collecting", "count"]
+__all__ = ["PerfRegistry", "collecting", "count"]
 
 PerfRegistry = CounterTable
-
-#: Counters of what one process allocated rather than of what a run did:
-#: a socket client owns a kernel workspace where an in-process run shares
-#: one.  They reach :func:`collecting` only, never a recorder's table.
-PROCESS_COUNTERS = frozenset({"subproblem.workspace_allocs"})
 
 _active: Optional[PerfRegistry] = None
 
@@ -46,7 +41,7 @@ def collecting(registry: Optional[PerfRegistry] = None) -> Iterator[PerfRegistry
 def count(name: str, amount: int = 1) -> None:
     """Add to the active recorder's table and the adapter (each only if present)."""
     table = active_counters()
-    if table is not None and name not in PROCESS_COUNTERS:
+    if table is not None:
         table.count(name, amount)
     if _active is not None:
         _active.count(name, amount)

@@ -19,11 +19,7 @@ exploit the problem's structure:
 """
 
 from .branch_and_bound import MILPResult, solve_mixed_binary_lp
-from .fractional_knapsack import (
-    KnapsackResult,
-    maximize_fractional_knapsack,
-    solve_fractional_knapsack,
-)
+from .fractional_knapsack import KnapsackResult, solve_fractional_knapsack
 from .lp import LPResult, solve_lp
 from .mincostflow import FlowNetwork, FlowResult, min_cost_flow
 from .projection import (
@@ -39,7 +35,6 @@ __all__ = [
     "MILPResult",
     "solve_mixed_binary_lp",
     "KnapsackResult",
-    "maximize_fractional_knapsack",
     "solve_fractional_knapsack",
     "LPResult",
     "solve_lp",

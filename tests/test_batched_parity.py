@@ -15,20 +15,16 @@ import numpy as np
 import pytest
 
 from repro import perf
+from repro.core import subproblem
 from repro.core.subproblem import (
     SubproblemConfig,
-    SubproblemWorkspace,
     _polish_cache_set,
     _select_cache_set,
     _top_k,
     cache_subproblem,
     solve_subproblem,
 )
-from repro.solvers.fractional_knapsack import (
-    KnapsackBatchWorkspace,
-    solve_fractional_knapsack,
-    solve_fractional_knapsack_batch,
-)
+from repro.solvers.fractional_knapsack import KnapsackWorkspace, solve_fractional_knapsack
 
 from repro.workload import generate_city_instance
 
@@ -54,104 +50,85 @@ def _random_knapsack(rng: np.random.Generator, batch: int, items: int):
     return costs, weights, caps, budget
 
 
+def _masked(costs, weights, caps, groups, mask, budget):
+    """The masked stage of a fresh workspace prepared on ``costs``."""
+    workspace = KnapsackWorkspace(weights)
+    workspace.prepare_row(costs, caps, groups)
+    return workspace.solve_masked(mask, budget)
+
+
+def _assert_masked_exact(costs, weights, caps, groups, masks, budget):
+    """Every row of a ``(T, G)`` mask batch, and its first row alone, solve
+    exactly as the scalar solver with caps ``caps * mask[groups]``."""
+    allocations = _masked(costs, weights, caps, groups, masks, budget)
+    assert allocations.shape == (masks.shape[0], costs.size)
+    for mask, allocation in zip(masks, allocations):
+        scalar = solve_fractional_knapsack(costs, weights, budget, caps * mask[groups])
+        assert allocation.tobytes() == scalar.allocation.tobytes()
+        assert float(costs @ allocation) == scalar.objective
+    single = _masked(costs, weights, caps, groups, masks[0], budget)
+    assert single.tobytes() == allocations[0].tobytes()
+
+
 class TestKnapsackBatchParity:
-    """Batched knapsack vs ``solve_fractional_knapsack``: exact, always."""
+    """The masked stage (one prepared greedy order, a batch of cap masks)
+    vs ``solve_fractional_knapsack``: exact, always."""
 
     def test_random_instances_exact(self):
-        """~200 random batches, each row checked against the scalar solver."""
+        """~200 random batches: arbitrary per-row caps (each item its own
+        group, the caps as masks), then binary and fractional masks over
+        item groups (the same ``(cap * mask) * w`` grouping as the
+        scalar solver's ``caps * w``)."""
         rng = np.random.default_rng(1234)
-        workspace = None
         for case in range(200):
             batch = int(rng.integers(1, 6))
             items = int(rng.integers(1, 25))
             costs, weights, caps, budget = _random_knapsack(rng, batch, items)
             if case % 11 == 0:
                 budget = 0.0  # degenerate: no budget at all
-            result = solve_fractional_knapsack_batch(
-                costs, weights, budget, caps, workspace=workspace
+            _assert_masked_exact(
+                costs[0], weights, np.ones(items), np.arange(items), caps, budget
             )
-            for b in range(batch):
-                scalar = solve_fractional_knapsack(costs[b], weights, budget, caps[b])
-                assert np.array_equal(result.allocations[b], scalar.allocation), (
-                    f"case {case} row {b}: allocations differ"
-                )
-                assert result.objectives[b] == scalar.objective
-                assert result.budgets_used[b] == scalar.budget_used
+            groups = rng.integers(0, 4, size=items)
+            masks = (rng.random((batch, 4)) < 0.6).astype(np.float64)
+            _assert_masked_exact(costs[0], weights, caps[0], groups, masks, budget)
+            masks = rng.uniform(0.0, 1.5, size=(batch, 4))
+            _assert_masked_exact(costs[0], weights, caps[0], groups, masks, budget)
 
     def test_single_item_rows(self):
         """The smallest possible instance, profitable and not."""
         rng = np.random.default_rng(7)
         for _ in range(20):
-            costs = rng.normal(0.0, 1.0, size=(1, 1))
+            costs = rng.normal(0.0, 1.0, size=1)
             weights = rng.uniform(0.0, 2.0, size=1)
-            caps = rng.uniform(0.0, 2.0, size=(1, 1))
+            caps = rng.uniform(0.0, 2.0, size=1)
             budget = float(rng.uniform(0.0, 2.0))
-            result = solve_fractional_knapsack_batch(costs, weights, budget, caps)
-            scalar = solve_fractional_knapsack(costs[0], weights, budget, caps[0])
-            assert np.array_equal(result.allocations[0], scalar.allocation)
-            assert result.objectives[0] == scalar.objective
+            masks = np.array([[1.0], [0.0]])
+            _assert_masked_exact(costs, weights, caps, np.zeros(1, dtype=np.intp), masks, budget)
 
     def test_all_ties_all_profitable(self):
         """Every item identical: stable order must match the scalar sort."""
         items = 12
-        costs = np.full((3, items), -1.0)
+        costs = np.full(items, -1.0)
         weights = np.full(items, 0.5)
-        caps = np.ones((3, items))
-        budget = 2.0
-        result = solve_fractional_knapsack_batch(costs, weights, budget, caps)
-        for b in range(3):
-            scalar = solve_fractional_knapsack(costs[b], weights, budget, caps[b])
-            assert np.array_equal(result.allocations[b], scalar.allocation)
+        groups = np.arange(items) % 3
+        masks = np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
+        _assert_masked_exact(costs, weights, np.ones(items), groups, masks, 2.0)
 
     def test_zero_capacity_everywhere(self):
-        costs = np.array([[-1.0, -2.0, -3.0]])
+        costs = np.array([-1.0, -2.0, -3.0])
         weights = np.array([1.0, 1.0, 1.0])
-        caps = np.zeros((1, 3))
-        result = solve_fractional_knapsack_batch(costs, weights, 5.0, caps)
-        scalar = solve_fractional_knapsack(costs[0], weights, 5.0, caps[0])
-        assert np.array_equal(result.allocations[0], scalar.allocation)
-        assert result.objectives[0] == scalar.objective == 0.0
-
-    def test_workspace_reuse_across_batch_shapes(self):
-        """A stale workspace of the wrong shape must be replaced, not trusted."""
-        rng = np.random.default_rng(99)
-        workspace = KnapsackBatchWorkspace(2, 4)
-        for batch, items in ((2, 4), (3, 7), (1, 2), (5, 20)):
-            costs, weights, caps, budget = _random_knapsack(rng, batch, items)
-            result = solve_fractional_knapsack_batch(
-                costs, weights, budget, caps, workspace=workspace
-            )
-            for b in range(batch):
-                scalar = solve_fractional_knapsack(costs[b], weights, budget, caps[b])
-                assert np.array_equal(result.allocations[b], scalar.allocation)
-
-
-    def test_workspace_resize_reuses_buffers_and_stays_exact(self):
-        """Below capacity, resize() re-views the same buffers; every size
-        still solves exactly like the scalar solver."""
-        rng = np.random.default_rng(5)
-        workspace = KnapsackBatchWorkspace(2, 40)
-        buffer = workspace.allocation
-        for items in (40, 7, 1, 23, 40):
-            workspace.resize(items)
-            assert np.shares_memory(workspace.allocation, buffer)
-            costs, weights, caps, budget = _random_knapsack(rng, 2, items)
-            workspace.bind_weights(weights)
-            for row in range(2):
-                workspace.prepare_row(row, costs[row])
-                allocation = workspace.solve_row(row, caps[row], budget)
-                scalar = solve_fractional_knapsack(costs[row], weights, budget, caps[row])
-                assert np.array_equal(allocation, scalar.allocation)
-        workspace.resize(60)
-        assert not np.shares_memory(workspace.allocation, buffer)
+        groups = np.zeros(3, dtype=np.intp)
+        _assert_masked_exact(costs, weights, np.zeros(3), groups, np.ones((1, 1)), 5.0)
+        allocation = _masked(costs, weights, np.ones(3), groups, np.zeros(1), 5.0)
+        assert float(costs @ allocation) == 0.0
 
 
 def _solve_once(costs, weights, caps, budget, *, workspace=None):
-    """The fused dual row of a fresh (or given) 2-row workspace, copied."""
+    """The fused dual row of a fresh (or given) workspace."""
     if workspace is None:
-        workspace = KnapsackBatchWorkspace(2, costs.size)
-    workspace.bind_weights(weights)
-    return workspace.solve_row_once(0, costs, caps * weights, caps, budget).copy()
+        workspace = KnapsackWorkspace(weights)
+    return workspace.solve_row_once(costs, caps * weights, caps, budget)
 
 
 class TestFusedDualRow:
@@ -223,18 +200,18 @@ class TestFusedDualRow:
             self.assert_exact(costs, weights, caps, float(rng.uniform(0.0, 2.0)))
 
     def test_counts_one_row_and_leaves_prepared_rows_alone(self):
-        """One ``knapsack.batched_rows`` per call, and a prepared row of the
-        same workspace (the recovery row) still solves exactly."""
+        """One ``knapsack.batched_rows`` per call, and the row prepared on
+        the same workspace (the recovery row) still solves exactly."""
         rng = np.random.default_rng(12)
         costs, weights, caps, budget = _random_knapsack(rng, 2, 20)
-        workspace = KnapsackBatchWorkspace(2, 20)
-        workspace.bind_weights(weights)
-        workspace.prepare_row(1, costs[1])
+        workspace = KnapsackWorkspace(weights)
+        groups = np.arange(20)
+        workspace.prepare_row(costs[1], np.ones(20), groups)
         with perf.collecting() as registry:
             for _ in range(3):
                 _solve_once(costs[0], weights, caps[0], budget, workspace=workspace)
         assert registry.snapshot()["counters"]["knapsack.batched_rows"] == 3
-        recovery = workspace.solve_row(1, caps[1], budget)
+        recovery = workspace.solve_masked(caps[1], budget)
         scalar = solve_fractional_knapsack(costs[1], weights, budget, caps[1])
         assert recovery.tobytes() == scalar.allocation.tobytes()
 
@@ -382,7 +359,6 @@ class TestSubgradientStepParity:
         matter which oracle ran.
         """
         rng = np.random.default_rng(2024)
-        ws_batched = None
         for case in range(12):
             problem = random_problem(
                 rng,
@@ -390,8 +366,6 @@ class TestSubgradientStepParity:
                 num_groups=int(rng.integers(2, 7)),
                 num_files=int(rng.integers(2, 9)),
             )
-            if ws_batched is None:
-                ws_batched = SubproblemWorkspace(problem)
             shape = (problem.num_groups, problem.num_files)
             aggregate = np.clip(rng.uniform(size=shape) * 1.2 - 0.1, 0.0, None)
             kwargs = {}
@@ -408,7 +382,6 @@ class TestSubgradientStepParity:
                     0,
                     aggregate,
                     SubproblemConfig(oracle=oracle, polish=polish, max_iter=30),
-                    workspace={"batched": ws_batched, "legacy": None}[oracle],
                     **kwargs,
                 )
                 for oracle in ("batched", "legacy")
@@ -433,7 +406,6 @@ class TestSubgradientStepParity:
         problem = generate_city_instance(6, 40, 500, rng=14).to_dense()
         shape = (problem.num_groups, problem.num_files)
         rng = np.random.default_rng(7)
-        workspace = SubproblemWorkspace(problem)
         with perf.collecting() as registry:
             for sbs in (0, 3):
                 aggregate = np.zeros(shape)
@@ -451,7 +423,6 @@ class TestSubgradientStepParity:
                             sbs,
                             aggregate,
                             SubproblemConfig(oracle=oracle, polish=True),
-                            workspace=workspace if oracle == "batched" else None,
                             **warm,
                         )
                         for oracle in ("batched", "legacy")
@@ -517,18 +488,24 @@ class TestDeadItemParity:
 
     @pytest.mark.parametrize("polish", [True, False])
     @pytest.mark.parametrize("kind", KINDS)
-    def test_dead_items_match_legacy(self, kind, polish):
+    def test_dead_items_match_legacy(self, kind, polish, monkeypatch):
         rng = np.random.default_rng(sum(map(ord, kind)))
+        # The live set the batched kernel computes, as it computes it.
+        live_items, live_sets = subproblem._live_items, []
+
+        def spy(*args):
+            live_sets.append(live_items(*args))
+            return live_sets[-1]
+
+        monkeypatch.setattr(subproblem, "_live_items", spy)
         for case in range(6):
             problem, aggregate, kwargs = _dead_item_case(rng, kind)
-            workspace = SubproblemWorkspace(problem)
             candidate, reference = [
                 solve_subproblem(
                     problem,
                     0,
                     aggregate,
                     SubproblemConfig(oracle=oracle, polish=polish, max_iter=40),
-                    workspace=workspace if oracle == "batched" else None,
                     **kwargs,
                 )
                 for oracle in ("batched", "legacy")
@@ -541,8 +518,10 @@ class TestDeadItemParity:
             assert repr(candidate.dual_history) == repr(reference.dual_history), where
             assert candidate.iterations == reference.iterations, where
             assert candidate.multipliers.tobytes() == reference.multipliers.tobytes(), where
+            (live,) = live_sets
+            live_sets.clear()
             if kind == "none-live":
                 # One dead item stands in for the empty live set.
-                assert workspace.live == 1
+                assert live.size == 1
             elif kind != "warm-dead":
-                assert workspace.live < problem.num_groups * problem.num_files
+                assert live.size < problem.num_groups * problem.num_files

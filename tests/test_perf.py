@@ -87,14 +87,6 @@ class TestRecorderCounters:
         assert outer.counters.counters == {"a": 2}
         assert inner.counters.counters == {"b": 3}
 
-    def test_process_counters_reach_the_adapter_only(self):
-        sink = obs.ListRecorder()
-        with perf.collecting() as registry, obs.recording(sink):
-            for name in sorted(perf.PROCESS_COUNTERS):
-                perf.count(name)
-        assert sink.counters.counters == {}
-        assert registry.counters == {name: 1 for name in perf.PROCESS_COUNTERS}
-
     def test_since_reports_sorted_nonzero_changes(self):
         table = obs.CounterTable()
         table.fold({"b": 2, "a": 1})
@@ -199,13 +191,11 @@ class TestSolverInstrumentation:
         # The solve time is a component of the sweep time.
         assert sum(solves) <= sum(sweeps)
         # The run's counters are a ``run_end`` fact, not a root-span
-        # attribute; only process counters stay adapter-only.
+        # attribute, and the same counts the adapter saw.
         root = [e for e in spans if e["parent"] is None][0]
         assert not [key for key in root if key.startswith("perf_")]
         (end,) = [e for e in sink.events if e["type"] == "run_end"]
-        assert end["counters"] == {
-            name: counters[name] for name in sorted(counters) if name not in perf.PROCESS_COUNTERS
-        }
+        assert end["counters"] == {name: counters[name] for name in sorted(counters)}
 
     def test_instrumentation_does_not_change_results(self):
         problem = random_problem(np.random.default_rng(6))

@@ -251,48 +251,6 @@ class TestNumericalSafetyRules:
         assert "REPRO303" in codes(findings)
 
 
-class TestTrustedPathRule:
-    def test_unvalidated_trusted_call_fires(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            """
-            def hot_path(x):
-                return total_cost(x, validate=False)
-            """,
-        )
-        assert "REPRO401" in codes(findings)
-
-    def test_validated_scope_clean(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            """
-            from repro._validation import as_float_array
-
-            def hot_path(x):
-                x = as_float_array(x, "x")
-                return total_cost(x, validate=False)
-            """,
-        )
-        assert "REPRO401" not in codes(findings)
-
-    def test_enclosing_scope_validation_covers_closures(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            """
-            from repro._validation import as_float_array
-
-            def outer(x):
-                x = as_float_array(x, "x")
-
-                def inner():
-                    return total_cost(x, validate=False)
-
-                return inner()
-            """,
-        )
-        assert "REPRO401" not in codes(findings)
-
-
 class TestApiHygieneRule:
     def test_undefined_all_entry_fires(self, tmp_path):
         findings = lint_source(
@@ -458,9 +416,9 @@ class TestEngine:
 
     def test_rule_catalogue_covers_all_families(self):
         families = {rule.code[:6] for rule in all_rules()}
-        # REPRO1xx determinism, 2xx privacy, 3xx numerics, 4xx trusted
-        # path, 5xx API hygiene.
-        assert {"REPRO1", "REPRO2", "REPRO3", "REPRO4", "REPRO5"} <= families
+        # REPRO1xx determinism, 2xx privacy, 3xx numerics, 5xx API
+        # hygiene.
+        assert {"REPRO1", "REPRO2", "REPRO3", "REPRO5"} <= families
 
 
 class TestCli:
@@ -484,7 +442,6 @@ class TestCli:
                 "x = rng.laplace(0.0, 1.0)\n"
             ),
             "numerics.py": "flag = (value == 0.5)\n",
-            "trusted.py": "def f(x):\n    return g(x, validate=False)\n",
             "api.py": '__all__ = ["ghost"]\n',
         }
         for name, source in snippets.items():
@@ -530,8 +487,9 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("REPRO101", "REPRO201", "REPRO301", "REPRO401", "REPRO501"):
+        for code in ("REPRO101", "REPRO201", "REPRO301", "REPRO501"):
             assert code in out
+        assert "REPRO401" not in out
 
     def test_statistics_footer(self, tmp_path, capsys):
         (tmp_path / "bad.py").write_text("import random\n")

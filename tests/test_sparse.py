@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from conftest import random_problem
-from repro import obs, perf
+from repro import obs
 from repro.core import (
     DistributedConfig,
     ProblemInstance,
@@ -579,17 +579,24 @@ class TestCityScale:
         with pytest.raises(AssertionError, match="local block"):
             solve_distributed_sparse(sparse, legacy)
 
-    def test_kernel_scratch_allocated_at_most_once_per_sbs(self):
-        """One workspace serves every SBS view of a sparse solve, polish
-        trial buffers included — blocks of different sizes never force a
-        per-phase re-allocation."""
+    @pytest.mark.parametrize("coordination", ["caps", "prices"])
+    def test_agents_keep_only_their_own_pairs(self, coordination):
+        """After a pair-layout run no agent holds an array as long as the
+        demand's nonzeros: each keeps its own entries of the newest
+        broadcast (aggregate and prices), not the whole payload."""
         sparse = generate_city_instance(6, 40, 500, rng=11)
-        with perf.collecting() as registry:
-            result = solve_distributed_sparse(sparse, DistributedConfig(max_iterations=3))
-        counters = registry.snapshot()["counters"]
-        assert counters["subproblem.solves"] >= 2 * sparse.num_sbs
-        assert counters["subproblem.workspace_allocs"] <= sparse.num_sbs
-        assert result.iterations >= 2
+        optimizer = DistributedOptimizer(
+            sparse, DistributedConfig(max_iterations=3, coordination=coordination)
+        )
+        assert optimizer.run().iterations >= 2
+        nnz = sparse.demand_nnz
+        for agent in optimizer.sbss:
+            assert agent._view.num_items < nnz
+            held = []
+            for value in vars(agent).values():
+                held.extend(value if isinstance(value, tuple) else [value])
+            shapes = [value.shape for value in held if isinstance(value, np.ndarray)]
+            assert shapes and not [shape for shape in shapes if nnz in shape]
 
     def test_city_scale_acceptance(self):
         """The ISSUE's acceptance instance: >= 100 SBSs, >= 1000 MU

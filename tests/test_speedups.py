@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.distributed import DistributedConfig
-from repro.core.subproblem import SubproblemConfig, SubproblemWorkspace, solve_subproblem
+from repro.core.subproblem import SubproblemConfig, solve_subproblem
 from repro.experiments.config import ScenarioConfig, build_problem
 from repro.experiments.runner import run_sweep
 
@@ -52,10 +52,9 @@ def test_batched_oracle_beats_legacy():
     aggregate = np.clip(rng.random((problem.num_groups, problem.num_files)) * 0.6, 0.0, 1.0)
     batched_config = SubproblemConfig(oracle="batched")
     legacy_config = SubproblemConfig(oracle="legacy")
-    workspace = SubproblemWorkspace(problem)
 
     def batched():
-        return solve_subproblem(problem, 0, aggregate, batched_config, workspace=workspace)
+        return solve_subproblem(problem, 0, aggregate, batched_config)
 
     def legacy():
         return solve_subproblem(problem, 0, aggregate, legacy_config)

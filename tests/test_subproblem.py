@@ -11,7 +11,6 @@ from repro.core.routing import residual_caps
 from repro.core.subproblem import (
     ItemView,
     SubproblemConfig,
-    SubproblemWorkspace,
     _constant_term,
     _evaluate_cache_set,
     _RecoveryScreen,
@@ -170,9 +169,6 @@ class TestFastOracleParity:
     """The batched kernel must be indistinguishable from the legacy oracle."""
 
     def _parity(self, problem, sbs, aggregate, prices=None, cap_slack=0.0):
-        from repro.core.subproblem import SubproblemWorkspace
-
-        workspace = SubproblemWorkspace(problem)
         fast = solve_subproblem(
             problem,
             sbs,
@@ -180,7 +176,6 @@ class TestFastOracleParity:
             SubproblemConfig(oracle="batched"),
             prices=prices,
             cap_slack=cap_slack,
-            workspace=workspace,
         )
         legacy = solve_subproblem(
             problem,
@@ -217,52 +212,17 @@ class TestFastOracleParity:
         self._parity(problem, 0, aggregate, prices=prices, cap_slack=0.3)
 
     def test_workspace_reuse_is_safe(self, rng):
-        """Solving twice through one workspace must not leak state."""
-        from repro.core.subproblem import SubproblemWorkspace
-
+        """A solve in between must not leak state into a repeated one: the
+        kernel's scratch belongs to each call."""
         problem = random_problem(rng)
         shape = (problem.num_groups, problem.num_files)
-        workspace = SubproblemWorkspace(problem)
         agg_a = np.zeros(shape)
         agg_b = np.clip(rng.uniform(size=shape), 0.0, 1.0)
-        first = solve_subproblem(
-            problem, 0, agg_a, SubproblemConfig(), workspace=workspace
-        )
-        solve_subproblem(problem, 0, agg_b, SubproblemConfig(), workspace=workspace)
-        again = solve_subproblem(
-            problem, 0, agg_a, SubproblemConfig(), workspace=workspace
-        )
+        first = solve_subproblem(problem, 0, agg_a, SubproblemConfig())
+        solve_subproblem(problem, 0, agg_b, SubproblemConfig())
+        again = solve_subproblem(problem, 0, agg_a, SubproblemConfig())
         assert first.cost == again.cost
         assert np.array_equal(first.routing, again.routing)
-
-    def test_workspace_adapts_to_shape_change(self, tiny_problem, rng):
-        """One workspace across differently-shaped cells: re-allocated, exact.
-
-        The sweep runner reuses a workspace across cells whose ``(U, F)``
-        shapes differ; stale buffers must be re-validated, not trusted.
-        """
-        from repro.core.subproblem import SubproblemWorkspace
-
-        other = random_problem(rng, num_groups=7, num_files=9)
-        workspace = SubproblemWorkspace(other)
-        agg_other = np.clip(
-            rng.uniform(size=(other.num_groups, other.num_files)), 0.0, 1.0
-        )
-        first = solve_subproblem(other, 0, agg_other, workspace=workspace)
-        # Shape change mid-reuse: buffers must adapt to the new (U, F).
-        shrunk = solve_subproblem(
-            tiny_problem, 0, np.zeros((3, 4)), workspace=workspace
-        )
-        fresh = solve_subproblem(
-            tiny_problem, 0, np.zeros((3, 4)), workspace=SubproblemWorkspace(tiny_problem)
-        )
-        assert shrunk.cost == fresh.cost
-        assert np.array_equal(shrunk.routing, fresh.routing)
-        assert np.array_equal(shrunk.caching, fresh.caching)
-        # And back up to the original shape, still exact.
-        again = solve_subproblem(other, 0, agg_other, workspace=workspace)
-        assert again.cost == first.cost
-        assert np.array_equal(again.routing, first.routing)
 
 
 class TestItemView:
@@ -331,23 +291,6 @@ class TestItemView:
             assert legacy.dual_history == cells.dual_history
         with pytest.raises(ValidationError, match="sbs=None"):
             solve_subproblem(sparse.item_view(sbs), sbs, others)
-
-    def test_workspace_grows_only(self, rng):
-        """A workspace sized for the largest view serves smaller ones
-        without allocating again."""
-        big = random_problem(rng, num_groups=7, num_files=9)
-        small = random_problem(rng, num_groups=3, num_files=4)
-        with perf.collecting() as registry:
-            workspace = SubproblemWorkspace(big)
-            for problem in (small, big, small):
-                solve_subproblem(
-                    problem,
-                    0,
-                    np.zeros((problem.num_groups, problem.num_files)),
-                    SubproblemConfig(polish=False),
-                    workspace=workspace,
-                )
-        assert registry.snapshot()["counters"]["subproblem.workspace_allocs"] == 1
 
 
 class TestBoundaryValidation:
@@ -503,7 +446,6 @@ def _screen_case(rng, case):
         order,
         view.item_file.take(order),
         flat_caps.take(order),
-        (np.empty(view.num_items), np.empty(view.num_items)),
     )
 
     def exact(caching):
