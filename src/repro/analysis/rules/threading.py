@@ -12,11 +12,12 @@ counter or a torn dict.
 * ``unguarded-shared-mutation`` — flag, inside the pool-reachable
   modules, (a) any write to a module-level global from function scope
   and (b) any mutation of ``self.<attr>`` in a class that owns a lock
-  attribute, unless the mutation sits lexically inside a ``with
-  <...lock...>:`` block.  Setup/teardown writes that are documented as
-  single-threaded carry baseline ratchet entries, so any *new*
-  unguarded mutation trips CI until it is locked or explicitly
-  accepted.
+  (an attribute it assigns a ``Lock()`` / ``RLock()`` or acquires in a
+  ``with``), unless the mutation sits lexically inside a ``with`` on one
+  of the class's locks or a module-level lock.  Setup/teardown writes
+  that are documented as single-threaded carry baseline ratchet
+  entries, so any *new* unguarded mutation trips CI until it is locked
+  or explicitly accepted.
 """
 
 from __future__ import annotations
@@ -68,14 +69,31 @@ _MUTATING_METHODS = frozenset(
 )
 
 
-def _is_lockish(node: ast.expr) -> bool:
-    """Does this with-context expression look like acquiring a lock?"""
-    for child in ast.walk(node):
-        if isinstance(child, ast.Name) and "lock" in child.id.lower():
-            return True
-        if isinstance(child, ast.Attribute) and "lock" in child.attr.lower():
-            return True
-    return False
+def _self_attr(node: ast.AST) -> Optional[str]:
+    """``<attr>`` when ``node`` is ``self.<attr>``, else ``None``."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return node.attr if node.value.id == "self" else None
+    return None
+
+
+def _is_lock_factory(node: ast.AST) -> bool:
+    """Is ``node`` a ``Lock()`` / ``RLock()`` call (bare or module-qualified)?"""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    return name in ("Lock", "RLock")
+
+
+def _module_locks(tree: ast.Module) -> Set[str]:
+    """Module-level names bound to a ``Lock()`` / ``RLock()``."""
+    return {
+        target.id
+        for node in tree.body
+        if isinstance(node, ast.Assign) and _is_lock_factory(node.value)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
 
 
 def _module_globals(tree: ast.Module) -> Set[str]:
@@ -91,16 +109,30 @@ def _module_globals(tree: ast.Module) -> Set[str]:
 
 
 def _class_lock_attrs(node: ast.ClassDef) -> Set[str]:
-    """``self.<attr>`` names containing "lock" anywhere in the class."""
+    """The ``self.<attr>`` locks a class owns.
+
+    An attribute is a lock when the class assigns it a ``Lock()`` /
+    ``RLock()`` (also through ``object.__setattr__(self, "<attr>", ...)``)
+    or acquires it in a ``with`` statement; its name does not matter.
+    """
     locks: Set[str] = set()
     for child in ast.walk(node):
-        if (
-            isinstance(child, ast.Attribute)
-            and isinstance(child.value, ast.Name)
-            and child.value.id == "self"
-            and "lock" in child.attr.lower()
+        if isinstance(child, ast.Assign) and _is_lock_factory(child.value):
+            locks.update(filter(None, map(_self_attr, child.targets)))
+        elif isinstance(child, (ast.With, ast.AsyncWith)):
+            locks.update(filter(None, (_self_attr(item.context_expr) for item in child.items)))
+        elif (
+            isinstance(child, ast.Call)
+            and isinstance(child.func, ast.Attribute)
+            and child.func.attr == "__setattr__"
+            and len(child.args) == 3
+            and isinstance(child.args[0], ast.Name)
+            and child.args[0].id == "self"
+            and isinstance(child.args[1], ast.Constant)
+            and isinstance(child.args[1].value, str)
+            and _is_lock_factory(child.args[2])
         ):
-            locks.add(child.attr)
+            locks.add(child.args[1].value)
     return locks
 
 
@@ -120,11 +152,13 @@ class UnguardedSharedMutation(Rule):
         if ctx.module not in THREADED_MODULES:
             return
         globals_ = _module_globals(ctx.tree)
+        module_locks = _module_locks(ctx.tree)
         for node in ctx.tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_function(ctx, node, globals_, lock_attrs=None)
+                yield from self._check_function(ctx, node, globals_, module_locks, None)
             elif isinstance(node, ast.ClassDef):
                 locks = _class_lock_attrs(node)
+                guards = module_locks | {f"self.{attr}" for attr in locks}
                 for child in node.body:
                     if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                         continue
@@ -132,7 +166,7 @@ class UnguardedSharedMutation(Rule):
                         # Construction happens-before sharing.
                         continue
                     yield from self._check_function(
-                        ctx, child, globals_, lock_attrs=locks if locks else None
+                        ctx, child, globals_, guards, locks if locks else None
                     )
 
     def _check_function(
@@ -140,8 +174,12 @@ class UnguardedSharedMutation(Rule):
         ctx: FileContext,
         func: FunctionNode,
         globals_: Set[str],
+        guards: Set[str],
         lock_attrs: Optional[Set[str]],
     ) -> Iterator[Finding]:
+        # ``guards`` are the with-contexts that hold a lock, as source
+        # text: module-level locks and ``self.<attr>`` for the class's.
+        #
         # A `global X` statement marks X as shared even when the module
         # body never assigns it (the binding is created at runtime); a
         # mutating method call or subscript store hits a module global
@@ -151,7 +189,9 @@ class UnguardedSharedMutation(Rule):
             if isinstance(child, ast.Global):
                 declared_global.update(child.names)
         shared = declared_global | globals_
-        yield from self._walk(ctx, func.body, declared_global, shared, lock_attrs, locked=False)
+        yield from self._walk(
+            ctx, func.body, declared_global, shared, guards, lock_attrs, locked=False
+        )
 
     def _walk(
         self,
@@ -159,22 +199,25 @@ class UnguardedSharedMutation(Rule):
         stmts: List[ast.stmt],
         declared_global: Set[str],
         shared: Set[str],
+        guards: Set[str],
         lock_attrs: Optional[Set[str]],
         locked: bool,
     ) -> Iterator[Finding]:
         for stmt in stmts:
             if isinstance(stmt, (ast.With, ast.AsyncWith)):
                 inner_locked = locked or any(
-                    _is_lockish(item.context_expr) for item in stmt.items
+                    ast.unparse(item.context_expr) in guards for item in stmt.items
                 )
                 yield from self._walk(
-                    ctx, stmt.body, declared_global, shared, lock_attrs, inner_locked
+                    ctx, stmt.body, declared_global, shared, guards, lock_attrs, inner_locked
                 )
                 continue
             if not locked:
                 yield from self._check_stmt(ctx, stmt, declared_global, shared, lock_attrs)
             for block in self._nested_blocks(stmt):
-                yield from self._walk(ctx, block, declared_global, shared, lock_attrs, locked)
+                yield from self._walk(
+                    ctx, block, declared_global, shared, guards, lock_attrs, locked
+                )
 
     @staticmethod
     def _nested_blocks(stmt: ast.stmt) -> List[List[ast.stmt]]:

@@ -11,7 +11,7 @@ needs to resolve a call expression to a function definition:
 * per-class method tables, base-class links, and attribute types
   inferred from ``__init__`` — both annotated parameters stored on
   ``self`` (``self._channel = channel`` with ``channel: Channel``) and
-  direct constructions (``self.mailbox = _Mailbox()``).
+  direct constructions (``self.mailbox = Channel()``).
 
 Resolution is purely syntactic and deterministic; anything it cannot
 pin down stays unresolved and the engine falls back to conservative

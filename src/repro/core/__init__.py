@@ -16,7 +16,6 @@ from .cost import (
     sbs_serving_cost,
     served_fraction,
     total_cost,
-    total_cost_sparse,
 )
 from .distributed import (
     BaseStationAgent,
@@ -95,7 +94,6 @@ __all__ = [
     "SparseSolution",
     "solve_distributed_sparse",
     "sparse_total_cost",
-    "total_cost_sparse",
     "SubproblemConfig",
     "SubproblemSolution",
     "cache_subproblem",

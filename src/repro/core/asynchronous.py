@@ -8,12 +8,23 @@ discrete-event simulation:
 
 * every SBS wakes up on its own (exponential) clock, solves ``P_n``
   against the **latest aggregate it has received** — which may be
-  arbitrarily stale — and uploads its policy;
+  arbitrarily stale — and uploads its policy, damped toward its
+  previous report as in the Jacobi mode;
 * uploads and broadcasts traverse the network with random delays, so
   different SBSs hold different views of the aggregate at any instant;
 * the BS folds uploads in as they arrive and broadcasts the running
   aggregate;
 * LPPM can be applied per upload exactly as in the synchronous run.
+
+The nodes are Algorithm 1's own protocol agents: each SBS is a resilient
+:class:`~repro.core.distributed.SBSAgent` whose wake-up runs
+:meth:`~repro.core.distributed.SBSAgent.compute_phase` (so ``y_{-n}``,
+the solve, LPPM and the per-party privacy ledger are the synchronous
+run's), and the BS is a :class:`~repro.core.distributed.BaseStationAgent`.
+Each broadcast is a message tagged with its send ordinal, and a
+delivery hands it to one SBS's mailbox; the agent acts on the newest
+ordinal it holds.  The k-th wake-up of SBS ``n`` is booked as iteration
+``k``, phase ``n``.
 
 The result records the cost trajectory over simulated time, per-SBS
 staleness statistics (how old the acted-upon aggregate was), and the
@@ -36,11 +47,12 @@ from .. import obs
 from .._validation import check_nonnegative_float, rng_from
 from ..exceptions import ValidationError
 from ..network.eventsim import EventScheduler
-from ..privacy.factory import MechanismConfig, build_mechanism
-from .cost import total_cost
+from ..network.messaging import Channel, Message, MessageKind
+from ..privacy.factory import MechanismConfig
+from .distributed import BaseStationAgent, SBSAgent, build_sbs_agents
 from .problem import ProblemInstance
 from .solution import Solution
-from .subproblem import SubproblemConfig, solve_subproblem
+from .subproblem import SubproblemConfig
 
 __all__ = ["AsyncConfig", "AsyncResult", "solve_asynchronous"]
 
@@ -155,27 +167,16 @@ def solve_asynchronous(
             private=privacy is not None,
         )
 
-    num_groups, num_files = problem.num_groups, problem.num_files
-    reports = np.zeros(problem.shape)          # BS's view
-    caches = np.zeros((problem.num_sbs, num_files))
-    true_routing = np.zeros(problem.shape)
-
-    # Per-SBS local state.
-    local_aggregate = [np.zeros((num_groups, num_files)) for _ in problem.sbs_indices()]
-    local_aggregate_time = [0.0 for _ in problem.sbs_indices()]
-    last_report = [np.zeros((num_groups, num_files)) for _ in problem.sbs_indices()]
-    mechanisms = []
-    for _ in problem.sbs_indices():
-        if privacy is None:
-            mechanisms.append(None)
-        else:
-            child_seed = int(generator.integers(np.iinfo(np.int64).max))
-            mechanisms.append(build_mechanism(privacy, rng=child_seed))
+    channel = Channel()
+    base_station = BaseStationAgent(problem, channel)
+    agents, accountant = build_sbs_agents(
+        problem, channel, config.subproblem, privacy=privacy, rng=generator, resilient=True
+    )
+    sent_at: List[float] = []  # simulated send time of each broadcast, by ordinal
 
     trajectory: List[Tuple[float, float]] = []
     updates: Dict[int, int] = {n: 0 for n in problem.sbs_indices()}
     staleness_samples: List[float] = []
-    epsilon_spent = 0.0
     dropped = [0]
     skipped = [0]
 
@@ -200,13 +201,12 @@ def solve_asynchronous(
         return bool(generator.random() < config.drop_probability)
 
     def bs_receive_upload(sbs: int, block: np.ndarray, staleness: float) -> None:
-        nonlocal epsilon_spent
         if link_drops():
             dropped[0] += 1
             obs.emit("protocol", event="drop", kind="upload", sbs=sbs, time=scheduler.now)
             return
-        reports[sbs] = block
-        trajectory.append((scheduler.now, total_cost(problem, reports)))
+        base_station.fold(sbs, block)
+        trajectory.append((scheduler.now, base_station.system_cost()))
         obs.emit(
             "async_update",
             time=scheduler.now,
@@ -214,81 +214,73 @@ def solve_asynchronous(
             cost=trajectory[-1][1],
             staleness=staleness,
         )
-        aggregate = reports.sum(axis=0)
-        sent_at = scheduler.now
-        for receiver in problem.sbs_indices():
+        message = Message(
+            kind=MessageKind.AGGREGATE_BROADCAST,
+            sender=base_station.name,
+            recipient="*",
+            payload=base_station.aggregate(),
+            iteration=len(sent_at),
+            phase=0,
+        )
+        sent_at.append(scheduler.now)
+        for agent in agents:
             scheduler.schedule(
                 delay(config.mean_message_delay),
-                lambda r=receiver, a=aggregate.copy(), t=sent_at: sbs_receive_aggregate(
-                    r, a, t
-                ),
+                lambda a=agent: sbs_receive_aggregate(a, message),
             )
 
-    def sbs_receive_aggregate(sbs: int, aggregate: np.ndarray, sent_at: float) -> None:
-        if link_drops() or node_crashed(sbs):
+    def sbs_receive_aggregate(agent: SBSAgent, message: Message) -> None:
+        if link_drops() or node_crashed(agent.index):
             # Lost on the wire, or arrived at a node that is down: a
             # crashed SBS keeps only the view it had before the crash.
             dropped[0] += 1
             obs.emit(
-                "protocol", event="drop", kind="aggregate", sbs=sbs, time=scheduler.now
+                "protocol", event="drop", kind="aggregate", sbs=agent.index, time=scheduler.now
             )
             return
-        # Keep only the freshest view (messages can arrive out of order).
-        if sent_at >= local_aggregate_time[sbs]:
-            local_aggregate[sbs] = aggregate
-            local_aggregate_time[sbs] = sent_at
+        channel.inject(agent.name, message)
 
-    def sbs_wakeup(sbs: int) -> None:
-        nonlocal epsilon_spent
+    def sbs_wakeup(agent: SBSAgent) -> None:
+        sbs = agent.index
         if node_crashed(sbs):
             # Down: do no work, but keep the clock alive so the SBS
             # resumes updating once its crash window ends.
             skipped[0] += 1
             obs.emit("protocol", event="crash_skip", sbs=sbs, time=scheduler.now)
             scheduler.schedule(
-                delay(config.mean_update_interval), lambda s=sbs: sbs_wakeup(s)
+                delay(config.mean_update_interval), lambda a=agent: sbs_wakeup(a)
             )
             return
+        previous = agent.last_report
+        report, _ = agent.compute_phase(updates[sbs], sbs)
+        if config.damping < 1.0:
+            agent.last_report = config.damping * report + (1.0 - config.damping) * previous
         # The acted-upon staleness travels with the upload so the
         # async_update event reports the view age this report was based
         # on (simulated time: deterministic, byte-identity safe).
-        staleness = scheduler.now - local_aggregate_time[sbs]
+        tag = agent.aggregate_tag
+        staleness = scheduler.now - (0.0 if tag is None else sent_at[tag[0]])
         staleness_samples.append(staleness)
-        aggregate_others = np.clip(local_aggregate[sbs] - last_report[sbs], 0.0, None)
-        result = solve_subproblem(
-            problem, sbs, aggregate_others, config.subproblem
-        )
-        caches[sbs] = result.caching
-        true_routing[sbs] = result.routing
-        report = result.routing
-        if mechanisms[sbs] is not None:
-            report = mechanisms[sbs].perturb(report)
-            epsilon_spent += mechanisms[sbs].config.epsilon
-            obs.emit(
-                "privacy",
-                party=f"sbs-{sbs}",
-                epsilon=float(mechanisms[sbs].config.epsilon),
-                time=scheduler.now,
-            )
-        damped = config.damping * report + (1.0 - config.damping) * last_report[sbs]
-        last_report[sbs] = damped
         updates[sbs] += 1
         scheduler.schedule(
             delay(config.mean_message_delay),
-            lambda s=sbs, b=damped.copy(), st=staleness: bs_receive_upload(s, b, st),
+            lambda s=sbs, b=agent.last_report, st=staleness: bs_receive_upload(s, b, st),
         )
-        scheduler.schedule(delay(config.mean_update_interval), lambda s=sbs: sbs_wakeup(s))
+        scheduler.schedule(delay(config.mean_update_interval), lambda a=agent: sbs_wakeup(a))
 
     # Kick off: every SBS gets an initial wake-up at a random offset.
-    for n in problem.sbs_indices():
-        scheduler.schedule(delay(config.mean_update_interval), lambda s=n: sbs_wakeup(s))
+    for agent in agents:
+        scheduler.schedule(delay(config.mean_update_interval), lambda a=agent: sbs_wakeup(a))
 
     scheduler.run_until(config.duration, max_events=1_000_000)
 
-    solution = Solution(caching=caches.copy(), routing=reports.copy())
+    epsilon_spent = 0.0 if accountant is None else accountant.max_party_epsilon()
     result = AsyncResult(
-        solution=solution,
-        cost=total_cost(problem, reports),
+        solution=base_station.layout.solution(
+            [agent.caching for agent in agents],
+            [base_station.report(agent.index) for agent in agents],
+        ),
+        cost=base_station.system_cost(),
         cost_trajectory=trajectory,
         updates_per_sbs=updates,
         mean_staleness=float(np.mean(staleness_samples)) if staleness_samples else 0.0,

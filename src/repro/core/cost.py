@@ -37,7 +37,6 @@ __all__ = [
     "sbs_serving_cost",
     "bs_serving_cost",
     "total_cost",
-    "total_cost_sparse",
     "served_fraction",
     "residual_fraction",
 ]
@@ -115,20 +114,6 @@ def total_cost(
     return sbs_serving_cost(problem, routing) + bs_serving_cost(
         problem, routing, clip_residual=clip_residual
     )
-
-
-def total_cost_sparse(problem, solution, *, clip_residual: bool = True) -> float:
-    """Total serving cost of a sparse solution on a sparse instance.
-
-    The compact twin of :func:`total_cost`: ``f1`` runs over each SBS's
-    reachable demand pairs and ``f2`` over the demand nonzeros, so no
-    ``(N, U, F)`` array is ever materialized.  Delegates to
-    :func:`repro.core.sparse.sparse_total_cost` (imported lazily —
-    ``core.sparse`` builds on this module).
-    """
-    from .sparse import sparse_total_cost
-
-    return sparse_total_cost(problem, solution, clip_residual=clip_residual)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -259,12 +259,7 @@ class DistributedResult:
         per-party total is the meaningful guarantee; all SBSs spend the
         same budget in a synchronized run.
         """
-        if self.accountant is None:
-            return None
-        parties = {release.party for release in self.accountant.releases}
-        if not parties:
-            return 0.0
-        return max(self.accountant.total_epsilon_basic(party) for party in parties)
+        return None if self.accountant is None else self.accountant.max_party_epsilon()
 
 
 def close_run(
@@ -491,6 +486,8 @@ class SBSAgent:
         warm_start: bool = False,
     ) -> None:
         problem._check_sbs(index)
+        if mechanism is not None and accountant is None:
+            raise ValidationError(f"sbs-{index} has a privacy mechanism but no accountant")
         self.index = index
         self.name = f"sbs-{index}"
         self._layout = layout_for(problem)
@@ -520,7 +517,8 @@ class SBSAgent:
         self.last_solve_stats: Optional[Dict[str, float]] = None
         self._seq = 0
         self._max_ack = 0
-        # This SBS's entries of the newest broadcast: (aggregate, prices).
+        # This SBS's entries of the newest broadcast, (aggregate, prices),
+        # and that broadcast's (iteration, phase) tag.
         self._agg_entries: Optional[tuple] = None
         self._agg_tag: Optional[tuple] = None
 
@@ -540,6 +538,11 @@ class SBSAgent:
                     self._agg_entries = self._own_entries(message.payload)
             elif message.kind is MessageKind.ACK:
                 self._max_ack = max(self._max_ack, int(message.payload[0]))
+
+    @property
+    def aggregate_tag(self) -> Optional[tuple]:
+        """``(iteration, phase)`` of the newest broadcast read, ``None`` before any."""
+        return self._agg_tag
 
     def _own_entries(self, payload: np.ndarray) -> tuple:
         """This SBS's ``(aggregate, prices)`` entries of a broadcast.
@@ -610,23 +613,22 @@ class SBSAgent:
         if self._mechanism is not None:
             report = self._mechanism.perturb(report)
             noise_l1 = float(np.abs(self.true_routing - report).sum())
-            if self._accountant is not None:
-                label = f"iter-{iteration}-phase-{phase}"
-                self._accountant.record(
-                    party=self.name,
-                    epsilon=self._mechanism.config.epsilon,
-                    label=label,
-                )
-                # repro-taint: disable=REPRO701 -- noise_l1 is DP noise-magnitude telemetry (Section V), not the raw policy
-                obs.emit(
-                    "privacy",
-                    iteration=iteration,
-                    phase=phase,
-                    party=self.name,
-                    epsilon=float(self._mechanism.config.epsilon),
-                    label=label,
-                    noise_l1=noise_l1,
-                )
+            label = f"iter-{iteration}-phase-{phase}"
+            self._accountant.record(
+                party=self.name,
+                epsilon=self._mechanism.config.epsilon,
+                label=label,
+            )
+            # repro-taint: disable=REPRO701 -- noise_l1 is DP noise-magnitude telemetry (Section V), not the raw policy
+            obs.emit(
+                "privacy",
+                iteration=iteration,
+                phase=phase,
+                party=self.name,
+                epsilon=float(self._mechanism.config.epsilon),
+                label=label,
+                noise_l1=noise_l1,
+            )
         self.last_report = report
         return report, noise_l1
 
@@ -653,7 +655,7 @@ class SBSAgent:
         private).
         """
         report, noise_l1 = self.compute_phase(iteration, phase, cap_slack=cap_slack)
-        # repro-taint: disable=REPRO701,REPRO702 -- sanctioned upload release: perturbed when privacy is on (raw only in the explicit non-private ablation), epsilon booked whenever an accountant is attached
+        # repro-taint: disable=REPRO701 -- sanctioned upload release: perturbed and booked when privacy is on (raw only in the explicit non-private ablation)
         self.send_upload(report, iteration, phase)
         return noise_l1
 
@@ -748,6 +750,44 @@ class SBSAgent:
         )
 
 
+def build_sbs_agents(
+    problem: Instance,
+    channel: Channel,
+    subproblem_config: SubproblemConfig,
+    *,
+    privacy: Optional[MechanismConfig],
+    rng: np.random.Generator,
+    warm_start: bool = False,
+    resilient: bool = False,
+) -> Tuple[List[SBSAgent], Optional[PrivacyAccountant]]:
+    """One agent per SBS on ``channel``, and the run's accountant.
+
+    With ``privacy`` every SBS gets its own noise stream, seeded from
+    ``rng`` in SBS order, and all of them book into one shared
+    :class:`~repro.privacy.accountant.PrivacyAccountant`; without it
+    there is no mechanism and no accountant.
+    """
+    accountant = PrivacyAccountant() if privacy is not None else None
+    agents: List[SBSAgent] = []
+    for n in problem.sbs_indices():
+        mechanism = None
+        if privacy is not None:
+            child_seed = int(rng.integers(np.iinfo(np.int64).max))
+            mechanism = build_mechanism(privacy, rng=child_seed)
+        agent = SBSAgent(
+            problem,
+            n,
+            channel,
+            subproblem_config=subproblem_config,
+            mechanism=mechanism,
+            accountant=accountant,
+            warm_start=warm_start,
+        )
+        agent.resilient = resilient
+        agents.append(agent)
+    return agents, accountant
+
+
 class DistributedOptimizer:
     """Orchestrates Algorithm 1 over the message-passing substrate.
 
@@ -780,26 +820,16 @@ class DistributedOptimizer:
             problem, self.channel, with_prices=self.config.coordination == "prices"
         )
         self.layout = self.base_station.layout
-        self.accountant = PrivacyAccountant() if privacy is not None else None
-        generator = rng_from(rng)
-        self.sbss: List[SBSAgent] = []
-        for n in problem.sbs_indices():
-            mechanism = None
-            if privacy is not None:
-                # Independent noise stream per SBS, all derived from one seed.
-                child_seed = int(generator.integers(np.iinfo(np.int64).max))
-                mechanism = build_mechanism(privacy, rng=child_seed)
-            agent = SBSAgent(
-                problem,
-                n,
-                self.channel,
-                subproblem_config=self.config.subproblem,
-                mechanism=mechanism,
-                accountant=self.accountant,
-                warm_start=self.config.warm_start,
-            )
-            agent.resilient = faults is not None
-            self.sbss.append(agent)
+        agents, self.accountant = build_sbs_agents(
+            problem,
+            self.channel,
+            self.config.subproblem,
+            privacy=privacy,
+            rng=rng_from(rng),
+            warm_start=self.config.warm_start,
+            resilient=faults is not None,
+        )
+        self.sbss: List[SBSAgent] = agents
 
     # ------------------------------------------------------------------
     def run(self) -> DistributedResult:
@@ -874,7 +904,7 @@ class DistributedOptimizer:
         with obs.span(
             "upload", category="network", sbs=slot.sbs, iteration=iteration, phase=phase
         ) as upload_span:
-            # repro-taint: disable=REPRO701,REPRO702 -- sanctioned upload release via ARQ retry path (same contract as run_phase)
+            # repro-taint: disable=REPRO701 -- sanctioned upload release via ARQ retry path (same contract as run_phase)
             retries = self._upload_with_retries(agent, report, iteration, phase)
             upload_span.annotate(
                 category="retry" if retries else None,

@@ -245,18 +245,6 @@ class Solution:
         return Solution(caching=x, routing=y)
 
     # ------------------------------------------------------------------
-    @classmethod
-    def from_sparse(cls, instance, solution) -> "Solution":
-        """Materialize a compact :class:`~repro.core.sparse.SparseSolution`.
-
-        The inverse bridge of the sparse core: per-SBS cached content
-        ids scatter into the binary ``(N, F)`` caching matrix and the
-        pair-aligned routing vectors into the ``(N, U, F)`` cube.
-        Subject to the same memory realities as any densification —
-        intended for small instances and parity tests.
-        """
-        return solution.to_dense(instance)
-
     def sparsity(self) -> Dict[str, float]:
         """Occupancy statistics of the dense policy arrays.
 

@@ -111,20 +111,28 @@ _TRIAL_CHUNK = 32
 
 _EPS = float(np.finfo(np.float64).eps)
 
+#: Dual-ascent stopping controls (see
+#: :func:`repro.solvers.subgradient.subgradient_ascent`): the relative
+#: dual improvement that counts as progress, and how many steps without
+#: progress end the ascent.
+DUAL_TOL = 1e-7
+DUAL_PATIENCE = 25
+
 
 @dataclasses.dataclass(frozen=True)
 class SubproblemConfig:
     """Tunables for the Lagrangian decomposition.
 
+    The dual step size is not a tunable: ``eta0`` is half the largest
+    absolute routing coefficient (an eighth on a warm start) so the
+    multipliers can reach the coefficients' magnitude in a handful of
+    steps, and the ascent stops early after :data:`DUAL_PATIENCE` steps
+    without a :data:`DUAL_TOL` relative improvement.
+
     Attributes
     ----------
-    schedule:
-        Dual step-size schedule.  ``None`` auto-scales ``eta0`` to half
-        the largest absolute routing coefficient so the multipliers can
-        reach the coefficients' magnitude in a handful of steps.
-    max_iter / tol / patience:
-        Stopping controls for the dual ascent (see
-        :func:`repro.solvers.subgradient.subgradient_ascent`).
+    max_iter:
+        Cap on the dual-ascent iterations.
     polish:
         Run single-swap local search on the recovered cache set.
     oracle:
@@ -134,18 +142,12 @@ class SubproblemConfig:
         solutions.
     """
 
-    schedule: Optional[StepSchedule] = None
     max_iter: int = 120
-    tol: float = 1e-7
-    patience: int = 25
     polish: bool = True
     oracle: str = "batched"
 
     def __post_init__(self) -> None:
         check_positive_int(self.max_iter, "max_iter")
-        check_positive_int(self.patience, "patience")
-        if self.tol < 0:
-            raise ValidationError(f"tol must be nonnegative, got {self.tol}")
         if self.oracle not in ("batched", "legacy"):
             raise ValidationError(f"oracle must be 'batched' or 'legacy', got {self.oracle!r}")
 
@@ -826,14 +828,12 @@ def _dual_decomposition(
     priced = coefficients if prices is None else coefficients + prices
     tie_break = view.file_sums(row_margin.take(item_row) * weights * caps)
 
-    schedule = config.schedule
-    if schedule is None:
-        scale = float(np.max(np.abs(coefficients), initial=0.0))
-        # Warm-started duals sit near the optimum already: restart with a
-        # quarter of the cold step so successive Gauss-Seidel iterations
-        # don't re-inject oscillation into an almost-converged dual.
-        eta0_factor = 0.125 if start is not None else 0.5
-        schedule = StepSchedule(eta0=max(scale, 1e-12) * eta0_factor, alpha=0.25)
+    scale = float(np.max(np.abs(coefficients), initial=0.0))
+    # Warm-started duals sit near the optimum already: restart with a
+    # quarter of the cold step so successive Gauss-Seidel iterations
+    # don't re-inject oscillation into an almost-converged dual.
+    eta0_factor = 0.125 if start is not None else 0.5
+    schedule = StepSchedule(eta0=max(scale, 1e-12) * eta0_factor, alpha=0.25)
 
     best: dict = {"cost": np.inf, "caching": None, "routing": None}
     screen: Optional[_RecoveryScreen] = None
@@ -876,8 +876,8 @@ def _dual_decomposition(
             np.zeros(view.num_items) if start is None else start,
             schedule=schedule,
             max_iter=config.max_iter,
-            tol=config.tol,
-            patience=config.patience,
+            tol=DUAL_TOL,
+            patience=DUAL_PATIENCE,
         )
     else:
         live_items = _live_items(priced, caps, start)
@@ -973,11 +973,11 @@ def _dual_decomposition(
                 - float(np.add.reduce(aggregated * caching))
             )
             dual_history.append(float(dual_value))
-            improved = dual_value > best_dual + config.tol * max(1.0, abs(best_dual))
+            improved = dual_value > best_dual + DUAL_TOL * max(1.0, abs(best_dual))
             if dual_value > best_dual:
                 best_dual = float(dual_value)
             stall = 0 if improved else stall + 1
-            if stall >= config.patience:
+            if stall >= DUAL_PATIENCE:
                 converged = True
                 break
             caching.take(sub.item_file, out=subgrad)

@@ -233,6 +233,18 @@ class Channel:
                     break
             queue.append(message)
 
+    def inject(self, node_name: str, message: Message) -> None:
+        """Hand an already-delivered ``message`` to ``node_name``'s queue.
+
+        The receive side of a transport that runs outside :meth:`send` —
+        frames decoded off a socket, deliveries an event simulation
+        schedules — so nothing is validated, copied, counted or tapped
+        here, and nothing queued is superseded.
+        """
+        if node_name not in self._queues:
+            raise ProtocolError(f"node {node_name!r} is not registered")
+        self._queues[node_name].append(message)
+
     def receive(self, node_name: str) -> Message:
         """Pop the oldest pending message for ``node_name``."""
         if node_name not in self._queues:

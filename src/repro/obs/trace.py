@@ -197,26 +197,18 @@ class RunSummary:
 def _reconstruct_epsilon(segment: RunSegment) -> Tuple[Dict[str, float], Optional[float]]:
     """Per-party epsilon ledger and the composed per-party guarantee.
 
-    Mirrors :meth:`repro.core.distributed.DistributedResult.total_epsilon`:
-    basic composition per party, the max over parties being the run's
-    guarantee.  Online runs compose per *inner* run (each slot books its
-    own accountant), so their total is the sum of the children's; async
-    runs report one global accumulator, so their total sums every
-    release in emission order (bit-for-bit the solver's own addition
-    order, keeping the exact cross-check meaningful).
+    Mirrors :meth:`repro.privacy.accountant.PrivacyAccountant.max_party_epsilon`,
+    which Algorithm 1 and async runs report: basic composition per
+    party, in emission order (the accountant's own addition order, so
+    the exact cross-check is meaningful), the max over parties being
+    the run's guarantee.  Online runs compose per *inner* run (each
+    slot books its own accountant), so their total is the sum of the
+    children's.
     """
     ledger: Dict[str, float] = {}
     for event in segment.own("privacy"):
         party = str(event["party"])
         ledger[party] = ledger.get(party, 0.0) + float(event["epsilon"])
-    if segment.run == "async":
-        releases = segment.own("privacy")
-        if not releases:
-            return ledger, None
-        total = 0.0
-        for event in releases:
-            total += float(event["epsilon"])
-        return ledger, total
     if segment.run == "online":
         child_totals = [
             total

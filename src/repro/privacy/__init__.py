@@ -26,7 +26,7 @@ from .analysis import (
     total_noise_distribution,
 )
 from .laplace import BoundedLaplace, Laplace, bounded_laplace_normalizer
-from .mechanism import LaplacePrivacyMechanism, LPPMConfig, PerturbationRecord
+from .mechanism import LaplacePrivacyMechanism, LPPMConfig
 from .sensitivity import (
     beta_for_epsilon,
     request_sensitivity,
@@ -62,7 +62,6 @@ __all__ = [
     "bounded_laplace_normalizer",
     "LaplacePrivacyMechanism",
     "LPPMConfig",
-    "PerturbationRecord",
     "beta_for_epsilon",
     "request_sensitivity",
     "routing_sensitivity",

@@ -111,6 +111,15 @@ class PrivacyAccountant:
             if party is None or release.party == party
         )
 
+    def max_party_epsilon(self) -> float:
+        """The largest per-party basic-composition total (``0.0`` before any release).
+
+        This is a run's guarantee: every SBS perturbs its own data, so
+        the run protects each one by its own releases' total.
+        """
+        parties = {release.party for release in self._releases}
+        return max((self.total_epsilon_basic(party) for party in parties), default=0.0)
+
     def total_epsilon_advanced(
         self, delta_prime: float, party: Optional[str] = None
     ) -> float:

@@ -31,7 +31,6 @@ from scipy import special
 from .._validation import ArrayLike, rng_from
 from ..exceptions import PrivacyError
 from .laplace import SampleShape
-from .mechanism import PerturbationRecord
 
 __all__ = ["BoundedGaussian", "GaussianPPMConfig", "GaussianPrivacyMechanism", "gaussian_sigma"]
 
@@ -163,8 +162,8 @@ class GaussianPPMConfig:
 class GaussianPrivacyMechanism:
     """Subtractive bounded-Gaussian release: ``y_hat = y - r``.
 
-    Drop-in alternative to the Laplace mechanism; shares the audit-trail
-    interface so the distributed optimizer and accountant treat both
+    Drop-in alternative to the Laplace mechanism: the same ``perturb``
+    interface, so the distributed optimizer and accountant treat both
     uniformly.
     """
 
@@ -175,11 +174,6 @@ class GaussianPrivacyMechanism:
     ) -> None:
         self.config = config
         self._rng = rng_from(rng)
-        self._records: list = []
-
-    @property
-    def records(self) -> tuple:
-        return tuple(self._records)
 
     def sample_noise(self, routing: np.ndarray) -> np.ndarray:
         """Draw the bounded-Gaussian disturbance for a routing block."""
@@ -191,24 +185,6 @@ class GaussianPrivacyMechanism:
         return distribution.sample(rng=self._rng)
 
     def perturb(self, routing: np.ndarray) -> np.ndarray:
-        """Release ``y_hat = y - r`` and record the audit entry."""
+        """Release ``y_hat = y - r``."""
         routing = np.asarray(routing, dtype=np.float64)
-        noise = self.sample_noise(routing)
-        perturbed = np.clip(routing - noise, 0.0, 1.0)
-        self._records.append(
-            PerturbationRecord(
-                epsilon=self.config.epsilon,
-                noise_l1=float(np.abs(noise).sum()),
-                noise_max=float(np.abs(noise).max(initial=0.0)),
-                coordinates=int(noise.size),
-            )
-        )
-        return perturbed
-
-    def releases(self) -> int:
-        """Number of releases performed so far."""
-        return len(self._records)
-
-    def total_epsilon_basic(self) -> float:
-        """Budget consumed under basic sequential composition."""
-        return sum(record.epsilon for record in self._records)
+        return np.clip(routing - self.sample_noise(routing), 0.0, 1.0)

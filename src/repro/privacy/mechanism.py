@@ -33,7 +33,7 @@ from ..exceptions import PrivacyError
 from .laplace import BoundedLaplace
 from .sensitivity import beta_for_epsilon
 
-__all__ = ["LPPMConfig", "LaplacePrivacyMechanism", "PerturbationRecord"]
+__all__ = ["LPPMConfig", "LaplacePrivacyMechanism"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,18 +71,11 @@ class LPPMConfig:
         return beta_for_epsilon(self.sensitivity, self.epsilon)
 
 
-@dataclasses.dataclass(frozen=True)
-class PerturbationRecord:
-    """Audit record of one LPPM release."""
-
-    epsilon: float
-    noise_l1: float
-    noise_max: float
-    coordinates: int
-
-
 class LaplacePrivacyMechanism:
-    """Stateful LPPM sampler with an audit trail.
+    """Seeded LPPM sampler.
+
+    It books nothing itself: the caller records each release in a
+    :class:`~repro.privacy.accountant.PrivacyAccountant`.
 
     Parameters
     ----------
@@ -99,12 +92,6 @@ class LaplacePrivacyMechanism:
     ) -> None:
         self.config = config
         self._rng = rng_from(rng)
-        self._records: list = []
-
-    @property
-    def records(self) -> tuple:
-        """Perturbation audit records, one per release."""
-        return tuple(self._records)
 
     def sample_noise(self, routing: np.ndarray) -> np.ndarray:
         """Draw the disturbance ``r`` for a routing block.
@@ -123,17 +110,7 @@ class LaplacePrivacyMechanism:
     def perturb(self, routing: np.ndarray) -> np.ndarray:
         """Release a perturbed routing block ``y_hat = y - r`` (Eq. 27)."""
         routing = np.asarray(routing, dtype=np.float64)
-        noise = self.sample_noise(routing)
-        perturbed = np.clip(routing - noise, 0.0, 1.0)
-        self._records.append(
-            PerturbationRecord(
-                epsilon=self.config.epsilon,
-                noise_l1=float(np.abs(noise).sum()),
-                noise_max=float(np.abs(noise).max(initial=0.0)),
-                coordinates=int(noise.size),
-            )
-        )
-        return perturbed
+        return np.clip(routing - self.sample_noise(routing), 0.0, 1.0)
 
     def expected_noise(self, routing: np.ndarray) -> np.ndarray:
         """Closed-form ``E[r]`` per coordinate for a routing block."""
@@ -141,11 +118,3 @@ class LaplacePrivacyMechanism:
         upper = self.config.delta * np.clip(routing, 0.0, 1.0)
         distribution = BoundedLaplace(self.config.beta, np.zeros_like(upper), upper)
         return distribution.mean()
-
-    def releases(self) -> int:
-        """Number of releases performed so far."""
-        return len(self._records)
-
-    def total_epsilon_basic(self) -> float:
-        """Budget consumed under basic sequential composition."""
-        return sum(record.epsilon for record in self._records)

@@ -4,7 +4,7 @@ Each client wraps the *unchanged* in-process :class:`~repro.core.distributed.SBS
 — same subproblem solves, same LPPM mechanism, same warm-start and
 checkpoint state machine — and replaces only the transport: instead of a
 shared in-memory channel, received frames are injected into a private
-:class:`_Mailbox` and uploads travel as wire frames through a
+:class:`~repro.network.messaging.Channel` (``Channel.inject``) and uploads travel as wire frames through a
 stop-and-wait ARQ loop with wall-clock ack timeouts.
 
 The BS drives the protocol with ``CONTROL`` grants:
@@ -55,28 +55,13 @@ from .. import obs
 from ..obs import spans
 from ..core.distributed import CheckpointStore, SBSAgent
 from ..exceptions import ProtocolError, ProtocolTimeout
-from ..network.messaging import Channel, Message, MessageKind
+from ..network.messaging import Channel, MessageKind
 from ..privacy.accountant import PrivacyAccountant
 from ..privacy.factory import build_mechanism
 from .config import ClientSession
 from .wire import Frame, FrameSource, write_frame
 
 __all__ = ["run_client", "client_main", "nonzero_entries", "scatter_entries"]
-
-
-class _Mailbox(Channel):
-    """Receive-side channel for one client node.
-
-    Only :meth:`inject` ever feeds it (frames decoded off the socket), so
-    the agent's drain-based receive paths — ``read_latest_aggregate``,
-    ``await_ack`` — work unchanged while sends go over the wire instead.
-    """
-
-    def inject(self, message: Message) -> None:
-        """Deliver one received message into every local queue."""
-        for name in self._queues:
-            if name != message.sender:
-                self._queues[name].append(message)
 
 
 def nonzero_entries(block: np.ndarray) -> Dict[str, List[Any]]:
@@ -156,7 +141,10 @@ class _ClientLoop:
             if session.privacy is not None
             else None
         )
-        self.mailbox = _Mailbox()
+        # Receive side only: frames decoded off the socket are injected, so
+        # the agent's drain-based reads work unchanged while its sends go
+        # over the wire instead.
+        self.mailbox = Channel()
         self.agent = SBSAgent(
             session.problem,
             session.index,
@@ -244,7 +232,7 @@ class _ClientLoop:
             if frame is None:
                 return None
             if frame.kind is not MessageKind.CONTROL:
-                self.mailbox.inject(frame.to_message())
+                self.mailbox.inject(self.name, frame.to_message())
                 continue
             return frame
 
@@ -261,7 +249,7 @@ class _ClientLoop:
             if frame.kind is MessageKind.CONTROL:
                 self.pending.append(frame)
                 continue
-            self.mailbox.inject(frame.to_message())
+            self.mailbox.inject(self.name, frame.to_message())
             if self.agent.await_ack(seq):
                 return True
 
@@ -336,7 +324,7 @@ class _ClientLoop:
                 upload_seq=seq,
             )
             attempt_span.start()
-            # repro-taint: disable=REPRO701,REPRO702 -- sanctioned upload frame: perturbed when privacy is on, epsilon booked whenever an accountant is attached
+            # repro-taint: disable=REPRO701 -- sanctioned upload frame: perturbed and booked when privacy is on
             await self._send(
                 Frame(
                     kind=MessageKind.POLICY_UPLOAD,
@@ -358,7 +346,7 @@ class _ClientLoop:
         if not acked and self.agent.await_ack(seq):
             acked = True  # the ack surfaced right after the last timeout
         retries = attempts_used if acked else self.session.config.max_retries
-        # repro-taint: disable=REPRO701,REPRO702 -- phase_done control carries the scalar noise_l1 telemetry, not the policy
+        # repro-taint: disable=REPRO701 -- phase_done control carries the scalar noise_l1 telemetry, not the policy
         await self._send_control(
             iteration,
             phase,

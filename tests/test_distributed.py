@@ -7,11 +7,12 @@ from repro.core.centralized import solve_centralized, solve_lp_relaxation
 from repro.core.distributed import (
     DistributedConfig,
     DistributedOptimizer,
+    SBSAgent,
     solve_distributed,
 )
 from repro.exceptions import ValidationError
-from repro.network.messaging import MessageKind
-from repro.privacy.mechanism import LPPMConfig
+from repro.network.messaging import Channel, MessageKind
+from repro.privacy.mechanism import LaplacePrivacyMechanism, LPPMConfig
 
 from conftest import random_problem
 
@@ -151,6 +152,13 @@ class TestPrivateRuns:
         )
         phases_per_sbs = result.iterations
         assert result.total_epsilon == pytest.approx(0.2 * phases_per_sbs)
+
+    def test_mechanism_without_accountant_refused(self, tiny_problem):
+        """No release without a ledger: an agent that could perturb but
+        book nowhere is refused at construction."""
+        mechanism = LaplacePrivacyMechanism(LPPMConfig(epsilon=0.1), rng=0)
+        with pytest.raises(ValidationError, match="no accountant"):
+            SBSAgent(tiny_problem, 0, Channel(), mechanism=mechanism)
 
     def test_private_cost_at_least_noiseless(self, tiny_problem):
         noiseless = solve_distributed(tiny_problem)

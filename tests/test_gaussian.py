@@ -78,12 +78,6 @@ class TestGaussianMechanism:
         assert np.all(perturbed <= routing + 1e-12)
         assert np.all(perturbed >= 0.5 * routing - 1e-12)  # delta = 0.5
 
-    def test_audit_trail(self):
-        mechanism = GaussianPrivacyMechanism(GaussianPPMConfig(epsilon=0.3), rng=0)
-        mechanism.perturb(np.full((2, 2), 0.5))
-        assert mechanism.releases() == 1
-        assert mechanism.total_epsilon_basic() == pytest.approx(0.3)
-
     def test_more_budget_less_noise(self):
         routing = np.full((10, 10), 0.9)
         totals = []

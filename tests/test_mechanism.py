@@ -91,21 +91,3 @@ class TestPerturbation:
             empirical += routing - mechanism.perturb(routing)
         empirical /= 300
         assert empirical.mean() == pytest.approx(float(expected.mean()), rel=0.1)
-
-
-class TestAuditTrail:
-    def test_records_accumulate(self):
-        mechanism = LaplacePrivacyMechanism(LPPMConfig(epsilon=0.2), rng=0)
-        routing = np.full((2, 2), 0.5)
-        mechanism.perturb(routing)
-        mechanism.perturb(routing)
-        assert mechanism.releases() == 2
-        assert mechanism.total_epsilon_basic() == pytest.approx(0.4)
-
-    def test_record_contents(self):
-        mechanism = LaplacePrivacyMechanism(LPPMConfig(epsilon=0.2), rng=0)
-        mechanism.perturb(np.full((2, 3), 0.5))
-        record = mechanism.records[0]
-        assert record.coordinates == 6
-        assert record.noise_l1 >= 0.0
-        assert record.noise_max <= 0.25 + 1e-12  # delta * y = 0.25

@@ -156,6 +156,29 @@ class TestBroadcast:
         assert len(tapped) == 5
         assert channel.stats.by_kind == {"aggregate": 4, "ack": 1}
 
+    def test_inject_hands_a_message_to_one_node(self):
+        """``inject`` is receive-side delivery: one queue, in arrival
+        order (an older broadcast is kept), no stats and no taps."""
+        channel = Channel()
+        for name in ("sbs-0", "sbs-1"):
+            channel.register(name)
+        tapped = []
+        channel.tap(tapped.append)
+        newer, older = (
+            dataclasses.replace(
+                make_message(sender="bs", recipient="*", kind=MessageKind.AGGREGATE_BROADCAST),
+                iteration=iteration,
+            )
+            for iteration in (2, 1)
+        )
+        channel.inject("sbs-0", newer)
+        channel.inject("sbs-0", older)
+        assert [message.iteration for message in channel.drain("sbs-0")] == [2, 1]
+        assert channel.pending("sbs-1") == 0
+        assert tapped == [] and channel.stats.messages_sent == 0
+        with pytest.raises(ProtocolError, match="not registered"):
+            channel.inject("sbs-9", newer)
+
     def test_broadcast_without_nodes(self):
         channel = Channel()
         channel.register("bs")

@@ -714,6 +714,43 @@ class TestUnguardedSharedMutation:
         )
         assert findings == []
 
+    def test_lock_named_attribute_is_not_a_lock(self, tmp_path):
+        """A name containing "lock" (``_agg_blocks``) does not make a class
+        lock-owning: only a ``Lock()``/``RLock()`` or a ``with`` does."""
+        findings = self._lint_threaded(
+            tmp_path,
+            """
+            class Agent:
+                def __init__(self):
+                    self._agg_blocks = None
+                    self.seen = 0
+
+                def ingest(self, blocks):
+                    self._agg_blocks = blocks
+                    self.seen += 1
+            """,
+        )
+        assert findings == []
+
+    def test_setattr_lock_makes_class_lock_owning(self, tmp_path):
+        findings = self._lint_threaded(
+            tmp_path,
+            """
+            import threading
+
+            class Instance:
+                def __init__(self):
+                    object.__setattr__(self, "_derived_lock", threading.RLock())
+
+                def remember(self, key, value):
+                    with self._derived_lock:
+                        self.cache = {key: value}
+                    self.hits = 1
+            """,
+        )
+        assert codes(findings) == ["REPRO601"]
+        assert "self.hits" in findings[0].message
+
     def test_untargeted_module_is_skipped(self, tmp_path):
         from repro.analysis.rules.base import FileContext
         from repro.analysis.rules.threading import UnguardedSharedMutation

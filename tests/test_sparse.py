@@ -25,7 +25,6 @@ from repro import obs
 from repro.core import (
     DistributedConfig,
     ProblemInstance,
-    Solution,
     SparseProblemInstance,
     SparseSolution,
     SubproblemConfig,
@@ -33,7 +32,6 @@ from repro.core import (
     solve_distributed_sparse,
     sparse_total_cost,
     total_cost,
-    total_cost_sparse,
 )
 from repro.core.distributed import DistributedOptimizer
 from repro.core.sparse import _expand_ranges
@@ -441,6 +439,15 @@ class TestCompactParity:
                 privacy=LPPMConfig(epsilon=epsilon),
                 rng=seed,
             )
+            # Record the size of every block each SBS's mechanism releases.
+            released = {agent.name: set() for agent in optimizer.sbss}
+            for agent in optimizer.sbss:
+
+                def spy(routing, perturb=agent._mechanism.perturb, sizes=released[agent.name]):
+                    sizes.add(np.size(routing))
+                    return perturb(routing)
+
+                agent._mechanism.perturb = spy
             result = optimizer.run()
             assert result.solution.check_feasibility(sparse).feasible
             for agent in optimizer.sbss:
@@ -455,8 +462,7 @@ class TestCompactParity:
                 assert result.accountant.total_epsilon_basic(party) == pytest.approx(
                     len(releases) * epsilon, rel=1e-12
                 )
-                coordinates = {record.coordinates for record in agent._mechanism.records}
-                assert coordinates == {sparse.sbs_index(agent.index).pair_ids.size}
+                assert released[party] == {sparse.sbs_index(agent.index).pair_ids.size}
 
 
 class TestSparseSolution:
@@ -473,15 +479,12 @@ class TestSparseSolution:
         assert sparse_total_cost(sparse, result.solution) == pytest.approx(
             dense_cost, rel=1e-12
         )
-        assert total_cost_sparse(sparse, result.solution) == pytest.approx(
-            dense_cost, rel=1e-12
-        )
         assert result.cost == pytest.approx(dense_cost, rel=1e-12)
         assert result.total_epsilon is None
 
     def test_from_sparse_round_trip(self, rng):
         problem, sparse, result = self.solved(rng)
-        densified = Solution.from_sparse(sparse, result.solution)
+        densified = result.solution.to_dense(sparse)
         assert densified.check_feasibility(problem).feasible
         stats = densified.sparsity()
         assert stats["routing_nnz"] == result.solution.routing_nnz()

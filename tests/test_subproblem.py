@@ -152,8 +152,6 @@ class TestSolveSubproblem:
     def test_invalid_config(self):
         with pytest.raises(ValidationError):
             SubproblemConfig(max_iter=0)
-        with pytest.raises(ValidationError):
-            SubproblemConfig(tol=-1.0)
 
 
 class TestExhaustive:
