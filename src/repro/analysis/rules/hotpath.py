@@ -1,15 +1,16 @@
 """Hot-path rule: no Python-level loops where batched kernels exist.
 
-The modules on the Algorithm 1 hot path — the subproblem oracle, the
-fractional knapsack, the subgradient ascent — are vectorized: their
-inner work runs as batched numpy kernels, and a stray ``for`` loop over
-group/file indices silently reverts a kernel to per-element Python
-(the regression the batched-oracle benchmarks exist to catch).
+The modules on the Algorithm 1 hot path — the subproblem oracles and
+the fractional knapsack — are vectorized: their inner work runs as
+batched numpy kernels, and a stray ``for`` loop over group/file indices
+silently reverts a kernel to per-element Python (the regression the
+batched-oracle benchmarks exist to catch).
 
 * ``python-loop-in-hot-path`` — flag every ``for`` statement in a hot
-  module except the dual-ascent outer iteration (``for iteration in
-  ...``), which is inherently sequential.  Loops that are justified —
-  the polish swap chain (each accepted swap changes the incumbent), the
+  module except the outer iteration of a dual search (``for iteration
+  in ...``: the subgradient ascent, the price bisection), which is
+  inherently sequential.  Loops that are justified — the polish swap
+  chain (each accepted swap changes the incumbent), the
   exhaustive reference oracle, bounded chunk dispatch — carry baseline
   ratchet entries rather than pragmas, so any *new* loop trips CI until
   it is either vectorized or explicitly accepted into the baseline.
@@ -30,12 +31,11 @@ HOT_MODULES = frozenset(
     {
         "repro.core.subproblem",
         "repro.solvers.fractional_knapsack",
-        "repro.solvers.subgradient",
     }
 )
 
 #: Loop targets that name the sequential outer iteration of a dual
-#: ascent — the one loop the decomposition cannot batch away.
+#: search — the one loop an oracle cannot batch away.
 _SEQUENTIAL_TARGETS = frozenset({"iteration"})
 
 

@@ -41,7 +41,6 @@ THREADED_MODULES = frozenset(
         "repro.core.problem",
         "repro.core.subproblem",
         "repro.solvers.fractional_knapsack",
-        "repro.solvers.subgradient",
         "repro.perf.registry",
         "repro.obs.recorder",
         "repro.experiments.runner",

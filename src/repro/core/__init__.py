@@ -42,8 +42,6 @@ from .sparse import (
 from .subproblem import (
     SubproblemConfig,
     SubproblemSolution,
-    cache_subproblem,
-    routing_subproblem,
     solve_subproblem,
     solve_subproblem_exhaustive,
 )
@@ -96,8 +94,6 @@ __all__ = [
     "sparse_total_cost",
     "SubproblemConfig",
     "SubproblemSolution",
-    "cache_subproblem",
-    "routing_subproblem",
     "solve_subproblem",
     "solve_subproblem_exhaustive",
 ]

@@ -114,12 +114,14 @@ class DistributedConfig:
     warm_start:
         Reuse each SBS's final dual multipliers ``mu`` from its previous
         Gauss-Seidel phase as the starting point of the next dual ascent
-        (with a proportionally smaller restart step).  Off by default:
-        the cold-start run is the paper-literal algorithm and the
-        regression anchors pin its exact costs.  Warm starting changes
-        the dual trajectory — and may change intermediate primal
-        iterates — but converges to the same final cost (cross-checked
-        in the tests) in fewer subgradient iterations.
+        (with a proportionally smaller restart step).  Only the batched
+        oracle has multipliers, so this needs
+        ``SubproblemConfig(oracle="batched")``.  Off by default: the
+        cold-start run is the paper-literal algorithm and the regression
+        anchors pin its exact costs.  Warm starting changes the dual
+        trajectory — and may change intermediate primal iterates — but
+        converges to the same final cost (cross-checked in the tests) in
+        fewer subgradient iterations.
     max_retries:
         Fault-tolerant runs only: how many times an SBS retransmits an
         unacknowledged ``POLICY_UPLOAD`` before declaring the phase lost
@@ -155,6 +157,11 @@ class DistributedConfig:
                 f"coordination must be 'caps' or 'prices', got {self.coordination!r}"
             )
         check_positive_int(self.restarts, "restarts")
+        if self.warm_start and self.subproblem.oracle != "batched":
+            raise ValidationError(
+                "warm_start carries the batched oracle's multipliers; "
+                f"oracle={self.subproblem.oracle!r} has none"
+            )
         if self.max_retries < 0:
             raise ValidationError(f"max_retries must be nonnegative, got {self.max_retries}")
         if self.on_timeout not in ("degrade", "raise"):

@@ -3,41 +3,63 @@
 Given the aggregate routing policy ``y_{-n}`` of every other SBS, SBS
 ``n`` jointly chooses its caching vector ``x_n in {0,1}^F`` and routing
 block ``y_n in [0,1]^{U x F}`` to minimize its view of the network cost.
-The paper solves this by Lagrangian dual decomposition:
+For a fixed cache set the routing is an LP with a single budget
+constraint, an exact fractional knapsack (``p`` the priced routing
+coefficients, ``w`` the demand weights, ``cap`` the residual caps)::
+
+    cost(x) = constant + min p.y   s.t.  w.y <= B,  0 <= y_i <= cap_i * x[file_i]
+
+*Primal recovery* routes a candidate cache set this way.  Two oracles
+pick the candidates (``SubproblemConfig.oracle``).
+
+The **exact** oracle (the default) dualizes the SBS bandwidth (3) with
+one scalar price ``pi >= 0``.  For a fixed price the rest of ``P_n``
+separates by file::
+
+    g[f](pi) = sum_{items i of f} min(0, p_i + pi * w_i) * cap_i
+    L(pi)    = constant - pi * B + (sum of the C_n most negative g[f])
+
+``L`` lower-bounds the cost of every cache set, is concave, and its
+supergradient is the bandwidth overflow of the top-``C_n`` set.
+Bisection on the sign of that overflow brackets the optimal price; the
+top sets at both ends of the last bracket and the incumbent
+(``candidate_caching``) are recovered, and the cheapest is kept.  The
+reported ``best_dual`` makes ``cost - best_dual`` a certified gap.
+
+The **batched** oracle (``oracle="batched"``) is the paper's own
+Lagrangian decomposition:
 
 1. relax the cache-coupling constraint ``y <= x`` with multipliers
    ``mu[u, f] >= 0`` (Eq. 15-16);
 2. the **caching subproblem** (Eq. 18) maximizes
    ``sum_f x[f] * sum_u mu[u, f]`` under the capacity constraint — its LP
-   relaxation is integral (Theorem 1), so it reduces to picking the
-   ``C_n`` files with the largest positive aggregated multipliers;
-3. the **routing subproblem** (Eq. 20) is a linear program with a single
-   budget constraint — an exact fractional knapsack;
+   relaxation is integral (Theorem 1), so it picks the ``C_n`` files
+   with the largest positive aggregated multipliers;
+3. the **routing subproblem** (Eq. 20) is the knapsack above with costs
+   ``p + mu`` and no cache coupling;
 4. the multipliers follow the projected subgradient update of Eq. 21
    with the diminishing steps of Eq. 22 and subgradient ``y - x``
    (Eq. 23).
 
-Because the dual iterates' primal pairs need not be jointly feasible, we
-add standard *primal recovery*: the cache set of each dual iterate is
-paired with its best feasible routing (the knapsack restricted to that
-set), and the cheapest pair seen is returned.  The legacy oracle
-recovers every new set exactly; the batched kernel skips the sets whose
-weak-duality lower bound already proves they cannot beat the incumbent
-(:class:`_RecoveryScreen`).  An optional local-search polish swaps files
-in/out of the best cache set until no single swap improves the cost,
-and an exhaustive solver is provided for validating optimality on tiny
-instances.
+The cache set of each dual iterate is recovered, and the cheapest pair
+seen is returned; a set whose weak-duality lower bound already proves it
+cannot beat the incumbent is skipped (:class:`_RecoveryScreen`, whose
+bound is ``L``'s own expression at the incumbent's budget price).  With
+either oracle, an optional local-search polish swaps files in/out of the
+best cache set until no single swap improves the cost, and an
+exhaustive solver validates optimality on tiny instances.
 
 Everything runs on a flat :class:`ItemView` with one item per ``(row,
 file)`` cell: a dense instance's SBS gets the full ``(U, F)`` grid, a
-sparse instance's only its demand pairs.  The batched kernel's dual ascent
-then iterates over the view's **live items** only::
+sparse instance's only its demand pairs.  Both oracles then work on the
+view's **live items** only::
 
     live = (priced < 0) & (caps > 0)   |  (start > 0) when warm-started
 
 with ``priced`` the (price-augmented) routing coefficients and ``caps``
-the residual caps.  An item outside ``live`` keeps ``mu = +0.0`` and
-routing ``0`` in every iterate, by induction from ``mu = +0.0``: its
+the residual caps.  An item outside ``live`` contributes nothing to any
+``g[f]`` and takes ``0`` in every routing.  In the batched ascent it
+also keeps ``mu = +0.0``, by induction from ``mu = +0.0``: its
 knapsack cost ``priced + mu`` is ``>= 0``, so it is never paid or
 free, or its cap is ``0``, so it takes ``0``; its subgradient is
 ``0 - x_f <= 0`` and the step is positive, so the projection returns
@@ -46,27 +68,25 @@ the kernel adds sequentially: per-file sums (``bincount`` accumulates
 from ``+0.0``) and the greedy's cumulative budget, whose stable order of
 the other items does not change.  Zero-demand cells, which a sparse
 instance's views drop, are one dead class: their coefficient is a
-signed zero.  The three pairwise-summed reductions (the dual value, a
+signed zero.
+
+The batched oracle's three pairwise-summed reductions (the dual value, a
 recovery's cost and the polish trial costs) keep the full view's
 summation tree: the live products are scattered into a full-length
 buffer whose dead slots hold exactly the signed zeros the full
-computation puts there.
+computation puts there.  The exact oracle sums per file, or over the
+live items alone, or with ``math.fsum``, so a pair view and its
+zero-padded grid give it the same bits.
 
-The dual ascent has two oracles.  The **batched kernel** (the default)
-hoists every loop invariant, validates arrays once at this API
-boundary, solves the dual routing subproblem and primal recovery on one
-:class:`~repro.solvers.fractional_knapsack.KnapsackWorkspace`, screens
-recoveries by weak duality, and allocates its scratch afresh on every
-call, sized by the live items.  A dual iteration sorts
-nothing it only needs the top of: the cache set, its filler and the
-polish candidates are exact stable top-``k`` selections
-(:func:`_top_k`, a threshold from ``np.partition`` with ties to the
-lowest index), and the dual routing row sorts only its paid items' value
-densities, in one fused knapsack pass.  The **legacy** oracle
-(``oracle="legacy"``) routes every dual iteration through the public,
-validating helpers (:func:`cache_subproblem`, :func:`routing_subproblem`)
-on the dense problem the view flattens; it is the reference the kernel
-is cross-checked against bit for bit.
+The batched kernel hoists every loop invariant, validates arrays once at
+this API boundary, solves the dual routing subproblem and primal
+recovery on one :class:`~repro.solvers.fractional_knapsack.KnapsackWorkspace`,
+and allocates its scratch afresh on every call, sized by the live
+items.  A dual iteration sorts nothing it only needs the top of: the
+cache set, its filler and the polish candidates are exact stable
+top-``k`` selections (:func:`_top_k`, a threshold from ``np.partition``
+with ties to the lowest index), and the dual routing row sorts only its
+paid items' value densities, in one fused knapsack pass.
 """
 
 from __future__ import annotations
@@ -87,8 +107,8 @@ from .._validation import (
     check_positive_int,
 )
 from ..exceptions import ValidationError
-from ..solvers.fractional_knapsack import KnapsackWorkspace, solve_fractional_knapsack
-from ..solvers.subgradient import StepSchedule, SubgradientResult, subgradient_ascent
+from ..solvers.fractional_knapsack import KnapsackWorkspace
+from ..solvers.subgradient import StepSchedule, SubgradientResult
 from .problem import ProblemInstance
 from .routing import optimal_routing_for_sbs, residual_caps
 
@@ -98,8 +118,6 @@ __all__ = [
     "SubproblemSolution",
     "solve_subproblem",
     "solve_subproblem_exhaustive",
-    "cache_subproblem",
-    "routing_subproblem",
 ]
 
 # Polish trials are evaluated in chunks of this many candidate cache
@@ -111,45 +129,44 @@ _TRIAL_CHUNK = 32
 
 _EPS = float(np.finfo(np.float64).eps)
 
-#: Dual-ascent stopping controls (see
-#: :func:`repro.solvers.subgradient.subgradient_ascent`): the relative
-#: dual improvement that counts as progress, and how many steps without
-#: progress end the ascent.
+#: Batched dual-ascent stopping controls: the relative dual improvement
+#: that counts as progress, and how many steps without progress end the
+#: ascent.
 DUAL_TOL = 1e-7
 DUAL_PATIENCE = 25
 
 
 @dataclasses.dataclass(frozen=True)
 class SubproblemConfig:
-    """Tunables for the Lagrangian decomposition.
+    """Tunables of the subproblem oracles.
 
-    The dual step size is not a tunable: ``eta0`` is half the largest
-    absolute routing coefficient (an eighth on a warm start) so the
-    multipliers can reach the coefficients' magnitude in a handful of
+    The batched dual step size is not a tunable: ``eta0`` is half the
+    largest absolute routing coefficient (an eighth on a warm start) so
+    the multipliers can reach the coefficients' magnitude in a handful of
     steps, and the ascent stops early after :data:`DUAL_PATIENCE` steps
     without a :data:`DUAL_TOL` relative improvement.
 
     Attributes
     ----------
     max_iter:
-        Cap on the dual-ascent iterations.
+        Cap on the dual iterations: price probes of the exact oracle,
+        multiplier steps of the batched one.
     polish:
         Run single-swap local search on the recovered cache set.
     oracle:
-        Which implementation backs the dual ascent: ``"batched"`` (the
-        buffer-reusing kernel, see the module docstring) or ``"legacy"``
-        (per-iteration validated helpers); both produce bit-identical
-        solutions.
+        ``"exact"`` (the default: one bandwidth price found by
+        bisection, a certified gap) or ``"batched"`` (the paper's
+        subgradient ascent on ``mu``); see the module docstring.
     """
 
     max_iter: int = 120
     polish: bool = True
-    oracle: str = "batched"
+    oracle: str = "exact"
 
     def __post_init__(self) -> None:
         check_positive_int(self.max_iter, "max_iter")
-        if self.oracle not in ("batched", "legacy"):
-            raise ValidationError(f"oracle must be 'batched' or 'legacy', got {self.oracle!r}")
+        if self.oracle not in ("exact", "batched"):
+            raise ValidationError(f"oracle must be 'exact' or 'batched', got {self.oracle!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -160,9 +177,14 @@ class SubproblemSolution:
     constant BS term induced by ``y_{-n}``, so it is comparable across
     candidate policies of the same SBS but not across SBSs).
 
+    ``best_dual`` is a lower bound on the cost of every cache set;
+    ``dual_history`` holds the dual value of each iteration (``L`` at
+    each probed price, or the Lagrangian at each multiplier iterate).
+
     ``routing`` and ``multipliers`` follow the layout of the view solved
     (``ItemView.shape``): ``(U, F)`` for a dense problem's full grid,
-    ``(P_n,)`` — one entry per demand pair — for a sparse instance.
+    ``(P_n,)`` — one entry per demand pair — for a sparse instance.  The
+    exact oracle has no multipliers (``None``).
     """
 
     caching: np.ndarray  # (F,)
@@ -315,36 +337,6 @@ def _constant_term(problem: ProblemInstance, sbs: int, aggregate_others: np.ndar
     return float(np.sum(problem.bs_cost[:, np.newaxis] * residual * problem.demand))
 
 
-def cache_subproblem(
-    problem: ProblemInstance,
-    sbs: int,
-    multipliers: np.ndarray,
-    *,
-    tie_break_value: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Solve the caching subproblem (Eq. 18) — integral per Theorem 1.
-
-    Maximizes ``sum_f x[f] * m[f]`` with ``m[f] = sum_u mu[u, f]`` under
-    ``sum_f x[f] <= C_n`` and ``x in [0, 1]``: select up to ``C_n`` files
-    with the largest positive ``m[f]``.  Slots left over by zero
-    multipliers are filled by ``tie_break_value`` (typically potential
-    savings) — any completion is dual-optimal, and this choice speeds up
-    primal recovery.
-    """
-    problem._check_sbs(sbs)
-    multipliers = as_float_array(
-        multipliers, "multipliers", shape=(problem.num_groups, problem.num_files)
-    )
-    aggregated = multipliers.sum(axis=0)
-    capacity = int(np.floor(problem.cache_capacity[sbs] + 1e-9))
-    tie_break = None
-    if tie_break_value is not None:
-        tie_break = as_float_array(
-            tie_break_value, "tie_break_value", shape=(problem.num_files,)
-        )
-    return _select_cache_set(problem.num_files, capacity, aggregated, tie_break)
-
-
 def _top_k(values: np.ndarray, k: int, *, ordered: bool = False) -> np.ndarray:
     """The first ``k`` indices of ``np.argsort(-values, kind="stable")``,
     found by selection instead of a sort.
@@ -404,34 +396,6 @@ def _select_cache_set(
     return caching
 
 
-def routing_subproblem(
-    problem: ProblemInstance,
-    sbs: int,
-    multipliers: np.ndarray,
-    caps: np.ndarray,
-    *,
-    extra_cost: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Solve the routing subproblem (Eq. 20) by fractional knapsack.
-
-    Minimizes ``sum (c[u,f] + mu[u,f]) * y`` under the bandwidth budget
-    and ``0 <= y <= caps``.  Note the cache coupling has been dualized,
-    so ``y`` ranges over all connected pairs regardless of the cache.
-    ``extra_cost`` adds a further per-unit term (the BS congestion
-    prices of the enhanced coordination mode).
-    """
-    costs = _routing_coefficients(problem, sbs) + multipliers
-    if extra_cost is not None:
-        costs = costs + extra_cost
-    result = solve_fractional_knapsack(
-        costs.ravel(),
-        np.broadcast_to(problem.demand, costs.shape).ravel(),
-        float(problem.bandwidth[sbs]),
-        np.asarray(caps, dtype=np.float64).ravel(),
-    )
-    return result.allocation.reshape(problem.num_groups, problem.num_files)
-
-
 def _evaluate_cache_set(
     problem: ProblemInstance,
     sbs: int,
@@ -466,13 +430,17 @@ class _RecoveryScreen:
 
     because ``p.y = sum (p_i + lam*w_i) y_i - lam*w.y``, ``w.y <= B``, and
     each term of the sum is smallest at ``y_i = cap_i x[f]`` when its
-    coefficient is negative, at ``y_i = 0`` otherwise.
+    coefficient is negative, at ``y_i = 0`` otherwise.  Minimizing over
+    the cache sets of at most ``C_n`` files gives the exact oracle's dual
+    function ``L(lam)``; :meth:`terms` computes ``g`` (and each file's
+    load, the budget its items take at their caps where their priced
+    coefficient is negative) for both.
 
-    ``lam`` comes from the incumbent (:meth:`refresh`): the value density
-    ``-p_i/w_i`` of its first paid item along the greedy order that is
-    not at its cap — the split item where the budget ran out, the LP's
-    optimal budget price, so the bound is tight at the incumbent — or
-    ``0`` when every available item is at its cap.
+    The screen's ``lam`` comes from the incumbent (:meth:`refresh`): the
+    value density ``-p_i/w_i`` of its first paid item along the greedy
+    order that is not at its cap — the split item where the budget ran
+    out, the LP's optimal budget price, so the bound is tight at the
+    incumbent — or ``0`` when every available item is at its cap.
 
     :meth:`bound` returns ``LB(x) - margin``, a floating-point safe lower
     bound on the cost the kernel *computes*.  With ``eps`` the machine
@@ -520,8 +488,30 @@ class _RecoveryScreen:
         terms *= full_caps
         self.scale = abs(constant) - float(np.add.reduce(terms))
         self.slack = 8.0 * (full_priced.size + 1) * _EPS
+        self.lam = 0.0
         self.offset = -np.inf
         self.g = np.zeros(view.num_files)
+
+    def terms(
+        self, lam: float, caps_weight: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """``(F,)`` sums ``g(lam)`` and, given the items' ``caps * w``,
+        the per-file loads (else ``None``)."""
+        terms = self.view.weight * lam
+        terms += self.priced
+        load = None
+        if caps_weight is not None:
+            load = self.view.file_sums(np.where(terms < 0.0, caps_weight, 0.0))
+        np.minimum(terms, 0.0, out=terms)
+        terms *= self.caps
+        return self.view.file_sums(terms), load
+
+    def offset_at(self, lam: float, constant: Optional[float] = None) -> float:
+        """``constant - lam*B - margin``, the set-independent part of the
+        bound at ``lam`` (the screen's own constant unless given)."""
+        budget = lam * self.view.bandwidth
+        base = self.constant if constant is None else constant
+        return base - budget - self.slack * (self.scale + budget)
 
     def refresh(self, caching: np.ndarray, routing: np.ndarray) -> None:
         """Re-derive ``lam`` and ``g`` from a new incumbent."""
@@ -537,13 +527,9 @@ class _RecoveryScreen:
             if gap[split]:
                 item = self.order[split]
                 lam = -float(self.priced[item]) / float(self.view.weight[item])
-        terms = self.view.weight * lam
-        terms += self.priced
-        np.minimum(terms, 0.0, out=terms)
-        terms *= self.caps
-        self.g = self.view.file_sums(terms)
-        budget = lam * self.view.bandwidth
-        self.offset = self.constant - budget - self.slack * (self.scale + budget)
+        self.lam = lam
+        self.g, _ = self.terms(lam)
+        self.offset = self.offset_at(lam)
 
     def bound(self, caching: np.ndarray) -> float:
         """``LB(caching) - margin``."""
@@ -678,7 +664,9 @@ def solve_subproblem(
     initial_multipliers: Optional[np.ndarray] = None,
     candidate_caching: Optional[np.ndarray] = None,
 ) -> SubproblemSolution:
-    """Solve ``P_n`` by the paper's dual decomposition with primal recovery.
+    """Solve ``P_n`` by one bandwidth price (the default exact oracle) or
+    by the paper's dual decomposition (``oracle="batched"``), with primal
+    recovery.
 
     ``problem`` is a dense :class:`ProblemInstance` with ``sbs``
     selecting the SBS (solved on its full-grid view), or an
@@ -694,16 +682,17 @@ def solve_subproblem(
     prices, zero slack) this is exactly the paper's subproblem; the
     reported ``cost`` is the (price-augmented) local objective.
 
-    ``initial_multipliers`` warm-starts the dual ascent — across
+    ``initial_multipliers`` warm-starts the batched dual ascent — across
     Gauss-Seidel iterations the aggregate changes little, so reusing the
     previous multipliers reaches the dual region in far fewer steps
     (the :class:`~repro.core.distributed.SBSAgent` passes its last
-    multipliers when ``DistributedConfig.warm_start`` is enabled).
+    multipliers when ``DistributedConfig.warm_start`` is enabled).  The
+    exact oracle has no multipliers and rejects them.
     ``candidate_caching`` seeds the primal recovery with an incumbent
     cache set (evaluated exactly under the current caps), guaranteeing
     the returned solution is never worse than keeping the incumbent —
     which is what makes every Gauss-Seidel phase non-increasing
-    regardless of dual-ascent noise.
+    whatever the dual search does.
     """
     config = config or SubproblemConfig()
     if isinstance(problem, ItemView):
@@ -717,7 +706,7 @@ def solve_subproblem(
         raise ValidationError("the view has no items: its local subproblem is empty")
     perf.count("subproblem.solves")
     # Arrays are validated once here, at the API boundary; the oracles
-    # below trust them for the whole dual ascent.
+    # below trust them.
     others = as_float_array(aggregate_others, "aggregate_others", shape=view.shape).ravel()
     if not (np.isfinite(cap_slack) and cap_slack >= 0):
         raise ValidationError(f"cap_slack must be finite and nonnegative, got {cap_slack}")
@@ -730,56 +719,46 @@ def solve_subproblem(
             raise ValidationError(
                 f"initial_multipliers must have {view.num_items} entries, got {start.size}"
             )
+        if config.oracle != "batched":
+            raise ValidationError(
+                "initial_multipliers warm-start the batched oracle's mu; "
+                f"oracle={config.oracle!r} has no multipliers"
+            )
         start = np.maximum(start, 0.0)
     seed = None
     if candidate_caching is not None:
         seed = as_float_array(candidate_caching, "candidate_caching", shape=(view.num_files,))
 
-    if config.oracle == "batched":
-        caching, routing, cost, result = _dual_decomposition(
-            view, others, prices, cap_slack, start, seed, config
-        )
+    exact = config.oracle == "exact"
+    kernel = _Kernel(view, others, prices, cap_slack, start, exact=exact)
+    if seed is not None:
+        kernel.consider(seed, *kernel.evaluate(seed))
+    if exact:
+        bound, dual_history, converged = _price_bisection(kernel, config)
+        multipliers = None
     else:
-        # The legacy oracle is the dense reference: it solves the grid of
-        # the one-SBS problem the view flattens, and the outcome is
-        # gathered back onto the view's items.
-        dense = view.to_problem()
-        grid = ItemView.grid(dense, 0, constant_offset=view.constant_offset)
-        cells = view.item_row * view.num_files + view.item_file
-
-        def on_grid(values: Optional[np.ndarray]) -> Optional[np.ndarray]:
-            if values is None:
-                return None
-            spread = np.zeros(grid.num_items)
-            np.put(spread, cells, values)
-            return spread
-
-        caching, routing, cost, result = _dual_decomposition(
-            grid,
-            on_grid(others),
-            on_grid(prices),
-            cap_slack,
-            on_grid(start),
-            seed,
-            config,
-            dense=dense,
-        )
-        routing = routing[cells]
-        result = dataclasses.replace(result, multipliers=result.multipliers[cells])
+        result = _dual_decomposition(kernel, start, config)
+        bound, dual_history, converged = result.best_dual, result.dual_history, result.converged
+        multipliers = result.multipliers.reshape(view.shape)
+    perf.count("subgradient.iterations", len(dual_history))
+    if config.polish:
+        kernel.polish()
+    routing = np.zeros(view.num_items)
+    routing[kernel.live_items] = kernel.routing
     return SubproblemSolution(
-        caching=caching,
+        caching=kernel.caching,
         routing=routing.reshape(view.shape),
-        cost=cost,
-        best_dual=result.best_dual,
-        dual_history=tuple(result.dual_history),
-        iterations=result.iterations,
-        converged=result.converged,
-        multipliers=result.multipliers.reshape(view.shape),
+        cost=kernel.cost,
+        best_dual=kernel.certified_dual(bound) if exact else bound,
+        dual_history=tuple(dual_history),
+        iterations=len(dual_history),
+        converged=converged,
+        multipliers=multipliers,
     )
 
 
 def _live_items(priced: np.ndarray, caps: np.ndarray, start: Optional[np.ndarray]) -> np.ndarray:
-    """The items the batched dual ascent runs on (module docstring).
+    """The items both oracles run on (module docstring).
 
     A view without any keeps item 0, which stays dead when computed
     explicitly, so the knapsack rows are never empty.
@@ -792,225 +771,296 @@ def _live_items(priced: np.ndarray, caps: np.ndarray, start: Optional[np.ndarray
     return live_items if live_items.size else np.zeros(1, dtype=np.intp)
 
 
-def _dual_decomposition(
-    view: ItemView,
-    others: np.ndarray,
-    prices: Optional[np.ndarray],
-    cap_slack: float,
-    start: Optional[np.ndarray],
-    seed: Optional[np.ndarray],
-    config: SubproblemConfig,
-    *,
-    dense: Optional[ProblemInstance] = None,
-) -> Tuple[np.ndarray, np.ndarray, float, SubgradientResult]:
-    """The dual ascent on validated item vectors: the batched kernel, or
-    the legacy oracle on ``dense``, the one-SBS problem whose full grid
-    ``view`` is.  Routing and multipliers are ``(P,)``."""
-    num_files, bandwidth = view.num_files, view.bandwidth
-    item_row, weights = view.item_row, view.weight
-    capacity = int(np.floor(view.cache_capacity + 1e-9))
-    # Residual caps, exactly as :func:`repro.core.routing.residual_caps`.
-    reach = view.reach.take(item_row)
-    caps = np.subtract(1.0, others)
-    np.clip(caps, 0.0, 1.0, out=caps)
-    caps *= reach
-    if cap_slack > 0:
-        caps = np.minimum(caps + cap_slack * reach, reach)
-    # The y-independent BS cost of what the others leave, Eq. 10.
-    residual = 1.0 - np.clip(others, 0.0, 1.0) * reach
-    constant = (
-        float(np.sum(view.bs_cost.take(item_row) * residual * weights)) + view.constant_offset
-    )
-    # Routing coefficients c = -(d_hat - d) * l * lambda, nonpositive
-    # wherever offloading pays.
-    row_margin = (view.bs_cost - view.link_cost) * view.reach
-    coefficients = np.negative(row_margin).take(item_row) * weights
-    priced = coefficients if prices is None else coefficients + prices
-    tie_break = view.file_sums(row_margin.take(item_row) * weights * caps)
+class _Kernel:
+    """One solve on validated item vectors, shared by both oracles: the
+    residual caps and priced coefficients, the live items, the recovery
+    knapsack and screen, and the cheapest recovered ``(caching, routing,
+    cost)`` (routing over the live items)."""
 
-    scale = float(np.max(np.abs(coefficients), initial=0.0))
+    def __init__(
+        self,
+        view: ItemView,
+        others: np.ndarray,
+        prices: Optional[np.ndarray],
+        cap_slack: float,
+        start: Optional[np.ndarray],
+        *,
+        exact: bool,
+    ) -> None:
+        item_row, weights = view.item_row, view.weight
+        self.view = view
+        self.capacity = int(np.floor(view.cache_capacity + 1e-9))
+        # Residual caps, exactly as :func:`repro.core.routing.residual_caps`.
+        reach = view.reach.take(item_row)
+        caps = np.subtract(1.0, others)
+        np.clip(caps, 0.0, 1.0, out=caps)
+        caps *= reach
+        if cap_slack > 0:
+            caps = np.minimum(caps + cap_slack * reach, reach)
+        # The y-independent BS cost of what the others leave, Eq. 10.  The
+        # exact oracle adds it up per file first, so zero-demand padding
+        # changes no bit of its dual values.
+        residual = 1.0 - np.clip(others, 0.0, 1.0) * reach
+        bs_terms = view.bs_cost.take(item_row) * residual * weights
+        if exact:
+            bs_terms = view.file_sums(bs_terms)
+        self.constant = float(np.sum(bs_terms)) + view.constant_offset
+        # Routing coefficients c = -(d_hat - d) * l * lambda, nonpositive
+        # wherever offloading pays.
+        row_margin = (view.bs_cost - view.link_cost) * view.reach
+        self.coefficients = np.negative(row_margin).take(item_row) * weights
+        self.prices = prices
+        self.priced = self.coefficients if prices is None else self.coefficients + prices
+        self.tie_break = view.file_sums(row_margin.take(item_row) * weights * caps)
+
+        live = self.live_items = _live_items(self.priced, caps, start)
+        self.sub = view.subset(live)
+        self.sub_caps = caps.take(live)
+        self.sub_priced = self.priced.take(live)
+        # The batched oracle sums a recovery's cost over the full view's
+        # tree: dead slots hold ``priced * 0.0``, as the full computation
+        # fills them.  The exact oracle sums the live products alone.
+        self.cost_prod = None if exact else np.multiply(self.priced, 0.0)
+        # Primal recovery's knapsack costs are the fixed priced
+        # coefficients, so its greedy order and the caps along it are
+        # prepared once, and a candidate cache set (every polish trial
+        # too) only contributes its (F,)-sized mask, gathered along the
+        # paid prefix.
+        self.knapsack = KnapsackWorkspace(self.sub.weight)
+        self.knapsack.prepare_row(self.sub_priced, self.sub_caps, self.sub.item_file)
+        self.screen = _RecoveryScreen(
+            self.sub,
+            self.sub_priced,
+            self.sub_caps,
+            self.constant,
+            self.knapsack.order,
+            self.knapsack.order_groups,
+            self.knapsack.order_caps,
+            full=None if exact else (self.priced, caps),
+        )
+        self.cost = np.inf
+        self.caching: Optional[np.ndarray] = None
+        self.routing: Optional[np.ndarray] = None
+
+    def evaluate(self, caching: np.ndarray) -> Tuple[np.ndarray, float]:
+        """Live routing and cost of one cache set."""
+        allocation = self.knapsack.solve_masked(caching, self.view.bandwidth)
+        products = self.sub_priced * allocation
+        if self.cost_prod is None:
+            return allocation, self.constant + float(np.add.reduce(products))
+        self.cost_prod[self.live_items] = products
+        return allocation, self.constant + float(np.add.reduce(self.cost_prod))
+
+    def batch_evaluate(self, trials: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Live routings and costs of a ``(T, F)`` batch of cache sets."""
+        allocation = self.knapsack.solve_masked(trials, self.view.bandwidth)
+        products = allocation * self.sub_priced
+        if self.cost_prod is not None:
+            # The dead slots of ``cost_prod``; the live ones are rewritten.
+            full = np.tile(self.cost_prod, (trials.shape[0], 1))
+            full[:, self.live_items] = products
+            products = full
+        return allocation, self.constant + np.add.reduce(products, axis=1)
+
+    def consider(self, caching: np.ndarray, routing: np.ndarray, cost: float) -> None:
+        """Keep ``caching`` if it is strictly cheaper than the incumbent."""
+        if cost < self.cost:
+            self.cost, self.caching, self.routing = cost, caching, routing.copy()
+            self.screen.refresh(caching, self.routing)
+
+    def recover(self, caching: np.ndarray) -> None:
+        """Route ``caching`` unless it is the incumbent, or its bound
+        proves it cannot beat the incumbent."""
+        if self.caching is not None and np.array_equal(caching, self.caching):
+            return
+        if self.screen.bound(caching) < self.cost:
+            self.consider(caching, *self.evaluate(caching))
+        else:
+            perf.count("subproblem.recoveries_screened")
+
+    def polish(self) -> None:
+        """Single-swap local search from the incumbent."""
+        self.caching, self.routing, self.cost = _polish_cache_set(
+            self.caching,
+            self.routing,
+            self.cost,
+            evaluate=self.evaluate,
+            potential=self.tie_break,
+            capacity=self.capacity,
+            batch_evaluate=self.batch_evaluate,
+            screen=self.screen,
+        )
+
+    def top_set(self, g: np.ndarray) -> np.ndarray:
+        """The cache set minimizing ``sum_f x[f] g[f]``: the ``C_n`` most
+        negative ``g``, spare slots filled by the tie-break files."""
+        return _select_cache_set(self.view.num_files, self.capacity, np.negative(g), self.tie_break)
+
+    def certified_dual(self, bound: float) -> float:
+        """The exact oracle's ``best_dual``.
+
+        ``bound`` is the best ``L - margin`` of the bisection, less the
+        constant; the bound at the incumbent's split price (where the
+        screen's ``g`` sits) may beat it.  The gap to the incumbent's
+        cost is rounded up to the cost's ulp, so ``cost - best_dual`` is
+        exactly that gap: it does not depend on how the constant was
+        summed, and a pair view reports the gap of its dense grid.
+        """
+        screen = self.screen
+        g = screen.g
+        split = screen.offset_at(screen.lam, 0.0) + math.fsum(g[self.top_set(g) > 0])
+        variable_cost = float(np.add.reduce(self.sub_priced * self.routing))
+        gap = max(variable_cost - max(bound, split), 0.0)
+        ulp = float(np.spacing(max(abs(self.cost), gap)))
+        return self.cost - math.ceil(gap / ulp) * ulp
+
+
+def _price_bisection(kernel: _Kernel, config: SubproblemConfig) -> Tuple[float, list, bool]:
+    """The exact oracle: bisection for the bandwidth price maximizing
+    ``L`` (module docstring), then recovery of the top sets at both ends
+    of the last bracket.
+
+    Returns the best ``L - margin`` probed, less the constant; the ``L``
+    of every probe; and whether the bracket closed (its two top sets
+    agree, or it is a few ulps wide) before ``config.max_iter`` probes.
+    Sums over files use ``math.fsum``, so files a layout pads with zeros
+    change no bit.
+    """
+    sub, screen = kernel.sub, kernel.screen
+    bandwidth = sub.bandwidth
+    caps_weight = kernel.sub_caps * sub.weight
+    dual_history: list = []
+    bound = -np.inf
+
+    def probe(price: float) -> Tuple[np.ndarray, np.ndarray, float]:
+        """The top set (filled), its files of negative ``g``, and the
+        overflow at ``price``; books ``L`` and the bound."""
+        nonlocal bound
+        g, load = screen.terms(price, caps_weight)
+        caching = kernel.top_set(g)
+        top = caching > 0
+        value = math.fsum(g[top])
+        dual_history.append(kernel.constant + (value - price * bandwidth))
+        bound = max(bound, screen.offset_at(price, 0.0) + value)
+        return caching, top & (g < 0.0), math.fsum(load[top]) - bandwidth
+
+    # Above the largest value density no paid item's priced coefficient
+    # is negative, so nothing loads the budget.
+    paid = sub.weight > 0.0
+    densities = -kernel.sub_priced[paid] / sub.weight[paid]
+    top_price = float(np.max(densities, initial=0.0)) * (1.0 + 8.0 * _EPS)
+    # The bracket's ends, (price, top set, its files of negative g): lo
+    # overflows, hi fits.  The stop compares the files of negative g,
+    # which carry the bound: without prices the filled sets already agree
+    # at both ends of the first bracket, because the filler ranks files
+    # as g(0) does.
+    lo = hi = None
+    price = 0.0
+    converged = False
+    for iteration in range(config.max_iter):
+        caching, carrying, overflow = probe(price)
+        if overflow > 0.0 and price < top_price:
+            lo = (price, caching, carrying)
+        else:
+            hi = (price, caching, carrying)
+        if hi is None:
+            price = top_price
+            continue
+        if lo is None or np.array_equal(lo[2], hi[2]) or hi[0] - lo[0] <= 4.0 * _EPS * hi[0]:
+            converged = True
+            break
+        price = 0.5 * (lo[0] + hi[0])
+    sets = [end[1] for end in (lo, hi) if end is not None]
+    kernel.recover(sets[0])
+    if len(sets) == 2 and not np.array_equal(*sets):
+        kernel.recover(sets[1])
+    return bound, dual_history, converged
+
+
+def _dual_decomposition(
+    kernel: _Kernel, start: Optional[np.ndarray], config: SubproblemConfig
+) -> SubgradientResult:
+    """The batched oracle: the paper's projected-subgradient ascent on
+    ``mu`` over the live items, recovering each new cache set on
+    ``kernel``.  Multipliers are ``(P,)``."""
+    sub, live_items = kernel.sub, kernel.live_items
+    screen, knapsack = kernel.screen, kernel.knapsack
+    num_files, bandwidth, capacity = sub.num_files, sub.bandwidth, kernel.capacity
+    sub_caps, sub_priced, tie_break = kernel.sub_caps, kernel.sub_priced, kernel.tie_break
+    sub_coefficients = kernel.coefficients.take(live_items)
+    sub_prices = None if kernel.prices is None else kernel.prices.take(live_items)
+    scale = float(np.max(np.abs(kernel.coefficients), initial=0.0))
     # Warm-started duals sit near the optimum already: restart with a
     # quarter of the cold step so successive Gauss-Seidel iterations
     # don't re-inject oscillation into an almost-converged dual.
     eta0_factor = 0.125 if start is not None else 0.5
     schedule = StepSchedule(eta0=max(scale, 1e-12) * eta0_factor, alpha=0.25)
-
-    best: dict = {"cost": np.inf, "caching": None, "routing": None}
-    screen: Optional[_RecoveryScreen] = None
-
-    def consider(caching: np.ndarray, routing: np.ndarray, cost: float) -> None:
-        if cost < best["cost"]:
-            best.update(cost=cost, caching=caching, routing=routing.copy())
-            if screen is not None:
-                screen.refresh(caching, best["routing"])
-
-    batch_evaluate: Optional[Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]] = None
-    if dense is not None:
-        grid = view.shape
-        caps_grid = caps.reshape(grid)
-        prices_grid = None if prices is None else prices.reshape(grid)
-        priced_grid = priced.reshape(grid)
-
-        def evaluate(caching: np.ndarray) -> Tuple[np.ndarray, float]:
-            routing, cost = _evaluate_cache_set(dense, 0, caching, caps_grid, constant, prices_grid)
-            return routing.ravel(), cost
-
-        def oracle(multipliers: np.ndarray):
-            mu = multipliers.reshape(grid)
-            caching = cache_subproblem(dense, 0, mu, tie_break_value=tie_break)
-            routing = routing_subproblem(dense, 0, mu, caps_grid, extra_cost=prices_grid)
-            dual_value = (
-                constant
-                + float(np.sum((priced_grid + mu) * routing))
-                - float(np.sum(mu.sum(axis=0) * caching))
-            )
-            subgradient = routing - caching[np.newaxis, :]
-            # Primal recovery: evaluate the candidate cache set exactly.
-            consider(caching, *evaluate(caching))
-            return dual_value, subgradient.ravel(), None
-
-        if seed is not None:
-            consider(seed, *evaluate(seed))
-        result = subgradient_ascent(
-            oracle,
-            np.zeros(view.num_items) if start is None else start,
-            schedule=schedule,
-            max_iter=config.max_iter,
-            tol=DUAL_TOL,
-            patience=DUAL_PATIENCE,
+    # Dead slots of the full-length products the dual value's pairwise
+    # sum runs over, exactly as the full computation fills them:
+    # ``(priced + 0.0) * 0.0``.
+    dual_prod = np.add(kernel.priced, 0.0)
+    dual_prod *= 0.0
+    # One fused knapsack row, a recovery when the cache set is new, and a
+    # handful of in-place array ops over the live items per multiplier
+    # update; the only sort is the dual row's paid-item one.
+    mu = np.zeros(live_items.size) if start is None else start.take(live_items)
+    np.maximum(mu, 0.0, out=mu)
+    dual_costs, priced_mu, subgrad = [np.empty(live_items.size) for _ in range(3)]
+    # The dual row's caps never change during the ascent, so the
+    # greedy's ``caps * weights`` products are computed exactly once.
+    caps_weights = sub_caps * sub.weight
+    best_dual = -np.inf
+    dual_history = []
+    stall = 0
+    converged = False
+    # The recovery row depends only on the candidate cache set, and
+    # the dual iterates oscillate between a handful of sets: any set
+    # seen before is skipped outright — its evaluation is
+    # deterministic, and the strict < of the best-update means an
+    # equal cost never changes the incumbent.  A new set is skipped
+    # too when its weak-duality bound already reaches the incumbent's
+    # cost: the incumbent only decreases, so it can never win later.
+    seen_cache_sets: set = set()
+    for iteration in range(config.max_iter):
+        aggregated = sub.file_sums(mu)
+        caching = _select_cache_set(num_files, capacity, aggregated, tie_break)
+        np.add(sub_coefficients, mu, out=dual_costs)
+        if sub_prices is not None:
+            dual_costs += sub_prices
+        alloc0 = knapsack.solve_row_once(dual_costs, caps_weights, sub_caps, bandwidth)
+        cache_key = caching.tobytes()
+        if cache_key not in seen_cache_sets:
+            seen_cache_sets.add(cache_key)
+            if screen.bound(caching) < kernel.cost:
+                kernel.consider(caching, *kernel.evaluate(caching))
+            else:
+                perf.count("subproblem.recoveries_screened")
+        np.add(sub_priced, mu, out=priced_mu)
+        np.multiply(priced_mu, alloc0, out=priced_mu)
+        dual_prod[live_items] = priced_mu
+        dual_value = (
+            kernel.constant
+            + float(np.add.reduce(dual_prod))
+            - float(np.add.reduce(aggregated * caching))
         )
-    else:
-        live_items = _live_items(priced, caps, start)
-        sub = view.subset(live_items)
-        sub_caps = caps.take(live_items)
-        sub_priced = priced.take(live_items)
-        sub_coefficients = coefficients.take(live_items)
-        sub_prices = None if prices is None else prices.take(live_items)
-        # Dead slots of the full-length products the three pairwise sums
-        # run over, exactly as the full computation fills them:
-        # ``(priced + 0.0) * 0.0`` for the dual value, ``priced * 0.0`` for
-        # recovery and polish trial costs.
-        dual_prod = np.add(priced, 0.0)
-        dual_prod *= 0.0
-        cost_prod = np.multiply(priced, 0.0)
-        # The dual routing subproblem's costs change with mu every
-        # iteration; primal recovery's are the fixed priced coefficients,
-        # so its greedy order and the caps along it are prepared here,
-        # and a candidate cache set (every polish trial too) only
-        # contributes its (F,)-sized mask, gathered along the paid prefix.
-        knapsack = KnapsackWorkspace(sub.weight)
-        knapsack.prepare_row(sub_priced, sub_caps, sub.item_file)
-        screen = _RecoveryScreen(
-            sub,
-            sub_priced,
-            sub_caps,
-            constant,
-            knapsack.order,
-            knapsack.order_groups,
-            knapsack.order_caps,
-            full=(priced, caps),
-        )
-
-        def evaluate(caching: np.ndarray) -> Tuple[np.ndarray, float]:
-            """Live routing and cost of one cache set."""
-            allocation = knapsack.solve_masked(caching, bandwidth)
-            cost_prod[live_items] = sub_priced * allocation
-            return allocation, constant + float(np.add.reduce(cost_prod))
-
-        def batch_evaluate(trials: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            allocation = knapsack.solve_masked(trials, bandwidth)
-            # The dead slots of ``cost_prod``; the live ones are rewritten.
-            products = np.tile(cost_prod, (trials.shape[0], 1))
-            products[:, live_items] = allocation * sub_priced
-            return allocation, constant + np.add.reduce(products, axis=1)
-
-        if seed is not None:
-            consider(seed, *evaluate(seed))
-        # Inlined projected-subgradient ascent: the exact control flow of
-        # :func:`repro.solvers.subgradient.subgradient_ascent` with the
-        # oracle fused in.  One fused knapsack row, a recovery when the
-        # cache set is new, and a handful of in-place array ops over the
-        # live items per multiplier update; the only sort is the dual
-        # row's paid-item one.
-        mu = np.zeros(live_items.size) if start is None else start.take(live_items)
+        dual_history.append(float(dual_value))
+        improved = dual_value > best_dual + DUAL_TOL * max(1.0, abs(best_dual))
+        if dual_value > best_dual:
+            best_dual = float(dual_value)
+        stall = 0 if improved else stall + 1
+        if stall >= DUAL_PATIENCE:
+            converged = True
+            break
+        caching.take(sub.item_file, out=subgrad)
+        np.subtract(alloc0, subgrad, out=subgrad)
+        np.multiply(subgrad, schedule(iteration), out=subgrad)
+        np.add(mu, subgrad, out=mu)
         np.maximum(mu, 0.0, out=mu)
-        dual_costs, priced_mu, subgrad = [np.empty(live_items.size) for _ in range(3)]
-        # The dual row's caps never change during the ascent, so the
-        # greedy's ``caps * weights`` products are computed exactly once.
-        caps_weights = sub_caps * sub.weight
-        best_dual = -np.inf
-        dual_history = []
-        stall = 0
-        converged = False
-        # The recovery row depends only on the candidate cache set, and
-        # the dual iterates oscillate between a handful of sets: any set
-        # seen before is skipped outright — its evaluation is
-        # deterministic, and the strict < of the best-update means an
-        # equal cost never changes the incumbent.  A new set is skipped
-        # too when its weak-duality bound already reaches the incumbent's
-        # cost: the incumbent only decreases, so it can never win later.
-        seen_cache_sets: set = set()
-        for iteration in range(config.max_iter):
-            aggregated = sub.file_sums(mu)
-            caching = _select_cache_set(num_files, capacity, aggregated, tie_break)
-            np.add(sub_coefficients, mu, out=dual_costs)
-            if sub_prices is not None:
-                dual_costs += sub_prices
-            alloc0 = knapsack.solve_row_once(dual_costs, caps_weights, sub_caps, bandwidth)
-            cache_key = caching.tobytes()
-            if cache_key not in seen_cache_sets:
-                seen_cache_sets.add(cache_key)
-                if screen.bound(caching) < best["cost"]:
-                    consider(caching, *evaluate(caching))
-                else:
-                    perf.count("subproblem.recoveries_screened")
-            np.add(sub_priced, mu, out=priced_mu)
-            np.multiply(priced_mu, alloc0, out=priced_mu)
-            dual_prod[live_items] = priced_mu
-            dual_value = (
-                constant
-                + float(np.add.reduce(dual_prod))
-                - float(np.add.reduce(aggregated * caching))
-            )
-            dual_history.append(float(dual_value))
-            improved = dual_value > best_dual + DUAL_TOL * max(1.0, abs(best_dual))
-            if dual_value > best_dual:
-                best_dual = float(dual_value)
-            stall = 0 if improved else stall + 1
-            if stall >= DUAL_PATIENCE:
-                converged = True
-                break
-            caching.take(sub.item_file, out=subgrad)
-            np.subtract(alloc0, subgrad, out=subgrad)
-            np.multiply(subgrad, schedule(iteration), out=subgrad)
-            np.add(mu, subgrad, out=mu)
-            np.maximum(mu, 0.0, out=mu)
-        multipliers = np.zeros(view.num_items)
-        multipliers[live_items] = mu
-        result = SubgradientResult(
-            multipliers, best_dual, None, dual_history, len(dual_history), converged
-        )
-    perf.count("subgradient.iterations", result.iterations)
-
-    caching, routing, cost = best["caching"], best["routing"], best["cost"]
-    if caching is None:  # pragma: no cover - oracle always runs at least once
-        raise ValidationError("subgradient ascent performed no iterations")
-    if config.polish:
-        caching, routing, cost = _polish_cache_set(
-            caching,
-            routing,
-            cost,
-            evaluate=evaluate,
-            potential=tie_break,
-            capacity=capacity,
-            batch_evaluate=batch_evaluate,
-            screen=screen,
-        )
-    if dense is None:
-        full_routing = np.zeros(view.num_items)
-        full_routing[live_items] = routing
-        routing = full_routing
-    return caching, routing, cost, result
+    multipliers = np.zeros(kernel.view.num_items)
+    multipliers[live_items] = mu
+    return SubgradientResult(
+        multipliers, best_dual, None, dual_history, len(dual_history), converged
+    )
 
 
 def solve_subproblem_exhaustive(

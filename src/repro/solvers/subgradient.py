@@ -1,30 +1,25 @@
-"""Generic projected-subgradient driver with diminishing step sizes.
+"""Step sizes and results of the projected-subgradient dual ascent.
 
-Implements the dual ascent loop of Section III: at iteration ``k`` the
-multipliers move along a subgradient with step ``eta(k)`` and are
-projected back onto the nonnegative orthant (Eq. 21).  The step-size
-schedule of Eq. 22, ``eta(k) = eta0 / (1 + alpha * k)``, satisfies the
-classical divergent-sum / vanishing-step conditions that guarantee
-convergence of the dual values (Bertsekas, *Convex Optimization
-Algorithms*, Ch. 8).
-
-The driver is generic: the caller supplies an oracle mapping the current
-multipliers to ``(dual_value, subgradient, payload)`` and optionally a
-primal-recovery hook used to keep the best feasible primal seen so far.
+The dual ascent of Section III moves the multipliers along a subgradient
+with step ``eta(k)`` at iteration ``k`` and projects them back onto the
+nonnegative orthant (Eq. 21); the batched subproblem oracle
+(:mod:`repro.core.subproblem`) runs that loop fused with its own
+oracle.  The step-size schedule of Eq. 22, ``eta(k) = eta0 / (1 + alpha
+* k)``, satisfies the classical divergent-sum / vanishing-step
+conditions that guarantee convergence of the dual values (Bertsekas,
+*Convex Optimization Algorithms*, Ch. 8).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, List
 
 import numpy as np
 
-from .._validation import check_nonnegative_float, check_positive_int
 from ..exceptions import ValidationError
-from .projection import project_nonnegative
 
-__all__ = ["StepSchedule", "SubgradientResult", "subgradient_ascent"]
+__all__ = ["StepSchedule", "SubgradientResult"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -55,9 +50,7 @@ class SubgradientResult:
     best_dual:
         Best (largest) dual value observed.
     best_payload:
-        Payload returned by the oracle at the best-primal iteration (for
-        the caching/routing decomposition this carries the recovered
-        primal solution).
+        Payload of the oracle at the best iteration, if it keeps one.
     dual_history:
         Dual value per iteration; useful for convergence diagnostics.
     iterations:
@@ -73,87 +66,3 @@ class SubgradientResult:
     dual_history: List[float]
     iterations: int
     converged: bool
-
-
-def subgradient_ascent(
-    oracle: Callable[[np.ndarray], Tuple[float, np.ndarray, Any]],
-    initial: np.ndarray,
-    *,
-    schedule: Optional[StepSchedule] = None,
-    max_iter: int = 200,
-    tol: float = 1e-6,
-    patience: int = 10,
-    payload_score: Optional[Callable[[Any], float]] = None,
-) -> SubgradientResult:
-    """Maximize a concave dual function by projected subgradient ascent.
-
-    Parameters
-    ----------
-    oracle:
-        Maps multipliers ``mu >= 0`` to ``(dual_value, subgradient,
-        payload)``.  The subgradient must have the same shape as ``mu``.
-    initial:
-        Starting multipliers (projected to be nonnegative).
-    schedule:
-        Step-size schedule; defaults to ``StepSchedule()`` (Eq. 22).
-    max_iter:
-        Hard cap on oracle calls.
-    tol / patience:
-        Stop when the best dual value has improved by less than
-        ``tol * max(1, |best|)`` for ``patience`` consecutive iterations.
-    payload_score:
-        Optional primal score for payloads; when given, ``best_payload``
-        tracks the payload with the *lowest* score (primal cost) instead
-        of the payload at the best dual iterate.
-    """
-    check_positive_int(max_iter, "max_iter")
-    check_nonnegative_float(tol, "tol")
-    check_positive_int(patience, "patience")
-    schedule = schedule or StepSchedule()
-
-    multipliers = project_nonnegative(np.asarray(initial, dtype=np.float64))
-    best_dual = -np.inf
-    best_payload: Any = None
-    best_primal_score = np.inf
-    dual_history: List[float] = []
-    stall = 0
-    converged = False
-
-    for iteration in range(max_iter):
-        dual_value, subgradient, payload = oracle(multipliers)
-        subgradient = np.asarray(subgradient, dtype=np.float64)
-        if subgradient.shape != multipliers.shape:
-            raise ValidationError(
-                f"oracle subgradient shape {subgradient.shape} does not match "
-                f"multiplier shape {multipliers.shape}"
-            )
-        dual_history.append(float(dual_value))
-
-        improved = dual_value > best_dual + tol * max(1.0, abs(best_dual))
-        if dual_value > best_dual:
-            best_dual = float(dual_value)
-            if payload_score is None:
-                best_payload = payload
-        if payload_score is not None and payload is not None:
-            score = payload_score(payload)
-            if score < best_primal_score:
-                best_primal_score = score
-                best_payload = payload
-
-        stall = 0 if improved else stall + 1
-        if stall >= patience:
-            converged = True
-            break
-
-        multipliers = project_nonnegative(
-            multipliers + schedule(iteration) * subgradient
-        )
-
-    return SubgradientResult(
-        multipliers=multipliers,
-        best_dual=best_dual,
-        best_payload=best_payload,
-        dual_history=dual_history,
-        iterations=len(dual_history),
-        converged=converged,
-    )

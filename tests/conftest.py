@@ -2,14 +2,39 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.core.problem import ProblemInstance
 
 
-@pytest.fixture
-def tiny_problem() -> ProblemInstance:
+def solution_digest(solutions) -> str:
+    """SHA-256 over every output of a sequence of subproblem solutions:
+    the cache set, routing and multiplier bytes, and the reprs of the
+    cost, best dual, dual history, iteration count and convergence flag.
+
+    The batched oracle's tests pin these digests; they were recorded
+    from the per-iteration validating reference oracle the batched
+    kernel was bit-identical to, before that oracle was deleted.
+    """
+    digest = hashlib.sha256()
+    for solution in solutions:
+        for array in (solution.caching, solution.routing, solution.multipliers):
+            digest.update(b"-" if array is None else np.ascontiguousarray(array).tobytes())
+        scalars = (
+            float(solution.cost),
+            float(solution.best_dual),
+            tuple(float(value) for value in solution.dual_history),
+            int(solution.iterations),
+            bool(solution.converged),
+        )
+        digest.update(repr(scalars).encode())
+    return digest.hexdigest()
+
+
+def make_tiny_problem() -> ProblemInstance:
     """Two SBSs, three MU groups, four files — small enough to reason about.
 
     SBS 0 reaches groups {0, 1}; SBS 1 reaches groups {1, 2}.  Group 1 is
@@ -36,6 +61,12 @@ def tiny_problem() -> ProblemInstance:
         sbs_cost=np.ones((2, 3)),
         bs_cost=np.array([100.0, 120.0, 110.0]),
     )
+
+
+@pytest.fixture
+def tiny_problem() -> ProblemInstance:
+    """The :func:`make_tiny_problem` instance."""
+    return make_tiny_problem()
 
 
 @pytest.fixture

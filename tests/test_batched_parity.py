@@ -1,10 +1,12 @@
 """Randomized exact-parity suites for the batched numpy kernels.
 
-The batched fractional-knapsack and the batched subgradient ascent are
-only admissible because they are *bit-identical* to the scalar paths —
-same stable tie-breaking, same floating-point operation order.  These
-suites hammer that claim with seeded random instances, degenerate cases
-included, asserting exact equality (no tolerances anywhere).
+The batched fractional-knapsack stages are only admissible because they
+are *bit-identical* to the scalar solver — same stable tie-breaking,
+same floating-point operation order.  These suites hammer that claim
+with seeded random instances, degenerate cases included, asserting
+exact equality (no tolerances anywhere).  The batched subgradient
+ascent is pinned the same way, by digests of its full outputs recorded
+from the validating reference oracle it was bit-identical to.
 """
 
 from __future__ import annotations
@@ -21,14 +23,13 @@ from repro.core.subproblem import (
     _polish_cache_set,
     _select_cache_set,
     _top_k,
-    cache_subproblem,
     solve_subproblem,
 )
 from repro.solvers.fractional_knapsack import KnapsackWorkspace, solve_fractional_knapsack
 
 from repro.workload import generate_city_instance
 
-from conftest import random_problem
+from conftest import random_problem, solution_digest
 
 
 def _random_knapsack(rng: np.random.Generator, batch: int, items: int):
@@ -278,8 +279,8 @@ class TestTopK:
                 assert caching.sum() == min(capacity, files)
 
     def test_cache_subproblem_tie_break(self):
-        """The public helper keeps its semantics: positive aggregated
-        multipliers first, spare slots by ``tie_break_value``."""
+        """The caching subproblem (Eq. 18) on summed multipliers: positive
+        aggregated multipliers first, spare slots by the tie break."""
         rng = np.random.default_rng(79)
         for _ in range(60):
             problem = random_problem(rng, num_sbs=1, num_groups=3, num_files=int(rng.integers(1, 30)))
@@ -288,7 +289,9 @@ class TestTopK:
             multipliers *= rng.random(shape) < 0.2
             tie_break = _tie_heavy(rng, problem.num_files, inf=False)
             capacity = int(np.floor(problem.cache_capacity[0] + 1e-9))
-            caching = cache_subproblem(problem, 0, multipliers, tie_break_value=tie_break)
+            caching = _select_cache_set(
+                problem.num_files, capacity, multipliers.sum(axis=0), tie_break
+            )
             expected = _reference_cache_set(capacity, multipliers.sum(axis=0), tie_break)
             assert np.array_equal(caching, expected)
             assert caching.sum() == min(capacity, problem.num_files)
@@ -351,94 +354,96 @@ class TestSubgradientStepParity:
 
     @pytest.mark.parametrize("polish", [True, False])
     def test_full_ascent_parity_random_instances(self, polish):
-        """Batched dual ascent == legacy on random subproblems.
+        """The batched dual ascent on random subproblems, pinned.
 
         This is the end-to-end guarantee: same dual history (every
-        iterate), same multipliers, same primal solution — so
-        ``repro-trace diff`` and the byte-identity anchors are safe no
-        matter which oracle ran.
+        iterate), same multipliers, same primal solution as the
+        reference oracle — so ``repro-trace diff`` and the byte-identity
+        anchors stay safe.
         """
-        rng = np.random.default_rng(2024)
-        for case in range(12):
-            problem = random_problem(
-                rng,
-                num_sbs=2,
-                num_groups=int(rng.integers(2, 7)),
-                num_files=int(rng.integers(2, 9)),
-            )
-            shape = (problem.num_groups, problem.num_files)
-            aggregate = np.clip(rng.uniform(size=shape) * 1.2 - 0.1, 0.0, None)
-            kwargs = {}
-            if case % 3 == 1:
-                kwargs["prices"] = np.abs(rng.normal(0.0, 0.05, size=shape))
-                kwargs["cap_slack"] = 0.1
-            if case % 3 == 2:
-                kwargs["initial_multipliers"] = np.abs(
-                    rng.normal(0.0, 0.2, size=shape)
-                )
-            solutions = {
-                oracle: solve_subproblem(
-                    problem,
-                    0,
-                    aggregate,
-                    SubproblemConfig(oracle=oracle, polish=polish, max_iter=30),
-                    **kwargs,
-                )
-                for oracle in ("batched", "legacy")
-            }
-            reference = solutions["legacy"]
-            candidate = solutions["batched"]
-            assert np.array_equal(candidate.caching, reference.caching), (
-                f"case {case}: batched caching differs"
-            )
-            assert np.array_equal(candidate.routing, reference.routing)
-            assert candidate.cost == reference.cost
-            assert candidate.best_dual == reference.best_dual
-            assert candidate.dual_history == reference.dual_history
-            assert candidate.iterations == reference.iterations
-            assert candidate.converged == reference.converged
-            assert np.array_equal(candidate.multipliers, reference.multipliers)
+        assert solution_digest(_full_ascent_solutions(polish)) == BATCHED_DIGESTS[
+            f"full-ascent-{polish}"
+        ]
 
     def test_screened_city_parity_warm_start(self):
-        """Batched == legacy on a dense city instance where the
-        weak-duality screen fires: polish on, and a second call
+        """The batched ascent on a dense city instance where the
+        weak-duality screen fires, pinned: polish on, and a second call
         warm-started from the first call's multipliers and cache set."""
-        problem = generate_city_instance(6, 40, 500, rng=14).to_dense()
-        shape = (problem.num_groups, problem.num_files)
-        rng = np.random.default_rng(7)
         with perf.collecting() as registry:
-            for sbs in (0, 3):
-                aggregate = np.zeros(shape)
-                previous = None
-                for _ in range(2):
-                    warm = {}
-                    if previous is not None:
-                        warm = {
-                            "initial_multipliers": previous.multipliers,
-                            "candidate_caching": previous.caching,
-                        }
-                    solutions = [
-                        solve_subproblem(
-                            problem,
-                            sbs,
-                            aggregate,
-                            SubproblemConfig(oracle=oracle, polish=True),
-                            **warm,
-                        )
-                        for oracle in ("batched", "legacy")
-                    ]
-                    candidate, reference = solutions
-                    assert np.array_equal(candidate.caching, reference.caching)
-                    assert np.array_equal(candidate.routing, reference.routing)
-                    assert candidate.cost == reference.cost
-                    assert candidate.dual_history == reference.dual_history
-                    assert candidate.iterations == reference.iterations
-                    assert np.array_equal(candidate.multipliers, reference.multipliers)
-                    previous = reference
-                    aggregate = np.clip(
-                        aggregate + rng.uniform(0.0, 0.3, size=shape), 0.0, 1.0
-                    )
+            solutions = _screened_city_solutions()
+        assert solution_digest(solutions) == BATCHED_DIGESTS["screened-city"]
         assert registry.snapshot()["counters"]["subproblem.recoveries_screened"] > 0
+
+
+#: Digests (:func:`conftest.solution_digest`) of the batched oracle's
+#: outputs on this module's seeded cases, recorded from the validating
+#: reference oracle, which the batched kernel matched bit for bit.
+BATCHED_DIGESTS = {
+    "full-ascent-True": "af2d3880b2160ed8808d8248fea462065244cd0a1462a9c54378433d26cc306e",
+    "full-ascent-False": "af2d3880b2160ed8808d8248fea462065244cd0a1462a9c54378433d26cc306e",
+    "screened-city": "a38a2bc8aa85acd282d7c32e4e28acc7884022d0e678840c61c67f4091897159",
+    "dead-zero-demand-True": "8ebee91ed33248399104c072d8c74dfd33a8a04d6169190d42d926c92c9a37f7",
+    "dead-zero-demand-False": "8ebee91ed33248399104c072d8c74dfd33a8a04d6169190d42d926c92c9a37f7",
+    "dead-saturated-True": "cb8259a2e3808536fa129348dfb99a2dae48afa6319a4231a84229e2ab1cdc1c",
+    "dead-saturated-False": "cb8259a2e3808536fa129348dfb99a2dae48afa6319a4231a84229e2ab1cdc1c",
+    "dead-costly-link-True": "14a00ff8256f7cba0115d3431d86ad8e4af51665a106c5578746076dc0fb028a",
+    "dead-costly-link-False": "14a00ff8256f7cba0115d3431d86ad8e4af51665a106c5578746076dc0fb028a",
+    "dead-priced-True": "94e8093f39c6ed81e6353c03015712815a5c3bf63860b1435edac3b01b35c034",
+    "dead-priced-False": "94e8093f39c6ed81e6353c03015712815a5c3bf63860b1435edac3b01b35c034",
+    "dead-warm-dead-True": "cfd358c7125ca6a40a90565eb0872243c4acfa50e6c12955c803473c3bdb4885",
+    "dead-warm-dead-False": "cfd358c7125ca6a40a90565eb0872243c4acfa50e6c12955c803473c3bdb4885",
+    "dead-none-live-True": "a22843d810e03998eddb1c9ca637127aa8cf9222308c4d9042159c7378d65578",
+    "dead-none-live-False": "a22843d810e03998eddb1c9ca637127aa8cf9222308c4d9042159c7378d65578",
+}
+
+
+def _full_ascent_solutions(polish, oracle="batched"):
+    """Twelve random subproblems: plain, priced with cap slack, and
+    warm-started."""
+    rng = np.random.default_rng(2024)
+    solutions = []
+    for case in range(12):
+        problem = random_problem(
+            rng,
+            num_sbs=2,
+            num_groups=int(rng.integers(2, 7)),
+            num_files=int(rng.integers(2, 9)),
+        )
+        shape = (problem.num_groups, problem.num_files)
+        aggregate = np.clip(rng.uniform(size=shape) * 1.2 - 0.1, 0.0, None)
+        kwargs = {}
+        if case % 3 == 1:
+            kwargs["prices"] = np.abs(rng.normal(0.0, 0.05, size=shape))
+            kwargs["cap_slack"] = 0.1
+        if case % 3 == 2:
+            kwargs["initial_multipliers"] = np.abs(rng.normal(0.0, 0.2, size=shape))
+        config = SubproblemConfig(oracle=oracle, polish=polish, max_iter=30)
+        solutions.append(solve_subproblem(problem, 0, aggregate, config, **kwargs))
+    return solutions
+
+
+def _screened_city_solutions(oracle="batched"):
+    """Two SBSs of a dense city instance, each solved twice, the second
+    time warm-started from the first solve."""
+    problem = generate_city_instance(6, 40, 500, rng=14).to_dense()
+    shape = (problem.num_groups, problem.num_files)
+    rng = np.random.default_rng(7)
+    solutions = []
+    for sbs in (0, 3):
+        aggregate = np.zeros(shape)
+        previous = None
+        for _ in range(2):
+            warm = {}
+            if previous is not None:
+                warm = {
+                    "initial_multipliers": previous.multipliers,
+                    "candidate_caching": previous.caching,
+                }
+            config = SubproblemConfig(oracle=oracle, polish=True)
+            previous = solve_subproblem(problem, sbs, aggregate, config, **warm)
+            solutions.append(previous)
+            aggregate = np.clip(aggregate + rng.uniform(0.0, 0.3, size=shape), 0.0, 1.0)
+    return solutions
 
 
 def _dead_item_case(rng, kind):
@@ -481,15 +486,26 @@ def _dead_item_case(rng, kind):
     return problem, aggregate, kwargs
 
 
+def _dead_item_solutions(kind, polish, oracle="batched"):
+    """Six subproblems of one dead-item class."""
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    solutions = []
+    for _ in range(6):
+        problem, aggregate, kwargs = _dead_item_case(rng, kind)
+        config = SubproblemConfig(oracle=oracle, polish=polish, max_iter=40)
+        solutions.append(solve_subproblem(problem, 0, aggregate, config, **kwargs))
+    return solutions
+
+
 class TestDeadItemParity:
-    """Batched == legacy, bit for bit, whatever makes items dead."""
+    """The batched ascent on live items only matches the reference that
+    ran the full view, bit for bit, whatever makes items dead."""
 
     KINDS = ("zero-demand", "saturated", "costly-link", "priced", "warm-dead", "none-live")
 
     @pytest.mark.parametrize("polish", [True, False])
     @pytest.mark.parametrize("kind", KINDS)
     def test_dead_items_match_legacy(self, kind, polish, monkeypatch):
-        rng = np.random.default_rng(sum(map(ord, kind)))
         # The live set the batched kernel computes, as it computes it.
         live_items, live_sets = subproblem._live_items, []
 
@@ -498,30 +514,12 @@ class TestDeadItemParity:
             return live_sets[-1]
 
         monkeypatch.setattr(subproblem, "_live_items", spy)
-        for case in range(6):
-            problem, aggregate, kwargs = _dead_item_case(rng, kind)
-            candidate, reference = [
-                solve_subproblem(
-                    problem,
-                    0,
-                    aggregate,
-                    SubproblemConfig(oracle=oracle, polish=polish, max_iter=40),
-                    **kwargs,
-                )
-                for oracle in ("batched", "legacy")
-            ]
-            where = f"{kind} case {case}"
-            assert np.array_equal(candidate.caching, reference.caching), where
-            assert candidate.routing.tobytes() == reference.routing.tobytes(), where
-            assert repr(candidate.cost) == repr(reference.cost), where
-            assert repr(candidate.best_dual) == repr(reference.best_dual), where
-            assert repr(candidate.dual_history) == repr(reference.dual_history), where
-            assert candidate.iterations == reference.iterations, where
-            assert candidate.multipliers.tobytes() == reference.multipliers.tobytes(), where
-            (live,) = live_sets
-            live_sets.clear()
+        solutions = _dead_item_solutions(kind, polish)
+        assert solution_digest(solutions) == BATCHED_DIGESTS[f"dead-{kind}-{polish}"]
+        assert len(live_sets) == len(solutions)
+        for live in live_sets:
             if kind == "none-live":
                 # One dead item stands in for the empty live set.
                 assert live.size == 1
             elif kind != "warm-dead":
-                assert live.size < problem.num_groups * problem.num_files
+                assert live.size < 6 * 8

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.cost import CostModel, LinearCostModel
 from repro.core.distributed import DistributedConfig, solve_distributed
-from repro.core.subproblem import solve_subproblem
+from repro.core.subproblem import SubproblemConfig, solve_subproblem
 from repro.experiments.reporting import ascii_chart, format_headline_gaps
 from repro.experiments.runner import SweepPoint, SweepResult
 from repro.experiments.schemes import SCHEMES
@@ -32,13 +32,16 @@ class TestIncumbentSeeding:
         assert result.cost <= incumbent_cost + 1e-9
 
     def test_candidate_with_warm_multipliers(self, tiny_problem):
+        """Multipliers are the batched oracle's to carry."""
+        batched = SubproblemConfig(oracle="batched")
         aggregate = np.zeros((3, 4))
-        first = solve_subproblem(tiny_problem, 0, aggregate)
+        first = solve_subproblem(tiny_problem, 0, aggregate, batched)
         assert first.multipliers is not None
         second = solve_subproblem(
             tiny_problem,
             0,
             aggregate,
+            batched,
             initial_multipliers=first.multipliers,
             candidate_caching=first.caching,
         )

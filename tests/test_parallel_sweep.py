@@ -39,13 +39,15 @@ class TestBitIdentity:
         assert _sweep(workers=1, dedup=False) == _sweep(workers=1, dedup=True)
 
     def test_legacy_engine_matches_default_sweep(self):
-        """The pre-optimization engine (validating legacy oracle, no
-        dedup, serial) gives the default sweep's numbers bit for bit."""
-        legacy = DistributedConfig(
-            accuracy=1e-3, max_iterations=2, subproblem=SubproblemConfig(oracle="legacy")
+        """The pre-optimization engine (no dedup, serial) gives the
+        default engine's numbers bit for bit, on the paper's batched
+        oracle as on the default one."""
+        batched = DistributedConfig(
+            accuracy=1e-3, max_iterations=2, subproblem=SubproblemConfig(oracle="batched")
         )
-        reference = _sweep(workers=1, dedup=False, seeds=(7,), distributed_config=legacy)
-        assert _sweep(seeds=(7,)) == reference
+        for config in (batched, CONFIG):
+            reference = _sweep(workers=1, dedup=False, seeds=(7,), distributed_config=config)
+            assert _sweep(seeds=(7,), distributed_config=config) == reference
 
     def test_parallel_without_dedup_matches_serial(self):
         assert _sweep(workers=1, dedup=False) == _sweep(workers=2, dedup=False)

@@ -132,17 +132,29 @@ class TestSolverInstrumentation:
         assert counters["knapsack.batched_rows"] >= 1
         assert "knapsack.calls" not in counters
 
-    def test_subproblem_counters_legacy_oracle(self):
+    def test_subproblem_counters_batched_oracle(self):
+        """The exact oracle counts its price probes as iterations, one per
+        dual value; the batched one its multiplier steps, and it solves
+        one dual knapsack row per step on top of the recoveries."""
         from repro.core.subproblem import SubproblemConfig
 
         problem = random_problem(np.random.default_rng(5))
         aggregate = 0.0 * problem.demand
-        with perf.collecting() as registry:
-            solve_subproblem(
-                problem, 0, aggregate, SubproblemConfig(oracle="legacy")
-            )
-        counters = registry.snapshot()["counters"]
-        assert counters["knapsack.calls"] >= 1
+        counts = {}
+        for oracle in ("exact", "batched"):
+            with perf.collecting() as registry:
+                solution = solve_subproblem(
+                    problem, 0, aggregate, SubproblemConfig(oracle=oracle, polish=False)
+                )
+            counters = registry.snapshot()["counters"]
+            assert counters["subgradient.iterations"] == len(solution.dual_history)
+            assert "knapsack.calls" not in counters
+            counts[oracle] = counters
+        assert (
+            counts["batched"]["knapsack.batched_rows"]
+            >= counts["batched"]["subgradient.iterations"] + 1
+        )
+        assert counts["exact"]["knapsack.batched_rows"] <= 2
 
     def test_registry_thread_safety(self):
         """Concurrent counts and folds must not lose increments."""

@@ -17,6 +17,8 @@ docstring):
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -259,15 +261,18 @@ class TestCompactParity:
     def test_warm_start_parity(self, rng):
         problem = sparse_random_problem(rng)
         self.assert_parity(
-            problem, DistributedConfig(max_iterations=6, warm_start=True)
+            problem,
+            DistributedConfig(
+                max_iterations=6, warm_start=True, subproblem=SubproblemConfig(oracle="batched")
+            ),
         )
 
-    def test_legacy_oracle_parity(self, rng):
+    def test_batched_oracle_parity(self, rng):
         problem = sparse_random_problem(rng)
         self.assert_parity(
             problem,
             DistributedConfig(
-                max_iterations=4, subproblem=SubproblemConfig(oracle="legacy")
+                max_iterations=4, subproblem=SubproblemConfig(oracle="batched")
             ),
         )
 
@@ -557,30 +562,32 @@ class TestCityScale:
 
     def test_realistic_fill_city_parity(self):
         """A city block at realistic fill (a few percent of its cells carry
-        demand), polish on and warm-started: the pair-view sweep still
-        matches the dense run iteration for iteration, bit for bit on
-        routing."""
+        demand), polish on, warm-started under the batched oracle and
+        cold under the exact one: the pair-view sweep still matches the
+        dense run iteration for iteration, bit for bit on routing."""
         sparse = generate_city_instance(6, 40, 500, rng=11)
-        config = DistributedConfig(max_iterations=6, warm_start=True)
-        TestCompactParity().assert_parity(sparse.to_dense(), config)
+        warm = DistributedConfig(
+            max_iterations=6, warm_start=True, subproblem=SubproblemConfig(oracle="batched")
+        )
+        for config in (warm, DistributedConfig(max_iterations=6)):
+            TestCompactParity().assert_parity(sparse.to_dense(), config)
 
     def test_batched_sweep_never_materializes_blocks(self, monkeypatch):
-        """The batched kernel runs on item views; no phase builds the
-        zero-padded local block (only the legacy reference does)."""
+        """Both oracles run on item views; no phase builds the
+        zero-padded local block."""
         sparse = generate_city_instance(5, 30, 200, reach=2, files_per_group=12, rng=3)
 
         def refuse(self, sbs):
-            raise AssertionError("the batched sparse sweep built a local block")
+            raise AssertionError("the sparse sweep built a local block")
 
         monkeypatch.setattr(SparseProblemInstance, "sub_instance", refuse)
         monkeypatch.setattr(ItemView, "to_problem", lambda self: refuse(self, None))
-        result = solve_distributed_sparse(sparse, DistributedConfig(max_iterations=3))
-        assert result.solution.check_feasibility(sparse).feasible
-        legacy = DistributedConfig(
-            max_iterations=3, subproblem=SubproblemConfig(oracle="legacy")
-        )
-        with pytest.raises(AssertionError, match="local block"):
-            solve_distributed_sparse(sparse, legacy)
+        for oracle in ("exact", "batched"):
+            config = DistributedConfig(
+                max_iterations=3, subproblem=SubproblemConfig(oracle=oracle)
+            )
+            result = solve_distributed_sparse(sparse, config)
+            assert result.solution.check_feasibility(sparse).feasible
 
     @pytest.mark.parametrize("coordination", ["caps", "prices"])
     def test_agents_keep_only_their_own_pairs(self, coordination):
@@ -630,16 +637,26 @@ class TestCityScale:
 
 #: The multi-axis scaling grid ``(N, U, F)``, growing SBSs, MU groups and
 #: contents together, with the deterministic final cost the compact
-#: solver reaches at each point under ``GRID_CONFIG``.
+#: solver reaches at each point under ``GRID_CONFIG`` (the paper's
+#: subgradient ascent) and under ``EXACT_GRID_CONFIG`` (the default
+#: bandwidth-price oracle, which ends lower at every point).
 GRID_COSTS = {
     (4, 24, 2_000): 210684.47588731177,
     (8, 48, 8_000): 524333.0748678491,
     (16, 96, 32_000): 1025924.0765409091,
 }
+EXACT_GRID_COSTS = {
+    (4, 24, 2_000): 210071.1935394475,
+    (8, 48, 8_000): 522871.1766070119,
+    (16, 96, 32_000): 1024347.2071664687,
+}
 GRID_CONFIG = DistributedConfig(
     accuracy=1e-3,
     max_iterations=2,
-    subproblem=SubproblemConfig(polish=False, max_iter=40),
+    subproblem=SubproblemConfig(oracle="batched", polish=False, max_iter=40),
+)
+EXACT_GRID_CONFIG = dataclasses.replace(
+    GRID_CONFIG, subproblem=SubproblemConfig(polish=False, max_iter=40)
 )
 
 
@@ -661,14 +678,22 @@ class TestScalingGrid:
         result = solve_distributed_sparse(grid_instance(*point), GRID_CONFIG)
         assert result.cost == pytest.approx(GRID_COSTS[point], rel=1e-6, abs=0.0)
 
+    @pytest.mark.parametrize("point", list(EXACT_GRID_COSTS), ids=str)
+    def test_exact_cost_pinned(self, point):
+        result = solve_distributed_sparse(grid_instance(*point), EXACT_GRID_CONFIG)
+        assert result.cost == pytest.approx(EXACT_GRID_COSTS[point], rel=1e-6, abs=0.0)
+        assert result.cost < GRID_COSTS[point]
+
     @pytest.mark.parametrize("point", [(4, 24, 2_000), (8, 48, 8_000)], ids=str)
     def test_sparse_matches_dense(self, point):
         """Every grid point small enough to densify: the compact solver
-        picks the dense solver's cache sets, at its cost to 1e-9."""
+        picks the dense solver's cache sets, at its cost to 1e-9, under
+        either oracle."""
         instance = grid_instance(*point)
-        sparse = solve_distributed_sparse(instance, GRID_CONFIG)
-        dense = solve_distributed(instance.to_dense(), GRID_CONFIG, rng=0)
-        assert abs(sparse.cost - dense.cost) <= 1e-9 * max(abs(dense.cost), 1.0)
-        np.testing.assert_array_equal(
-            sparse.solution.to_dense(instance).caching, dense.solution.caching
-        )
+        for config in (GRID_CONFIG, EXACT_GRID_CONFIG):
+            sparse = solve_distributed_sparse(instance, config)
+            dense = solve_distributed(instance.to_dense(), config, rng=0)
+            assert abs(sparse.cost - dense.cost) <= 1e-9 * max(abs(dense.cost), 1.0)
+            np.testing.assert_array_equal(
+                sparse.solution.to_dense(instance).caching, dense.solution.caching
+            )

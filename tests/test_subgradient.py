@@ -1,10 +1,17 @@
-"""Tests for the projected subgradient driver and step schedule."""
+"""Tests for the subgradient step schedule (Eq. 22) and the projected
+subgradient ascent (Eq. 21), which runs fused into the batched
+subproblem oracle; its exact trajectories are pinned in
+``test_batched_parity.py``.
+"""
 
 import numpy as np
 import pytest
 
+from repro.core.subproblem import SubproblemConfig, solve_subproblem
 from repro.exceptions import ValidationError
-from repro.solvers.subgradient import StepSchedule, subgradient_ascent
+from repro.solvers.subgradient import StepSchedule
+
+from conftest import make_tiny_problem, random_problem
 
 
 class TestStepSchedule:
@@ -27,80 +34,42 @@ class TestStepSchedule:
             StepSchedule(alpha=-1.0)
 
 
+def _ascent(max_iter=120, **kwargs):
+    """The batched oracle's ascent on one random subproblem."""
+    problem = random_problem(np.random.default_rng(11))
+    aggregate = np.full((problem.num_groups, problem.num_files), 0.2)
+    config = SubproblemConfig(oracle="batched", polish=False, max_iter=max_iter)
+    return solve_subproblem(problem, 0, aggregate, config, **kwargs)
+
+
 class TestAscent:
-    def test_concave_quadratic(self):
-        """max -(mu - 3)^2 over mu >= 0: optimum at mu = 3."""
-
-        def oracle(mu):
-            value = -((mu[0] - 3.0) ** 2)
-            grad = np.array([-2.0 * (mu[0] - 3.0)])
-            return value, grad, mu.copy()
-
-        result = subgradient_ascent(
-            oracle,
-            np.zeros(1),
-            schedule=StepSchedule(eta0=0.5, alpha=0.05),
-            max_iter=300,
-            patience=50,
-        )
-        assert result.best_dual == pytest.approx(0.0, abs=1e-2)
-        assert result.multipliers[0] == pytest.approx(3.0, abs=0.2)
-
     def test_projection_keeps_nonnegative(self):
-        def oracle(mu):
-            return -mu.sum(), -np.ones_like(mu), None
-
-        result = subgradient_ascent(oracle, np.ones(3), max_iter=50)
+        """Eq. 21 projects onto ``mu >= 0``, a negative warm start too."""
+        problem = random_problem(np.random.default_rng(11))
+        start = np.random.default_rng(2).normal(0.0, 5.0, size=problem.demand.shape)
+        result = _ascent(initial_multipliers=start)
         assert result.multipliers.min() >= 0.0
+        assert not np.any(np.signbit(result.multipliers))
 
     def test_history_recorded(self):
-        def oracle(mu):
-            return 0.0, np.zeros_like(mu), None
-
-        result = subgradient_ascent(oracle, np.zeros(2), max_iter=30, patience=5)
+        result = solve_subproblem(
+            make_tiny_problem(), 0, np.zeros((3, 4)), SubproblemConfig(oracle="batched")
+        )
         assert result.converged
         assert len(result.dual_history) == result.iterations
+        assert result.best_dual == max(result.dual_history)
 
     def test_max_iter_cap(self):
-        calls = []
-
-        def oracle(mu):
-            calls.append(1)
-            return float(len(calls)), np.ones_like(mu), None
-
-        result = subgradient_ascent(oracle, np.zeros(1), max_iter=7, patience=100)
+        result = _ascent(max_iter=7)
         assert result.iterations == 7
         assert not result.converged
 
-    def test_payload_score_tracks_best_primal(self):
-        """best_payload follows the lowest primal score, not the dual."""
-        sequence = iter([5.0, 1.0, 3.0])
-
-        def oracle(mu):
-            score = next(sequence)
-            return -score, np.zeros_like(mu), {"score": score}
-
-        result = subgradient_ascent(
-            oracle,
-            np.zeros(1),
-            max_iter=3,
-            patience=100,
-            payload_score=lambda payload: payload["score"],
-        )
-        assert result.best_payload["score"] == 1.0
-
     def test_shape_mismatch_rejected(self):
-        def oracle(mu):
-            return 0.0, np.zeros(5), None
-
-        with pytest.raises(ValidationError, match="shape"):
-            subgradient_ascent(oracle, np.zeros(2), max_iter=5)
+        with pytest.raises(ValidationError, match="initial_multipliers must have"):
+            _ascent(initial_multipliers=np.zeros(5))
 
     def test_invalid_controls(self):
-        def oracle(mu):
-            return 0.0, np.zeros_like(mu), None
-
         with pytest.raises(ValidationError):
-            subgradient_ascent(oracle, np.zeros(1), max_iter=0)
+            SubproblemConfig(oracle="batched", max_iter=0)
         with pytest.raises(ValidationError):
-            subgradient_ascent(oracle, np.zeros(1), tol=-1.0)
+            StepSchedule(eta0=-1.0)

@@ -1,12 +1,23 @@
-"""Warm-started dual ascent: off by default, same converged cost when on."""
+"""Warm-started dual ascent: off by default, same converged cost when on.
+
+Only the batched oracle has multipliers to carry, so every warm-started
+run here names it.
+"""
 
 import numpy as np
 import pytest
 
 from repro.core.distributed import DistributedConfig, solve_distributed
 from repro.core.subproblem import SubproblemConfig, solve_subproblem
+from repro.exceptions import ValidationError
 
 from conftest import random_problem
+
+BATCHED = SubproblemConfig(oracle="batched")
+
+
+def _config(warm_start: bool) -> DistributedConfig:
+    return DistributedConfig(warm_start=warm_start, subproblem=BATCHED)
 
 
 class TestDefaults:
@@ -15,7 +26,20 @@ class TestDefaults:
         assert DistributedConfig().warm_start is False
 
     def test_flag_round_trips(self):
-        assert DistributedConfig(warm_start=True).warm_start is True
+        assert _config(True).warm_start is True
+
+    def test_needs_the_batched_oracle(self):
+        """The default exact oracle has no multipliers: a warm start would
+        silently do nothing, so the config refuses it (and so does the
+        solver)."""
+        with pytest.raises(ValidationError, match="warm_start"):
+            DistributedConfig(warm_start=True)
+        problem = random_problem(np.random.default_rng(7))
+        aggregate = np.zeros((problem.num_groups, problem.num_files))
+        with pytest.raises(ValidationError, match="no multipliers"):
+            solve_subproblem(
+                problem, 0, aggregate, initial_multipliers=np.zeros(aggregate.shape)
+            )
 
 
 class TestConvergence:
@@ -24,10 +48,10 @@ class TestConvergence:
         """Warm starting changes the dual path, not where it ends up."""
         problem = random_problem(np.random.default_rng(seed))
         cold = solve_distributed(
-            problem, DistributedConfig(warm_start=False), rng=0
+            problem, _config(False), rng=0
         )
         warm = solve_distributed(
-            problem, DistributedConfig(warm_start=True), rng=0
+            problem, _config(True), rng=0
         )
         assert warm.cost == pytest.approx(cold.cost, rel=1e-6)
         assert warm.converged and cold.converged
@@ -39,10 +63,10 @@ class TestConvergence:
         problem = random_problem(np.random.default_rng(5))
         privacy = LPPMConfig(epsilon=1.0)
         cold = solve_distributed(
-            problem, DistributedConfig(warm_start=False), privacy=privacy, rng=0
+            problem, _config(False), privacy=privacy, rng=0
         )
         warm = solve_distributed(
-            problem, DistributedConfig(warm_start=True), privacy=privacy, rng=0
+            problem, _config(True), privacy=privacy, rng=0
         )
         assert warm.total_epsilon is not None
         # Equal iteration counts imply equal numbers of noisy releases.
@@ -55,12 +79,12 @@ class TestSubproblemWarmStart:
         """solve_subproblem keeps its public warm-start parameter."""
         problem = random_problem(np.random.default_rng(7))
         aggregate = np.zeros((problem.num_groups, problem.num_files))
-        first = solve_subproblem(problem, 0, aggregate, SubproblemConfig())
+        first = solve_subproblem(problem, 0, aggregate, BATCHED)
         again = solve_subproblem(
             problem,
             0,
             aggregate,
-            SubproblemConfig(),
+            BATCHED,
             initial_multipliers=first.multipliers,
             candidate_caching=first.caching,
         )
