@@ -13,7 +13,8 @@ curves against the failure-free optimum:
 * **final cost vs crash duration** — a crashed SBS keeps *serving*
   its last committed policy while the BS reuses its stale report, so
   cost degrades gracefully instead of the run aborting; on recovery
-  the SBS restores its multipliers from a checkpoint and rejoins.
+  the SBS restores its last report and cache set from a checkpoint
+  and rejoins.
 
 Run:  python examples/fault_injection_demo.py
 """

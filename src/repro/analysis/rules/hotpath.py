@@ -1,19 +1,19 @@
 """Hot-path rule: no Python-level loops where batched kernels exist.
 
-The modules on the Algorithm 1 hot path — the subproblem oracles and
+The modules on the Algorithm 1 hot path — the subproblem oracle and
 the fractional knapsack — are vectorized: their inner work runs as
 batched numpy kernels, and a stray ``for`` loop over group/file indices
 silently reverts a kernel to per-element Python (the regression the
-batched-oracle benchmarks exist to catch).
+speed floors of the fast paths exist to catch).
 
 * ``python-loop-in-hot-path`` — flag every ``for`` statement in a hot
   module except the outer iteration of a dual search (``for iteration
-  in ...``: the subgradient ascent, the price bisection), which is
-  inherently sequential.  Loops that are justified — the polish swap
-  chain (each accepted swap changes the incumbent), the
-  exhaustive reference oracle, bounded chunk dispatch — carry baseline
-  ratchet entries rather than pragmas, so any *new* loop trips CI until
-  it is either vectorized or explicitly accepted into the baseline.
+  in ...``: the price bisection), which is inherently sequential.
+  Loops that are justified — the polish passes and adds (each accepted
+  move changes the incumbent), the exhaustive reference oracle, bounded
+  chunk dispatch — carry baseline ratchet entries rather than pragmas,
+  so any *new* loop trips CI until it is either vectorized or
+  explicitly accepted into the baseline.
 """
 
 from __future__ import annotations

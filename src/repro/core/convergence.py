@@ -233,17 +233,12 @@ def solve_stats(
 ) -> Optional[Dict[str, float]]:
     """A solve's ``phase``-event extras, or ``None`` when nothing records.
 
-    ``dual_gap`` and ``mu_norm`` always; ``solve_seconds`` since
-    ``started`` (a :func:`solve_clock` reading) when timings are on.
+    ``dual_gap`` always; ``solve_seconds`` since ``started`` (a
+    :func:`solve_clock` reading) when timings are on.
     """
     if not obs.enabled():
         return None
-    stats = {
-        "dual_gap": float(result.cost - result.best_dual),
-        "mu_norm": (
-            0.0 if result.multipliers is None else float(np.linalg.norm(result.multipliers))
-        ),
-    }
+    stats = {"dual_gap": float(result.cost - result.best_dual)}
     if started is not None:
         stats["solve_seconds"] = time.perf_counter() - started
     return stats
@@ -319,7 +314,6 @@ class RunLoop:
         self._iteration = -1
         self._sweep = Sweep(-1, 0.0, None)
         self._gaps: List[float] = []
-        self._norms: List[float] = []
 
     def start(self, **fields: Any) -> None:
         """Emit ``run_start`` (plus the caller's ``fields``), open the root span."""
@@ -339,7 +333,6 @@ class RunLoop:
                 max_iterations=config.max_iterations,
                 private=self._private,
                 resilient=self._resilient,
-                warm_start=config.warm_start,
                 initial_cost=float(self.history.initial_cost),
                 **fields,
             )
@@ -435,9 +428,9 @@ class RunLoop:
         A degraded phase under ``on_timeout="raise"`` raises
         :class:`~repro.exceptions.ProtocolTimeout` before anything is
         emitted.  Then the phase is recorded at the cost after it, and
-        its ``phase`` event carries the solve's ``stats`` (``dual_gap``
-        and ``mu_norm``, which the iteration event aggregates, and
-        ``solve_seconds`` with timings on).
+        its ``phase`` event carries the solve's ``stats`` (``dual_gap``,
+        which the iteration event aggregates, and ``solve_seconds`` with
+        timings on).
         """
         config, verdict = self.config, outcome.verdict
         where = {"sbs": slot.sbs, "iteration": slot.sweep.iteration, "phase": slot.phase}
@@ -475,9 +468,7 @@ class RunLoop:
         stats = outcome.stats
         if stats:
             fields["dual_gap"] = stats["dual_gap"]
-            fields["mu_norm"] = stats["mu_norm"]
             self._gaps.append(stats["dual_gap"])
-            self._norms.append(stats["mu_norm"])
             if "solve_seconds" in stats:
                 fields["solve_seconds"] = stats["solve_seconds"]
         obs.emit("phase", **fields)
@@ -506,7 +497,7 @@ class RunLoop:
 
     def _begin(self, iteration: int) -> None:
         self._iteration = iteration
-        self._gaps, self._norms = [], []
+        self._gaps = []
 
     def _close(self) -> float:
         cost = self.history.phases[-1].cost
@@ -529,7 +520,4 @@ class RunLoop:
             fields["restoration"] = True
         if self._gaps:
             fields["dual_gap_max"] = max(self._gaps)
-        if self._norms:
-            fields["mu_norm_max"] = max(self._norms)
-            fields["mu_norm_mean"] = sum(self._norms) / len(self._norms)
         obs.emit("iteration", **fields)

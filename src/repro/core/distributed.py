@@ -6,7 +6,7 @@ iteration ``tau``, SBS ``n``:
 1. receives the BS's broadcast of the *aggregated* routing policy and
    subtracts its own last report to obtain ``y_{-n}`` (Eq. 25) — it never
    sees another SBS's individual policy;
-2. solves its subproblem ``P_n`` (Lagrangian decomposition, see
+2. solves its subproblem ``P_n`` (one bandwidth price, see
    :mod:`repro.core.subproblem`);
 3. optionally perturbs the resulting routing block with LPPM
    (Section IV) and uploads it to the BS (line 4 of Algorithm 1);
@@ -111,17 +111,6 @@ class DistributedConfig:
         schedules are constants of :mod:`repro.core.convergence`).
         DESIGN.md discusses the trade-off; the evaluation defaults to
         the paper-literal mode.
-    warm_start:
-        Reuse each SBS's final dual multipliers ``mu`` from its previous
-        Gauss-Seidel phase as the starting point of the next dual ascent
-        (with a proportionally smaller restart step).  Only the batched
-        oracle has multipliers, so this needs
-        ``SubproblemConfig(oracle="batched")``.  Off by default: the
-        cold-start run is the paper-literal algorithm and the regression
-        anchors pin its exact costs.  Warm starting changes the dual
-        trajectory — and may change intermediate primal iterates — but
-        converges to the same final cost (cross-checked in the tests) in
-        fewer subgradient iterations.
     max_retries:
         Fault-tolerant runs only: how many times an SBS retransmits an
         unacknowledged ``POLICY_UPLOAD`` before declaring the phase lost
@@ -141,7 +130,6 @@ class DistributedConfig:
     damping: float = 1.0
     coordination: str = "caps"
     restarts: int = 1
-    warm_start: bool = False
     max_retries: int = 4
     on_timeout: str = "degrade"
 
@@ -157,11 +145,6 @@ class DistributedConfig:
                 f"coordination must be 'caps' or 'prices', got {self.coordination!r}"
             )
         check_positive_int(self.restarts, "restarts")
-        if self.warm_start and self.subproblem.oracle != "batched":
-            raise ValidationError(
-                "warm_start carries the batched oracle's multipliers; "
-                f"oracle={self.subproblem.oracle!r} has none"
-            )
         if self.max_retries < 0:
             raise ValidationError(f"max_retries must be nonnegative, got {self.max_retries}")
         if self.on_timeout not in ("degrade", "raise"):
@@ -175,14 +158,12 @@ class Checkpoint:
     """Durable snapshot of one SBS's protocol state.
 
     Everything an SBS needs to rejoin a run mid-sweep after a crash:
-    the warm-start multipliers ``mu`` of its Lagrangian subproblem, the
-    last policy it reported (and the last one the BS acknowledged), its
-    cache decision, and a monotone upload sequence number so the BS's
-    duplicate detection survives the reboot.
+    the last policy it reported (and the last one the BS acknowledged),
+    its cache decision, and a monotone upload sequence number so the
+    BS's duplicate detection survives the reboot.
     """
 
     iteration: int
-    multipliers: Optional[np.ndarray]
     last_report: np.ndarray
     acked_report: np.ndarray
     caching: np.ndarray
@@ -490,7 +471,6 @@ class SBSAgent:
         subproblem_config: Optional[SubproblemConfig] = None,
         mechanism: Optional[LaplacePrivacyMechanism] = None,
         accountant: Optional[PrivacyAccountant] = None,
-        warm_start: bool = False,
     ) -> None:
         problem._check_sbs(index)
         if mechanism is not None and accountant is None:
@@ -504,7 +484,6 @@ class SBSAgent:
         self._config = subproblem_config or SubproblemConfig()
         self._mechanism = mechanism
         self._accountant = accountant
-        self._warm_start = warm_start
         # Fault-tolerance state (inert on the reliable, failure-free path).
         self.resilient = False
         self.recoveries = 0
@@ -517,7 +496,6 @@ class SBSAgent:
         self.true_routing = np.zeros(self._view.shape)
         self.last_report = np.zeros(self._view.shape)
         self._acked_report = np.zeros(self._view.shape)
-        self._last_multipliers = None  # last dual iterate (warm start / checkpoints)
         self._has_solved = False
         # Trace extras of the most recent solve (populated only while a
         # repro.obs recorder is active; None otherwise).
@@ -607,11 +585,9 @@ class SBSAgent:
             self._config,
             prices=prices,
             cap_slack=cap_slack,
-            initial_multipliers=self._last_multipliers if self._warm_start else None,
             candidate_caching=self.caching if self._has_solved else None,
         )
         self.last_solve_stats = solve_stats(result, started)
-        self._last_multipliers = result.multipliers
         self._has_solved = True
         self.caching = result.caching
         self.true_routing = result.routing
@@ -726,9 +702,6 @@ class SBSAgent:
         )
         if checkpoint is None:
             return
-        self._last_multipliers = (
-            None if checkpoint.multipliers is None else checkpoint.multipliers.copy()
-        )
         self.last_report = checkpoint.last_report.copy()
         self._acked_report = checkpoint.acked_report.copy()
         self.caching = checkpoint.caching.copy()
@@ -742,11 +715,6 @@ class SBSAgent:
             self.name,
             Checkpoint(
                 iteration=iteration,
-                multipliers=(
-                    None
-                    if self._last_multipliers is None
-                    else np.array(self._last_multipliers, copy=True)
-                ),
                 last_report=np.array(self.last_report, copy=True),
                 acked_report=np.array(self._acked_report, copy=True),
                 caching=np.array(self.caching, copy=True),
@@ -764,7 +732,6 @@ def build_sbs_agents(
     *,
     privacy: Optional[MechanismConfig],
     rng: np.random.Generator,
-    warm_start: bool = False,
     resilient: bool = False,
 ) -> Tuple[List[SBSAgent], Optional[PrivacyAccountant]]:
     """One agent per SBS on ``channel``, and the run's accountant.
@@ -788,7 +755,6 @@ def build_sbs_agents(
             subproblem_config=subproblem_config,
             mechanism=mechanism,
             accountant=accountant,
-            warm_start=warm_start,
         )
         agent.resilient = resilient
         agents.append(agent)
@@ -833,7 +799,6 @@ class DistributedOptimizer:
             self.config.subproblem,
             privacy=privacy,
             rng=rng_from(rng),
-            warm_start=self.config.warm_start,
             resilient=faults is not None,
         )
         self.sbss: List[SBSAgent] = agents

@@ -12,9 +12,10 @@ Two layers:
   flow (``backend="flow"``) or as an LP (``backend="lp"`` /
   ``backend="scipy"``); the two are cross-checked in the tests.
 
-These are used for primal recovery inside the Lagrangian decomposition,
-for rounding repair in the centralized solver, and to give the LRFU
-baseline the same routing machinery when a fair comparison is wanted.
+These are used by the subproblem's exhaustive reference to route each
+cache set, for rounding repair in the centralized solver, and to give
+the LRFU baseline the same routing machinery when a fair comparison is
+wanted.
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ def optimal_routing_for_sbs(
     Minimizes ``sum((d[n,u] - d_hat[u]) * l[n,u] * lambda[u,f] + extra) * y``
     subject to the bandwidth budget ``B_n`` and ``0 <= y <= caps`` with
     ``y[u, f] = 0`` for uncached ``f``.  ``extra_cost`` (shape ``(U, F)``)
-    lets the Lagrangian decomposition pass the multiplier term
-    ``mu[u, f]`` through unchanged.
+    adds a per-unit charge, such as congestion prices, to the
+    coefficients.
 
     Returns a ``(U, F)`` routing block.
     """

@@ -25,8 +25,8 @@ a :class:`ProblemInstance` (guarded by a cell budget) for callers who
 want the dense run.
 
 Each view's file axis holds the SBS's demand support *plus* the ``C_n``
-lowest-indexed contents outside it, so the caching subproblem's
-zero-multiplier filler picks exactly the files the dense solver would,
+lowest-indexed contents outside it, so the subproblem oracle's top-set
+filler picks exactly the files the dense solver would,
 and the view's ``constant_offset`` puts the local objective on the
 dense absolute scale.  Cache sets therefore match the dense run
 set-for-set and routing bit-for-bit; objectives are sums over the

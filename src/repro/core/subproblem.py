@@ -1,4 +1,4 @@
-"""Per-SBS subproblem ``P_n`` (Section III, Eqs. 10-23).
+"""Per-SBS subproblem ``P_n`` (Section III, Eq. 10, Theorem 1).
 
 Given the aggregate routing policy ``y_{-n}`` of every other SBS, SBS
 ``n`` jointly chooses its caching vector ``x_n in {0,1}^F`` and routing
@@ -9,84 +9,49 @@ coefficients, ``w`` the demand weights, ``cap`` the residual caps)::
 
     cost(x) = constant + min p.y   s.t.  w.y <= B,  0 <= y_i <= cap_i * x[file_i]
 
-*Primal recovery* routes a candidate cache set this way.  Two oracles
-pick the candidates (``SubproblemConfig.oracle``).
+*Primal recovery* routes a candidate cache set this way.
 
-The **exact** oracle (the default) dualizes the SBS bandwidth (3) with
-one scalar price ``pi >= 0``.  For a fixed price the rest of ``P_n``
-separates by file::
+The oracle dualizes the SBS bandwidth (3) with one scalar price
+``pi >= 0``.  For a fixed price the rest of ``P_n`` separates by file::
 
     g[f](pi) = sum_{items i of f} min(0, p_i + pi * w_i) * cap_i
     L(pi)    = constant - pi * B + (sum of the C_n most negative g[f])
 
 ``L`` lower-bounds the cost of every cache set, is concave, and its
-supergradient is the bandwidth overflow of the top-``C_n`` set.
-Bisection on the sign of that overflow brackets the optimal price; the
-top sets at both ends of the last bracket and the incumbent
-(``candidate_caching``) are recovered, and the cheapest is kept.  The
-reported ``best_dual`` makes ``cost - best_dual`` a certified gap.
-
-The **batched** oracle (``oracle="batched"``) is the paper's own
-Lagrangian decomposition:
-
-1. relax the cache-coupling constraint ``y <= x`` with multipliers
-   ``mu[u, f] >= 0`` (Eq. 15-16);
-2. the **caching subproblem** (Eq. 18) maximizes
-   ``sum_f x[f] * sum_u mu[u, f]`` under the capacity constraint — its LP
-   relaxation is integral (Theorem 1), so it picks the ``C_n`` files
-   with the largest positive aggregated multipliers;
-3. the **routing subproblem** (Eq. 20) is the knapsack above with costs
-   ``p + mu`` and no cache coupling;
-4. the multipliers follow the projected subgradient update of Eq. 21
-   with the diminishing steps of Eq. 22 and subgradient ``y - x``
-   (Eq. 23).
-
-The cache set of each dual iterate is recovered, and the cheapest pair
-seen is returned; a set whose weak-duality lower bound already proves it
-cannot beat the incumbent is skipped (:class:`_RecoveryScreen`, whose
-bound is ``L``'s own expression at the incumbent's budget price).  With
-either oracle, an optional local-search polish swaps files in/out of the
-best cache set until no single swap improves the cost, and an
-exhaustive solver validates optimality on tiny instances.
+supergradient is the bandwidth overflow of the top-``C_n`` set, an
+integral selection (Theorem 1).  Bisection on the sign of that overflow
+brackets the optimal price; the top sets at both ends of the last
+bracket and the incumbent (``candidate_caching``) are recovered, and the
+cheapest is kept.  A set whose weak-duality lower bound already proves
+it cannot beat the incumbent is skipped (:class:`_RecoveryScreen`, whose
+bound is ``L``'s own expression at the incumbent's budget price).  The
+reported ``best_dual`` makes ``cost - best_dual`` a certified gap.  An
+optional local-search polish swaps files in/out of the best cache set
+until no single swap improves the cost, and an exhaustive solver
+validates optimality on tiny instances.
 
 Everything runs on a flat :class:`ItemView` with one item per ``(row,
 file)`` cell: a dense instance's SBS gets the full ``(U, F)`` grid, a
-sparse instance's only its demand pairs.  Both oracles then work on the
+sparse instance's only its demand pairs.  The oracle then works on the
 view's **live items** only::
 
-    live = (priced < 0) & (caps > 0)   |  (start > 0) when warm-started
+    live = (priced < 0) & (caps > 0)
 
 with ``priced`` the (price-augmented) routing coefficients and ``caps``
 the residual caps.  An item outside ``live`` contributes nothing to any
-``g[f]`` and takes ``0`` in every routing.  In the batched ascent it
-also keeps ``mu = +0.0``, by induction from ``mu = +0.0``: its
-knapsack cost ``priced + mu`` is ``>= 0``, so it is never paid or
-free, or its cap is ``0``, so it takes ``0``; its subgradient is
-``0 - x_f <= 0`` and the step is positive, so the projection returns
-``+0.0``.  Its terms are signed zeros, and skipping them is exact where
-the kernel adds sequentially: per-file sums (``bincount`` accumulates
-from ``+0.0``) and the greedy's cumulative budget, whose stable order of
-the other items does not change.  Zero-demand cells, which a sparse
-instance's views drop, are one dead class: their coefficient is a
-signed zero.
+``g[f]`` and takes ``0`` in every routing.  Zero-demand cells, which a
+sparse instance's views drop, are one dead class: their coefficient is
+a signed zero.  Sums run per file, over the live items alone, or with
+``math.fsum``, so a pair view and its zero-padded grid give the same
+bits.
 
-The batched oracle's three pairwise-summed reductions (the dual value, a
-recovery's cost and the polish trial costs) keep the full view's
-summation tree: the live products are scattered into a full-length
-buffer whose dead slots hold exactly the signed zeros the full
-computation puts there.  The exact oracle sums per file, or over the
-live items alone, or with ``math.fsum``, so a pair view and its
-zero-padded grid give it the same bits.
-
-The batched kernel hoists every loop invariant, validates arrays once at
-this API boundary, solves the dual routing subproblem and primal
-recovery on one :class:`~repro.solvers.fractional_knapsack.KnapsackWorkspace`,
-and allocates its scratch afresh on every call, sized by the live
-items.  A dual iteration sorts nothing it only needs the top of: the
-cache set, its filler and the polish candidates are exact stable
+The kernel validates arrays once at this API boundary, recovers every
+cache set on one :class:`~repro.solvers.fractional_knapsack.KnapsackWorkspace`
+prepared once per solve, and allocates its scratch afresh on every
+call, sized by the live items.  It sorts nothing it only needs the top
+of: the cache set, its filler and the polish candidates are exact stable
 top-``k`` selections (:func:`_top_k`, a threshold from ``np.partition``
-with ties to the lowest index), and the dual routing row sorts only its
-paid items' value densities, in one fused knapsack pass.
+with ties to the lowest index).
 """
 
 from __future__ import annotations
@@ -108,7 +73,6 @@ from .._validation import (
 )
 from ..exceptions import ValidationError
 from ..solvers.fractional_knapsack import KnapsackWorkspace
-from ..solvers.subgradient import StepSchedule, SubgradientResult
 from .problem import ProblemInstance
 from .routing import optimal_routing_for_sbs, residual_caps
 
@@ -120,53 +84,32 @@ __all__ = [
     "solve_subproblem_exhaustive",
 ]
 
-# Polish trials are evaluated in chunks of this many candidate cache
-# vectors: improving passes usually accept a trial from the first chunk
-# (the scalar loop would have stopped there too), so later chunks are
-# never materialized, and the chunk size bounds the trial scratch one
-# chunk allocates.
+# Polish swap trials are evaluated in chunks of this many candidate
+# cache vectors: improving passes usually accept a trial from the first
+# chunk, so later chunks are never materialized, and the chunk size
+# bounds the trial scratch one chunk allocates.
 _TRIAL_CHUNK = 32
 
 _EPS = float(np.finfo(np.float64).eps)
 
-#: Batched dual-ascent stopping controls: the relative dual improvement
-#: that counts as progress, and how many steps without progress end the
-#: ascent.
-DUAL_TOL = 1e-7
-DUAL_PATIENCE = 25
-
 
 @dataclasses.dataclass(frozen=True)
 class SubproblemConfig:
-    """Tunables of the subproblem oracles.
-
-    The batched dual step size is not a tunable: ``eta0`` is half the
-    largest absolute routing coefficient (an eighth on a warm start) so
-    the multipliers can reach the coefficients' magnitude in a handful of
-    steps, and the ascent stops early after :data:`DUAL_PATIENCE` steps
-    without a :data:`DUAL_TOL` relative improvement.
+    """Tunables of the subproblem oracle.
 
     Attributes
     ----------
     max_iter:
-        Cap on the dual iterations: price probes of the exact oracle,
-        multiplier steps of the batched one.
+        Cap on the dual iterations, the bandwidth-price probes.
     polish:
         Run single-swap local search on the recovered cache set.
-    oracle:
-        ``"exact"`` (the default: one bandwidth price found by
-        bisection, a certified gap) or ``"batched"`` (the paper's
-        subgradient ascent on ``mu``); see the module docstring.
     """
 
     max_iter: int = 120
     polish: bool = True
-    oracle: str = "exact"
 
     def __post_init__(self) -> None:
         check_positive_int(self.max_iter, "max_iter")
-        if self.oracle not in ("exact", "batched"):
-            raise ValidationError(f"oracle must be 'exact' or 'batched', got {self.oracle!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -178,13 +121,11 @@ class SubproblemSolution:
     candidate policies of the same SBS but not across SBSs).
 
     ``best_dual`` is a lower bound on the cost of every cache set;
-    ``dual_history`` holds the dual value of each iteration (``L`` at
-    each probed price, or the Lagrangian at each multiplier iterate).
+    ``dual_history`` holds the dual value ``L`` at each probed price.
 
-    ``routing`` and ``multipliers`` follow the layout of the view solved
+    ``routing`` follows the layout of the view solved
     (``ItemView.shape``): ``(U, F)`` for a dense problem's full grid,
-    ``(P_n,)`` — one entry per demand pair — for a sparse instance.  The
-    exact oracle has no multipliers (``None``).
+    ``(P_n,)`` — one entry per demand pair — for a sparse instance.
     """
 
     caching: np.ndarray  # (F,)
@@ -194,7 +135,6 @@ class SubproblemSolution:
     dual_history: Tuple[float, ...]
     iterations: int
     converged: bool
-    multipliers: Optional[np.ndarray] = None  # ItemView.shape, final dual iterate
 
 
 def _check_items(name: str, values: np.ndarray, items: Tuple[int], bound: int) -> None:
@@ -207,8 +147,8 @@ def _check_items(name: str, values: np.ndarray, items: Tuple[int], bound: int) -
 class ItemView:
     """Flat item view of one SBS's subproblem ``P_n``.
 
-    An item is one ``(row, file)`` cell with its own routing ``y`` and
-    multiplier ``mu``; rows are the SBS's MU groups.  Items are listed
+    An item is one ``(row, file)`` cell with its own routing ``y``;
+    rows are the SBS's MU groups.  Items are listed
     row-major, so every per-file sum adds in the order of the dense
     grid's axis-0 reduction.  The item-aligned inputs and outputs of
     :func:`solve_subproblem` are laid out as ``shape``: ``(U, F)`` for
@@ -225,7 +165,7 @@ class ItemView:
     rules of the one-SBS :class:`ProblemInstance` it flattens (finite,
     nonnegative weights, costs and capacities, a binary ``reach``,
     ``bs_cost`` dominating every reached ``link_cost``, items inside
-    the grid), so every oracle trusts the same view.
+    the grid), so the oracle trusts the view.
     """
 
     item_row: np.ndarray
@@ -371,24 +311,24 @@ def _top_k(values: np.ndarray, k: int, *, ordered: bool = False) -> np.ndarray:
 def _select_cache_set(
     num_files: int,
     capacity: int,
-    aggregated: np.ndarray,
+    scores: np.ndarray,
     tie_break: Optional[np.ndarray],
 ) -> np.ndarray:
-    """Shared greedy selection: top-``capacity`` positive aggregated
-    multipliers, remaining slots filled with the untaken files of
-    largest ``tie_break`` (ties to the lowest index).
+    """Greedy top-set selection: the top-``capacity`` positive per-file
+    ``scores``, remaining slots filled with the untaken files of largest
+    ``tie_break`` (ties to the lowest index).
 
-    Equivalent to the original first-come scan along the stable
-    descending orders: the chosen *set* (and therefore the binary
-    caching vector) is identical.
+    Equivalent to the first-come scan along the stable descending
+    orders: the chosen *set* (and therefore the binary caching vector)
+    is identical.
     """
     caching = np.zeros(num_files)
     if capacity == 0:
         return caching
-    # The positive multipliers lead the stable descending order: when
-    # fewer than ``capacity`` are positive, the top set holds them all.
-    take = _top_k(aggregated, capacity)
-    take = take[aggregated[take] > 0]
+    # The positive scores lead the stable descending order: when fewer
+    # than ``capacity`` are positive, the top set holds them all.
+    take = _top_k(scores, capacity)
+    take = take[scores[take] > 0]
     caching[take] = 1.0
     if take.size < capacity and tie_break is not None:
         untaken = (caching == 0).nonzero()[0]
@@ -431,7 +371,7 @@ class _RecoveryScreen:
     because ``p.y = sum (p_i + lam*w_i) y_i - lam*w.y``, ``w.y <= B``, and
     each term of the sum is smallest at ``y_i = cap_i x[f]`` when its
     coefficient is negative, at ``y_i = 0`` otherwise.  Minimizing over
-    the cache sets of at most ``C_n`` files gives the exact oracle's dual
+    the cache sets of at most ``C_n`` files gives the oracle's dual
     function ``L(lam)``; :meth:`terms` computes ``g`` (and each file's
     load, the budget its items take at their caps where their priced
     coefficient is negative) for both.
@@ -464,10 +404,8 @@ class _RecoveryScreen:
     smaller cost, and skipping its recovery changes nothing.  Before an
     incumbent exists the bound is ``-inf``.
 
-    ``view`` may be the live restriction of the view the cost is summed
-    over; ``full`` then holds that view's ``(priced, caps)``, so ``P``
-    and ``S`` are its own.  Dead items only add signed zeros to ``g``,
-    so leaving them out changes no bound.
+    ``view`` is the live restriction of the view solved: dead items only
+    add signed zeros to ``g``, so leaving them out changes no bound.
     """
 
     def __init__(
@@ -479,15 +417,13 @@ class _RecoveryScreen:
         order: np.ndarray,
         order_file: np.ndarray,
         order_caps: np.ndarray,
-        full: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> None:
         self.view, self.priced, self.caps, self.constant = view, priced, caps, constant
         self.order, self.order_file, self.order_caps = order, order_file, order_caps
-        full_priced, full_caps = (priced, caps) if full is None else full
-        terms = np.minimum(full_priced, 0.0)
-        terms *= full_caps
+        terms = np.minimum(priced, 0.0)
+        terms *= caps
         self.scale = abs(constant) - float(np.add.reduce(terms))
-        self.slack = 8.0 * (full_priced.size + 1) * _EPS
+        self.slack = 8.0 * (priced.size + 1) * _EPS
         self.lam = 0.0
         self.offset = -np.inf
         self.g = np.zeros(view.num_files)
@@ -548,34 +484,30 @@ def _polish_cache_set(
     best_cost: float,
     *,
     evaluate: Callable[[np.ndarray], Tuple[np.ndarray, float]],
+    batch_evaluate: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
+    screen: _RecoveryScreen,
     potential: np.ndarray,
     capacity: int,
     max_passes: int = 4,
     max_candidates: int = 12,
-    batch_evaluate: Optional[Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]] = None,
-    screen: Optional[_RecoveryScreen] = None,
 ) -> Tuple[np.ndarray, np.ndarray, float]:
     """First-improvement single-swap local search over the cache set.
 
     Candidate in-files are limited to the ``max_candidates`` highest
     potential-value uncached files — the only ones that can plausibly
-    displace a cached file under a linear objective.  ``evaluate`` maps a
-    candidate caching vector to its exact ``(routing, cost)``; the
-    oracles supply their own evaluator.
+    displace a cached file under a linear objective.  A pass first tries
+    adding candidates to empty slots, each by ``evaluate`` (one cache
+    vector to its exact ``(routing, cost)``), then swapping every cached
+    file out against every candidate — only the first cached file once
+    an add improved.  ``batch_evaluate`` maps a ``(T, F)`` matrix of swap
+    trials to ``(routings (T, P), costs (T,))`` in one shared-order
+    knapsack batch; the trials are evaluated in order, chunk by chunk,
+    and the first improving one is accepted and ends the pass.
 
-    ``batch_evaluate`` (batched oracle only) maps a ``(T, F)`` matrix of
-    trial cache vectors to ``(routings (T, P), costs (T,))`` in one
-    shared-order knapsack batch.  Within one pass every swap trial
-    derives from the same incumbent (the scalar loop accepts at most one
-    swap and then restarts the pass), so evaluating the trials in order,
-    chunk by chunk, and accepting the first improving one visits the
-    exact same accept sequence as the scalar double loop.
-
-    ``screen`` (batched oracle only) first drops every trial whose
-    weak-duality bound proves it cannot improve by more than ``1e-12``;
-    the survivors keep their order, so the first improving trial, and
-    the whole accept sequence, stay the same — results are
-    bit-identical, only provably losing trials stop paying a knapsack.
+    ``screen`` first drops every trial whose weak-duality bound proves
+    it cannot improve by more than ``1e-12``; the survivors keep their
+    order, so the first improving trial, and the whole accept sequence,
+    stay the same — only provably losing trials stop paying a knapsack.
     """
     caching = caching.copy()
     for _ in range(max_passes):
@@ -592,61 +524,41 @@ def _polish_cache_set(
             for f_in in candidates[:empty_slots]:
                 trial = caching.copy()
                 trial[f_in] = 1.0
-                if screen is not None and screen.bound(trial) >= best_cost - 1e-12:
+                if screen.bound(trial) >= best_cost - 1e-12:
                     perf.count("subproblem.recoveries_screened")
                     continue
                 routing, cost = evaluate(trial)
                 if cost < best_cost - 1e-12:
                     caching, best_routing, best_cost = trial, routing, cost
                     improved = True
-                    if screen is not None:
-                        screen.refresh(caching, best_routing)
-        if batch_evaluate is not None:
-            # The scalar loop scans only the first cached file once the
-            # add phase already improved; mirror that exactly.
-            outs = cached_files[:1] if improved else cached_files
-            if outs.size and candidates.size:
-                swap_out = np.repeat(outs, candidates.size)
-                swap_in = np.tile(candidates, outs.size)
-                if screen is not None:
-                    bounds = screen.swap_bounds(caching, swap_out, swap_in)
-                    keep = np.flatnonzero(bounds < best_cost - 1e-12)
-                    if keep.size < bounds.size:
-                        perf.count("subproblem.recoveries_screened", bounds.size - keep.size)
-                        swap_out, swap_in = swap_out[keep], swap_in[keep]
-                trials = np.tile(caching, (swap_out.size, 1))
-                rows = np.arange(swap_out.size)
-                trials[rows, swap_out] = 0.0
-                trials[rows, swap_in] = 1.0
-                # Chunked evaluation with early exit: the first improving
-                # trial ends the pass (exactly where the scalar loop
-                # stops), so improving passes usually pay for one chunk
-                # instead of the full trial matrix.
-                for start in range(0, trials.shape[0], _TRIAL_CHUNK):
-                    chunk = trials[start : start + _TRIAL_CHUNK]
-                    routings, costs = batch_evaluate(chunk)
-                    better = np.flatnonzero(costs < best_cost - 1e-12)
-                    if better.size:
-                        pick = int(better[0])
-                        caching = chunk[pick].copy()
-                        best_routing = routings[pick].copy()
-                        best_cost = float(costs[pick])
-                        improved = True
-                        if screen is not None:
-                            screen.refresh(caching, best_routing)
-                        break
-        else:
-            for f_out in cached_files:
-                for f_in in candidates:
-                    trial = caching.copy()
-                    trial[f_out] = 0.0
-                    trial[f_in] = 1.0
-                    routing, cost = evaluate(trial)
-                    if cost < best_cost - 1e-12:
-                        caching, best_routing, best_cost = trial, routing, cost
-                        improved = True
-                        break
-                if improved:
+                    screen.refresh(caching, best_routing)
+        outs = cached_files[:1] if improved else cached_files
+        if outs.size and candidates.size:
+            swap_out = np.repeat(outs, candidates.size)
+            swap_in = np.tile(candidates, outs.size)
+            bounds = screen.swap_bounds(caching, swap_out, swap_in)
+            keep = np.flatnonzero(bounds < best_cost - 1e-12)
+            if keep.size < bounds.size:
+                perf.count("subproblem.recoveries_screened", bounds.size - keep.size)
+                swap_out, swap_in = swap_out[keep], swap_in[keep]
+            trials = np.tile(caching, (swap_out.size, 1))
+            rows = np.arange(swap_out.size)
+            trials[rows, swap_out] = 0.0
+            trials[rows, swap_in] = 1.0
+            # Chunked evaluation with early exit: the first improving
+            # trial ends the pass, so improving passes usually pay for
+            # one chunk instead of the full trial matrix.
+            for start in range(0, trials.shape[0], _TRIAL_CHUNK):
+                chunk = trials[start : start + _TRIAL_CHUNK]
+                routings, costs = batch_evaluate(chunk)
+                better = np.flatnonzero(costs < best_cost - 1e-12)
+                if better.size:
+                    pick = int(better[0])
+                    caching = chunk[pick].copy()
+                    best_routing = routings[pick].copy()
+                    best_cost = float(costs[pick])
+                    improved = True
+                    screen.refresh(caching, best_routing)
                     break
         if not improved:
             break
@@ -661,18 +573,15 @@ def solve_subproblem(
     *,
     prices: Optional[np.ndarray] = None,
     cap_slack: float = 0.0,
-    initial_multipliers: Optional[np.ndarray] = None,
     candidate_caching: Optional[np.ndarray] = None,
 ) -> SubproblemSolution:
-    """Solve ``P_n`` by one bandwidth price (the default exact oracle) or
-    by the paper's dual decomposition (``oracle="batched"``), with primal
-    recovery.
+    """Solve ``P_n`` by one bandwidth price, with primal recovery.
 
     ``problem`` is a dense :class:`ProblemInstance` with ``sbs``
     selecting the SBS (solved on its full-grid view), or an
     :class:`ItemView` with ``sbs=None``.  ``aggregate_others``,
-    ``prices``, ``initial_multipliers`` and the returned routing and
-    multipliers are laid out as the view's ``shape``.
+    ``prices`` and the returned routing are laid out as the view's
+    ``shape``.
 
     ``prices`` and ``cap_slack`` support the enhanced price-coordination
     mode of the distributed optimizer: prices add a per-unit congestion
@@ -682,17 +591,11 @@ def solve_subproblem(
     prices, zero slack) this is exactly the paper's subproblem; the
     reported ``cost`` is the (price-augmented) local objective.
 
-    ``initial_multipliers`` warm-starts the batched dual ascent — across
-    Gauss-Seidel iterations the aggregate changes little, so reusing the
-    previous multipliers reaches the dual region in far fewer steps
-    (the :class:`~repro.core.distributed.SBSAgent` passes its last
-    multipliers when ``DistributedConfig.warm_start`` is enabled).  The
-    exact oracle has no multipliers and rejects them.
     ``candidate_caching`` seeds the primal recovery with an incumbent
     cache set (evaluated exactly under the current caps), guaranteeing
     the returned solution is never worse than keeping the incumbent —
     which is what makes every Gauss-Seidel phase non-increasing
-    whatever the dual search does.
+    whatever the price search does.
     """
     config = config or SubproblemConfig()
     if isinstance(problem, ItemView):
@@ -705,41 +608,21 @@ def solve_subproblem(
     if not view.num_items:
         raise ValidationError("the view has no items: its local subproblem is empty")
     perf.count("subproblem.solves")
-    # Arrays are validated once here, at the API boundary; the oracles
-    # below trust them.
+    # Arrays are validated once here, at the API boundary; the kernel
+    # below trusts them.
     others = as_float_array(aggregate_others, "aggregate_others", shape=view.shape).ravel()
     if not (np.isfinite(cap_slack) and cap_slack >= 0):
         raise ValidationError(f"cap_slack must be finite and nonnegative, got {cap_slack}")
     if prices is not None:
         prices = as_float_array(prices, "prices", shape=view.shape).ravel()
-    start = None
-    if initial_multipliers is not None:
-        start = as_float_array(initial_multipliers, "initial_multipliers").ravel()
-        if start.size != view.num_items:
-            raise ValidationError(
-                f"initial_multipliers must have {view.num_items} entries, got {start.size}"
-            )
-        if config.oracle != "batched":
-            raise ValidationError(
-                "initial_multipliers warm-start the batched oracle's mu; "
-                f"oracle={config.oracle!r} has no multipliers"
-            )
-        start = np.maximum(start, 0.0)
     seed = None
     if candidate_caching is not None:
         seed = as_float_array(candidate_caching, "candidate_caching", shape=(view.num_files,))
 
-    exact = config.oracle == "exact"
-    kernel = _Kernel(view, others, prices, cap_slack, start, exact=exact)
+    kernel = _Kernel(view, others, prices, cap_slack)
     if seed is not None:
         kernel.consider(seed, *kernel.evaluate(seed))
-    if exact:
-        bound, dual_history, converged = _price_bisection(kernel, config)
-        multipliers = None
-    else:
-        result = _dual_decomposition(kernel, start, config)
-        bound, dual_history, converged = result.best_dual, result.dual_history, result.converged
-        multipliers = result.multipliers.reshape(view.shape)
+    bound, dual_history, converged = _price_bisection(kernel, config)
     perf.count("subgradient.iterations", len(dual_history))
     if config.polish:
         kernel.polish()
@@ -749,33 +632,30 @@ def solve_subproblem(
         caching=kernel.caching,
         routing=routing.reshape(view.shape),
         cost=kernel.cost,
-        best_dual=kernel.certified_dual(bound) if exact else bound,
+        best_dual=kernel.certified_dual(bound),
         dual_history=tuple(dual_history),
         iterations=len(dual_history),
         converged=converged,
-        multipliers=multipliers,
     )
 
 
-def _live_items(priced: np.ndarray, caps: np.ndarray, start: Optional[np.ndarray]) -> np.ndarray:
-    """The items both oracles run on (module docstring).
+def _live_items(priced: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """The items the oracle runs on (module docstring).
 
     A view without any keeps item 0, which stays dead when computed
     explicitly, so the knapsack rows are never empty.
     """
     live = np.less(priced, 0.0)
     live &= caps > 0
-    if start is not None:
-        live |= start > 0
     live_items = np.flatnonzero(live)
     return live_items if live_items.size else np.zeros(1, dtype=np.intp)
 
 
 class _Kernel:
-    """One solve on validated item vectors, shared by both oracles: the
-    residual caps and priced coefficients, the live items, the recovery
-    knapsack and screen, and the cheapest recovered ``(caching, routing,
-    cost)`` (routing over the live items)."""
+    """One solve on validated item vectors: the residual caps and priced
+    coefficients, the live items, the recovery knapsack and screen, and
+    the cheapest recovered ``(caching, routing, cost)`` (routing over the
+    live items)."""
 
     def __init__(
         self,
@@ -783,9 +663,6 @@ class _Kernel:
         others: np.ndarray,
         prices: Optional[np.ndarray],
         cap_slack: float,
-        start: Optional[np.ndarray],
-        *,
-        exact: bool,
     ) -> None:
         item_row, weights = view.item_row, view.weight
         self.view = view
@@ -797,30 +674,24 @@ class _Kernel:
         caps *= reach
         if cap_slack > 0:
             caps = np.minimum(caps + cap_slack * reach, reach)
-        # The y-independent BS cost of what the others leave, Eq. 10.  The
-        # exact oracle adds it up per file first, so zero-demand padding
-        # changes no bit of its dual values.
+        # The y-independent BS cost of what the others leave, Eq. 10,
+        # added up per file first, so zero-demand padding changes no bit
+        # of the dual values.
         residual = 1.0 - np.clip(others, 0.0, 1.0) * reach
-        bs_terms = view.bs_cost.take(item_row) * residual * weights
-        if exact:
-            bs_terms = view.file_sums(bs_terms)
+        bs_terms = view.file_sums(view.bs_cost.take(item_row) * residual * weights)
         self.constant = float(np.sum(bs_terms)) + view.constant_offset
         # Routing coefficients c = -(d_hat - d) * l * lambda, nonpositive
         # wherever offloading pays.
         row_margin = (view.bs_cost - view.link_cost) * view.reach
-        self.coefficients = np.negative(row_margin).take(item_row) * weights
-        self.prices = prices
-        self.priced = self.coefficients if prices is None else self.coefficients + prices
+        priced = np.negative(row_margin).take(item_row) * weights
+        if prices is not None:
+            priced = priced + prices
         self.tie_break = view.file_sums(row_margin.take(item_row) * weights * caps)
 
-        live = self.live_items = _live_items(self.priced, caps, start)
+        live = self.live_items = _live_items(priced, caps)
         self.sub = view.subset(live)
         self.sub_caps = caps.take(live)
-        self.sub_priced = self.priced.take(live)
-        # The batched oracle sums a recovery's cost over the full view's
-        # tree: dead slots hold ``priced * 0.0``, as the full computation
-        # fills them.  The exact oracle sums the live products alone.
-        self.cost_prod = None if exact else np.multiply(self.priced, 0.0)
+        self.sub_priced = priced.take(live)
         # Primal recovery's knapsack costs are the fixed priced
         # coefficients, so its greedy order and the caps along it are
         # prepared once, and a candidate cache set (every polish trial
@@ -836,7 +707,6 @@ class _Kernel:
             self.knapsack.order,
             self.knapsack.order_groups,
             self.knapsack.order_caps,
-            full=None if exact else (self.priced, caps),
         )
         self.cost = np.inf
         self.caching: Optional[np.ndarray] = None
@@ -846,20 +716,12 @@ class _Kernel:
         """Live routing and cost of one cache set."""
         allocation = self.knapsack.solve_masked(caching, self.view.bandwidth)
         products = self.sub_priced * allocation
-        if self.cost_prod is None:
-            return allocation, self.constant + float(np.add.reduce(products))
-        self.cost_prod[self.live_items] = products
-        return allocation, self.constant + float(np.add.reduce(self.cost_prod))
+        return allocation, self.constant + float(np.add.reduce(products))
 
     def batch_evaluate(self, trials: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Live routings and costs of a ``(T, F)`` batch of cache sets."""
         allocation = self.knapsack.solve_masked(trials, self.view.bandwidth)
         products = allocation * self.sub_priced
-        if self.cost_prod is not None:
-            # The dead slots of ``cost_prod``; the live ones are rewritten.
-            full = np.tile(self.cost_prod, (trials.shape[0], 1))
-            full[:, self.live_items] = products
-            products = full
         return allocation, self.constant + np.add.reduce(products, axis=1)
 
     def consider(self, caching: np.ndarray, routing: np.ndarray, cost: float) -> None:
@@ -885,10 +747,10 @@ class _Kernel:
             self.routing,
             self.cost,
             evaluate=self.evaluate,
-            potential=self.tie_break,
-            capacity=self.capacity,
             batch_evaluate=self.batch_evaluate,
             screen=self.screen,
+            potential=self.tie_break,
+            capacity=self.capacity,
         )
 
     def top_set(self, g: np.ndarray) -> np.ndarray:
@@ -897,7 +759,7 @@ class _Kernel:
         return _select_cache_set(self.view.num_files, self.capacity, np.negative(g), self.tie_break)
 
     def certified_dual(self, bound: float) -> float:
-        """The exact oracle's ``best_dual``.
+        """The solution's ``best_dual``.
 
         ``bound`` is the best ``L - margin`` of the bisection, less the
         constant; the bound at the incumbent's split price (where the
@@ -916,7 +778,7 @@ class _Kernel:
 
 
 def _price_bisection(kernel: _Kernel, config: SubproblemConfig) -> Tuple[float, list, bool]:
-    """The exact oracle: bisection for the bandwidth price maximizing
+    """The oracle: bisection for the bandwidth price maximizing
     ``L`` (module docstring), then recovery of the top sets at both ends
     of the last bracket.
 
@@ -977,92 +839,6 @@ def _price_bisection(kernel: _Kernel, config: SubproblemConfig) -> Tuple[float, 
     return bound, dual_history, converged
 
 
-def _dual_decomposition(
-    kernel: _Kernel, start: Optional[np.ndarray], config: SubproblemConfig
-) -> SubgradientResult:
-    """The batched oracle: the paper's projected-subgradient ascent on
-    ``mu`` over the live items, recovering each new cache set on
-    ``kernel``.  Multipliers are ``(P,)``."""
-    sub, live_items = kernel.sub, kernel.live_items
-    screen, knapsack = kernel.screen, kernel.knapsack
-    num_files, bandwidth, capacity = sub.num_files, sub.bandwidth, kernel.capacity
-    sub_caps, sub_priced, tie_break = kernel.sub_caps, kernel.sub_priced, kernel.tie_break
-    sub_coefficients = kernel.coefficients.take(live_items)
-    sub_prices = None if kernel.prices is None else kernel.prices.take(live_items)
-    scale = float(np.max(np.abs(kernel.coefficients), initial=0.0))
-    # Warm-started duals sit near the optimum already: restart with a
-    # quarter of the cold step so successive Gauss-Seidel iterations
-    # don't re-inject oscillation into an almost-converged dual.
-    eta0_factor = 0.125 if start is not None else 0.5
-    schedule = StepSchedule(eta0=max(scale, 1e-12) * eta0_factor, alpha=0.25)
-    # Dead slots of the full-length products the dual value's pairwise
-    # sum runs over, exactly as the full computation fills them:
-    # ``(priced + 0.0) * 0.0``.
-    dual_prod = np.add(kernel.priced, 0.0)
-    dual_prod *= 0.0
-    # One fused knapsack row, a recovery when the cache set is new, and a
-    # handful of in-place array ops over the live items per multiplier
-    # update; the only sort is the dual row's paid-item one.
-    mu = np.zeros(live_items.size) if start is None else start.take(live_items)
-    np.maximum(mu, 0.0, out=mu)
-    dual_costs, priced_mu, subgrad = [np.empty(live_items.size) for _ in range(3)]
-    # The dual row's caps never change during the ascent, so the
-    # greedy's ``caps * weights`` products are computed exactly once.
-    caps_weights = sub_caps * sub.weight
-    best_dual = -np.inf
-    dual_history = []
-    stall = 0
-    converged = False
-    # The recovery row depends only on the candidate cache set, and
-    # the dual iterates oscillate between a handful of sets: any set
-    # seen before is skipped outright — its evaluation is
-    # deterministic, and the strict < of the best-update means an
-    # equal cost never changes the incumbent.  A new set is skipped
-    # too when its weak-duality bound already reaches the incumbent's
-    # cost: the incumbent only decreases, so it can never win later.
-    seen_cache_sets: set = set()
-    for iteration in range(config.max_iter):
-        aggregated = sub.file_sums(mu)
-        caching = _select_cache_set(num_files, capacity, aggregated, tie_break)
-        np.add(sub_coefficients, mu, out=dual_costs)
-        if sub_prices is not None:
-            dual_costs += sub_prices
-        alloc0 = knapsack.solve_row_once(dual_costs, caps_weights, sub_caps, bandwidth)
-        cache_key = caching.tobytes()
-        if cache_key not in seen_cache_sets:
-            seen_cache_sets.add(cache_key)
-            if screen.bound(caching) < kernel.cost:
-                kernel.consider(caching, *kernel.evaluate(caching))
-            else:
-                perf.count("subproblem.recoveries_screened")
-        np.add(sub_priced, mu, out=priced_mu)
-        np.multiply(priced_mu, alloc0, out=priced_mu)
-        dual_prod[live_items] = priced_mu
-        dual_value = (
-            kernel.constant
-            + float(np.add.reduce(dual_prod))
-            - float(np.add.reduce(aggregated * caching))
-        )
-        dual_history.append(float(dual_value))
-        improved = dual_value > best_dual + DUAL_TOL * max(1.0, abs(best_dual))
-        if dual_value > best_dual:
-            best_dual = float(dual_value)
-        stall = 0 if improved else stall + 1
-        if stall >= DUAL_PATIENCE:
-            converged = True
-            break
-        caching.take(sub.item_file, out=subgrad)
-        np.subtract(alloc0, subgrad, out=subgrad)
-        np.multiply(subgrad, schedule(iteration), out=subgrad)
-        np.add(mu, subgrad, out=mu)
-        np.maximum(mu, 0.0, out=mu)
-    multipliers = np.zeros(kernel.view.num_items)
-    multipliers[live_items] = mu
-    return SubgradientResult(
-        multipliers, best_dual, None, dual_history, len(dual_history), converged
-    )
-
-
 def solve_subproblem_exhaustive(
     problem: ProblemInstance,
     sbs: int,
@@ -1073,7 +849,8 @@ def solve_subproblem_exhaustive(
     """Exact ``P_n`` optimum by enumerating every feasible cache set.
 
     Exponential in ``F``; guarded by ``max_subsets``.  Used in tests to
-    certify the dual-decomposition solver.
+    check the bandwidth-price oracle's certified gap against the true
+    optimum.
     """
     problem._check_sbs(sbs)
     caps = residual_caps(problem, sbs, aggregate_others)

@@ -237,18 +237,6 @@ class MetricsDeriver:
                 "Per-iteration max subproblem duality gap.",
                 ("run",),
             ).labels(run=run).observe(float(event["dual_gap_max"]))
-        if event.get("mu_norm_max") is not None:
-            registry.gauge(
-                "repro_mu_norm_max",
-                "Max multiplier norm of the latest iteration.",
-                ("run",),
-            ).labels(run=run).set(float(event["mu_norm_max"]))
-        if event.get("mu_norm_mean") is not None:
-            registry.gauge(
-                "repro_mu_norm_mean",
-                "Mean multiplier norm of the latest iteration.",
-                ("run",),
-            ).labels(run=run).set(float(event["mu_norm_mean"]))
 
     def _on_phase(self, event: Event) -> None:
         registry = self.registry
@@ -277,12 +265,6 @@ class MetricsDeriver:
                 "Latest subproblem duality gap, per SBS.",
                 ("run", "sbs"),
             ).labels(run=run, sbs=sbs).set(float(event["dual_gap"]))
-        if event.get("mu_norm") is not None:
-            registry.gauge(
-                "repro_sbs_mu_norm",
-                "Latest multiplier norm, per SBS.",
-                ("run", "sbs"),
-            ).labels(run=run, sbs=sbs).set(float(event["mu_norm"]))
         if event.get("solve_seconds") is not None:
             registry.histogram(
                 "repro_phase_solve_seconds",

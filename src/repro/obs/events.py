@@ -29,16 +29,14 @@ Event types
     post-phase system ``cost``, LPPM ``noise_l1``, ARQ ``retries``,
     ``stale`` degradation flag, and — when tracing extras are available
     — the subproblem ``dual_gap`` (local primal objective minus best
-    dual bound), the multiplier norm ``mu_norm`` and, unless the
-    recorder was activated with ``timings=False``, the wall-clock
+    dual bound) and, unless the recorder was activated with ``timings=False``, the wall-clock
     ``solve_seconds`` of the subproblem solve (measured inline by the
     solver).  Timing fields are
     wall-clock and therefore excluded from determinism comparisons —
     record with ``timings=False`` when traces must be byte-identical.
 ``iteration``
     End of a full sweep: ``iteration`` index, system ``cost``,
-    ``dual_gap_max`` / ``mu_norm_max`` / ``mu_norm_mean`` aggregated
-    over the iteration's solves, and ``restoration=True`` on the
+    ``dual_gap_max`` over the iteration's solves, and ``restoration=True`` on the
     zero-slack feasibility sweep of price coordination.
 ``privacy``
     One bounded-Laplace release: ``party``, booked ``epsilon``, the

@@ -152,7 +152,6 @@ class _ClientLoop:
             subproblem_config=session.config.subproblem,
             mechanism=mechanism,
             accountant=PrivacyAccountant() if mechanism is not None else None,
-            warm_start=session.config.warm_start,
         )
         self.agent.resilient = True
         self.store = CheckpointStore()

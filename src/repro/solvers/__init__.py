@@ -10,8 +10,6 @@ exploit the problem's structure:
   routing subproblem's LP structure.
 * :mod:`~repro.solvers.simplex` / :mod:`~repro.solvers.lp` — two-phase
   dense simplex and a unified LP front-end with a scipy/HiGHS backend.
-* :mod:`~repro.solvers.subgradient` — the step schedule (Eq. 22) and
-  result record of the projected subgradient dual ascent (Eqs. 21-23).
 * :mod:`~repro.solvers.mincostflow` — successive-shortest-paths min-cost
   flow for routing-given-cache.
 * :mod:`~repro.solvers.branch_and_bound` — exact mixed-binary LP solver
@@ -29,7 +27,6 @@ from .projection import (
     project_simplex,
 )
 from .simplex import SimplexResult, simplex_solve
-from .subgradient import StepSchedule, SubgradientResult
 
 __all__ = [
     "MILPResult",
@@ -47,6 +44,4 @@ __all__ = [
     "project_simplex",
     "SimplexResult",
     "simplex_solve",
-    "StepSchedule",
-    "SubgradientResult",
 ]

@@ -1,7 +1,7 @@
 """Fractional (continuous bounded) knapsack solver.
 
-The routing subproblem of the paper's Lagrangian decomposition (Eq. 20)
-has the form::
+Routing one SBS's demand for a fixed cache set (the primal recovery of
+the subproblem ``P_n``) has the form::
 
     min   sum_i  c_i * z_i
     s.t.  sum_i  w_i * z_i <= budget
@@ -15,7 +15,7 @@ budget first) is optimal — the classic greedy exchange argument.
 The solver is exact, runs in ``O(k log k)`` for ``k`` profitable items,
 and is cross-checked against the generic LP solvers in the tests.
 :class:`KnapsackWorkspace` is the same greedy split into the stages the
-batched subproblem kernel runs, bit for bit equal to the solver.
+subproblem kernel runs, bit for bit equal to the solver.
 """
 
 from __future__ import annotations
@@ -122,15 +122,13 @@ def solve_fractional_knapsack(
 
 
 class KnapsackWorkspace:
-    """The greedy of :func:`solve_fractional_knapsack` in the stages the
-    batched subproblem kernel runs, over one set of shared item weights.
+    """The greedy of :func:`solve_fractional_knapsack` in the two stages
+    the subproblem kernel runs, over one set of shared item weights.
 
     Built for exactly ``weights.size`` items (trusted: 1-D ``float64``,
     finite, nonnegative), it holds only the weights and one prepared
     order; every solve allocates its own result.
 
-    * :meth:`solve_row_once` — both stages in one pass, for costs that
-      change on every solve (the dual routing row of the ascent).
     * :meth:`prepare_row` — the cost-dependent stage for costs that stay
       fixed (primal recovery): profitability masks, the stable greedy
       order, and the item caps and groups along it, paid for once.
@@ -168,61 +166,16 @@ class KnapsackWorkspace:
         self._order_weights = np.empty(0)
         self._free: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
-    def _split(self, costs: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """The ``paid`` (negative cost, positive weight) mask and the
-        ``free`` (negative cost, zero weight) one, ``None`` when empty."""
-        paid = costs < 0.0
-        if self._zero is None:
-            return paid, None
-        free = paid & self._zero
-        paid &= self._positive
-        return paid, free if free.any() else None
-
-    def solve_row_once(
-        self, costs: np.ndarray, scaled: np.ndarray, caps: np.ndarray, budget: float
-    ) -> np.ndarray:
-        """Both stages in one pass; returns the allocation.
-
-        ``scaled`` is the product ``caps * weights``, hoisted by the
-        caller (the dual routing row of the ascent has loop-invariant
-        caps).  Only what the solve reads is computed: the paid items'
-        costs and weights are gathered once and their densities sorted,
-        and the greedy order is not kept.  The cumulative budget never
-        decreases, so only the items it reaches before ``budget`` can
-        take a positive amount; the split and divide run on that prefix
-        alone (every later item takes exactly ``0.0`` in the full solve
-        too).
-        """
-        perf.count("knapsack.batched_rows")
-        paid, free = self._split(costs)
-        paid_idx = paid.nonzero()[0]
-        allocation = np.zeros(self.weights.size)
-        n = paid_idx.size
-        if n:
-            weights = self.weights.take(paid_idx)
-            ratio = costs.take(paid_idx)
-            ratio /= weights
-            rank = ratio.argsort(kind="stable")
-            order_n = paid_idx.take(rank)
-            full = scaled.take(order_n)
-            before = np.empty(n)
-            before[0] = 0.0
-            full[:-1].cumsum(out=before[1:])
-            reached = int(before.searchsorted(budget))
-            # On the prefix ``budget - before > 0``, so the clip is a min.
-            take = np.subtract(budget, before[:reached])
-            np.minimum(take, full[:reached], out=take)
-            vals = np.zeros(reached)
-            np.divide(take, weights.take(rank[:reached]), out=vals, where=take > 0.0)
-            allocation[order_n[:reached]] = vals
-        if free is not None:
-            allocation[free] = caps[free]
-        return allocation
-
     def prepare_row(self, costs: np.ndarray, caps: np.ndarray, groups: np.ndarray) -> None:
-        """Cost-dependent stage: the paid items in greedy order (``order``)
-        with their ``groups`` and ``caps`` along it, and the free items."""
-        paid, free = self._split(costs)
+        """Cost-dependent stage: the paid items (negative cost, positive
+        weight) in greedy order (``order``) with their ``groups`` and
+        ``caps`` along it, and the free items (negative cost, zero
+        weight)."""
+        paid = costs < 0.0
+        free = None
+        if self._zero is not None:
+            free = paid & self._zero
+            paid &= self._positive
         paid_idx = paid.nonzero()[0]
         ratio = costs[paid_idx] / self.weights[paid_idx]
         self.order = paid_idx[ratio.argsort(kind="stable")]
@@ -230,7 +183,7 @@ class KnapsackWorkspace:
         self.order_caps = caps.take(self.order)
         self._order_weights = self.weights.take(self.order)
         self._free = None
-        if free is not None:
+        if free is not None and free.any():
             items = free.nonzero()[0]
             self._free = (items, caps.take(items), groups.take(items))
 

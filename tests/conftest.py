@@ -12,17 +12,18 @@ from repro.core.problem import ProblemInstance
 
 def solution_digest(solutions) -> str:
     """SHA-256 over every output of a sequence of subproblem solutions:
-    the cache set, routing and multiplier bytes, and the reprs of the
-    cost, best dual, dual history, iteration count and convergence flag.
+    the cache set and routing bytes, and the reprs of the cost, best
+    dual, dual history, iteration count and convergence flag.
 
-    The batched oracle's tests pin these digests; they were recorded
-    from the per-iteration validating reference oracle the batched
-    kernel was bit-identical to, before that oracle was deleted.
+    The seeded subproblem tests pin these digests.  Each solution also
+    hashes the ``b"-"`` an absent multiplier array used to contribute,
+    so digests recorded while solutions still carried one stay valid.
     """
     digest = hashlib.sha256()
     for solution in solutions:
-        for array in (solution.caching, solution.routing, solution.multipliers):
-            digest.update(b"-" if array is None else np.ascontiguousarray(array).tobytes())
+        for array in (solution.caching, solution.routing):
+            digest.update(np.ascontiguousarray(array).tobytes())
+        digest.update(b"-")
         scalars = (
             float(solution.cost),
             float(solution.best_dual),

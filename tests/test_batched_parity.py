@@ -4,9 +4,8 @@ The batched fractional-knapsack stages are only admissible because they
 are *bit-identical* to the scalar solver — same stable tie-breaking,
 same floating-point operation order.  These suites hammer that claim
 with seeded random instances, degenerate cases included, asserting
-exact equality (no tolerances anywhere).  The batched subgradient
-ascent is pinned the same way, by digests of its full outputs recorded
-from the validating reference oracle it was bit-identical to.
+exact equality (no tolerances anywhere).  The subproblem oracle built
+on them is pinned by digests of its full outputs on seeded cases.
 """
 
 from __future__ import annotations
@@ -125,101 +124,9 @@ class TestKnapsackBatchParity:
         assert float(costs @ allocation) == 0.0
 
 
-def _solve_once(costs, weights, caps, budget, *, workspace=None):
-    """The fused dual row of a fresh (or given) workspace."""
-    if workspace is None:
-        workspace = KnapsackWorkspace(weights)
-    return workspace.solve_row_once(costs, caps * weights, caps, budget)
-
-
-class TestFusedDualRow:
-    """``solve_row_once`` (the dual routing row, sorted and solved in one
-    pass) vs ``solve_fractional_knapsack``: the same bytes, always."""
-
-    @staticmethod
-    def assert_exact(costs, weights, caps, budget):
-        allocation = _solve_once(costs, weights, caps, budget)
-        scalar = solve_fractional_knapsack(costs, weights, budget, caps)
-        assert allocation.tobytes() == scalar.allocation.tobytes()
-
-    def test_random_instances_exact(self):
-        rng = np.random.default_rng(4321)
-        for case in range(300):
-            items = int(rng.integers(1, 40))
-            costs, weights, caps, budget = _random_knapsack(rng, 1, items)
-            self.assert_exact(costs[0], weights, caps[0], budget)
-
-    def test_tied_ratios(self):
-        """Many items share a density: the stable order decides who gets
-        the budget's remainder."""
-        rng = np.random.default_rng(8)
-        for _ in range(40):
-            items = int(rng.integers(2, 30))
-            weights = rng.choice([0.5, 1.0, 2.0], size=items)
-            costs = -weights * rng.choice([1.0, 2.0], size=items)
-            caps = rng.choice([0.25, 1.0], size=items)
-            budget = float(rng.uniform(0.0, np.sum(caps * weights)))
-            self.assert_exact(costs, weights, caps, budget)
-
-    def test_zero_weight_items_are_free(self):
-        costs = np.array([-1.0, -2.0, 3.0, -0.5, -4.0])
-        weights = np.array([0.0, 1.0, 0.0, 0.0, 2.0])
-        caps = np.array([0.7, 1.0, 1.0, 0.0, 0.5])
-        for budget in (0.0, 0.5, 10.0):
-            self.assert_exact(costs, weights, caps, budget)
-        allocation = _solve_once(costs, weights, caps, 0.0)
-        assert allocation[0] == 0.7 and allocation[2] == 0.0
-
-    def test_zero_caps(self):
-        costs = np.array([-3.0, -2.0, -1.0, -2.0])
-        weights = np.array([1.0, 1.0, 1.0, 1.0])
-        for caps in (np.zeros(4), np.array([0.0, 1.0, 0.0, 0.5])):
-            for budget in (0.0, 0.5, 5.0):
-                self.assert_exact(costs, weights, caps, budget)
-
-    def test_zero_budget(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            costs, weights, caps, _ = _random_knapsack(rng, 1, 12)
-            self.assert_exact(costs[0], weights, caps[0], 0.0)
-
-    def test_budget_at_or_above_total_demand(self):
-        """Every paid item fills its cap, the last one exactly at the budget."""
-        rng = np.random.default_rng(10)
-        for _ in range(20):
-            costs, weights, caps, _ = _random_knapsack(rng, 1, 15)
-            total = float(np.sum(caps[0] * weights))
-            for budget in (total, total * 2.0 + 1.0):
-                self.assert_exact(costs[0], weights, caps[0], budget)
-
-    def test_single_item(self):
-        rng = np.random.default_rng(11)
-        for _ in range(30):
-            costs = rng.normal(0.0, 1.0, size=1)
-            weights = rng.choice([0.0, rng.uniform(0.1, 2.0)], size=1)
-            caps = rng.uniform(0.0, 2.0, size=1)
-            self.assert_exact(costs, weights, caps, float(rng.uniform(0.0, 2.0)))
-
-    def test_counts_one_row_and_leaves_prepared_rows_alone(self):
-        """One ``knapsack.batched_rows`` per call, and the row prepared on
-        the same workspace (the recovery row) still solves exactly."""
-        rng = np.random.default_rng(12)
-        costs, weights, caps, budget = _random_knapsack(rng, 2, 20)
-        workspace = KnapsackWorkspace(weights)
-        groups = np.arange(20)
-        workspace.prepare_row(costs[1], np.ones(20), groups)
-        with perf.collecting() as registry:
-            for _ in range(3):
-                _solve_once(costs[0], weights, caps[0], budget, workspace=workspace)
-        assert registry.snapshot()["counters"]["knapsack.batched_rows"] == 3
-        recovery = workspace.solve_masked(caps[1], budget)
-        scalar = solve_fractional_knapsack(costs[1], weights, budget, caps[1])
-        assert recovery.tobytes() == scalar.allocation.tobytes()
-
-
 def _tie_heavy(rng: np.random.Generator, size: int, *, inf: bool = True) -> np.ndarray:
     """Values from a small set, so most of them tie, with ``-0.0``,
-    negatives and (as summed multipliers can overflow to) ``+inf``."""
+    negatives and (as per-file sums can overflow to) ``+inf``."""
     values = rng.integers(0, 4, size=size).astype(np.float64)
     values[rng.random(size) < 0.15] = -0.0
     values[rng.random(size) < 0.15] *= -1.0
@@ -279,27 +186,28 @@ class TestTopK:
                 assert caching.sum() == min(capacity, files)
 
     def test_cache_subproblem_tie_break(self):
-        """The caching subproblem (Eq. 18) on summed multipliers: positive
-        aggregated multipliers first, spare slots by the tie break."""
+        """The top-set selection on per-file sums of per-item scores:
+        positive sums first, spare slots by the tie break."""
         rng = np.random.default_rng(79)
         for _ in range(60):
             problem = random_problem(rng, num_sbs=1, num_groups=3, num_files=int(rng.integers(1, 30)))
             shape = (problem.num_groups, problem.num_files)
-            multipliers = rng.integers(0, 2, size=shape) * rng.choice([0.5, 1.0], size=shape)
-            multipliers *= rng.random(shape) < 0.2
+            scores = rng.integers(0, 2, size=shape) * rng.choice([0.5, 1.0], size=shape)
+            scores *= rng.random(shape) < 0.2
             tie_break = _tie_heavy(rng, problem.num_files, inf=False)
             capacity = int(np.floor(problem.cache_capacity[0] + 1e-9))
             caching = _select_cache_set(
-                problem.num_files, capacity, multipliers.sum(axis=0), tie_break
+                problem.num_files, capacity, scores.sum(axis=0), tie_break
             )
-            expected = _reference_cache_set(capacity, multipliers.sum(axis=0), tie_break)
+            expected = _reference_cache_set(capacity, scores.sum(axis=0), tie_break)
             assert np.array_equal(caching, expected)
             assert caching.sum() == min(capacity, problem.num_files)
 
     @pytest.mark.parametrize("empty_slots", [0, 2])
     def test_polish_candidate_order(self, empty_slots):
         """Polish tries the uncached files of positive potential in stable
-        descending order, and every trial fits the cache."""
+        descending order — adds one by one, swaps as rows of the batch —
+        and every trial fits the cache."""
         rng = np.random.default_rng(80 + empty_slots)
         for _ in range(40):
             files = int(rng.integers(4, 60))
@@ -316,11 +224,18 @@ class TestTopK:
                 tried.append(int(np.flatnonzero(trial > caching)[0]))
                 return np.zeros(1), 0.0
 
+            def batch_evaluate(trials):
+                for trial in trials:
+                    evaluate(trial)
+                return np.zeros((trials.shape[0], 1)), np.zeros(trials.shape[0])
+
             _polish_cache_set(
                 caching,
                 np.zeros(1),
                 0.0,
                 evaluate=evaluate,
+                batch_evaluate=batch_evaluate,
+                screen=_NoScreen(),
                 potential=potential,
                 capacity=capacity,
                 max_passes=1,
@@ -335,96 +250,104 @@ class TestTopK:
             assert tried == candidates[:empty_slots] + candidates * cached
 
 
-class TestSubgradientStepParity:
-    """Batched multiplier updates vs the scalar ascent: exact trajectories."""
+class _NoScreen:
+    """A recovery screen that never proves a trial loses."""
 
-    def test_projected_step_matches_scalar(self):
-        """The fused 2-D projected step equals the per-element update."""
-        rng = np.random.default_rng(42)
-        for _ in range(200):
-            size = int(rng.integers(1, 40))
-            mu = np.abs(rng.normal(0.0, 1.0, size=size))
-            subgrad = rng.normal(0.0, 1.0, size=size)
-            step = float(rng.uniform(0.0, 0.5))
-            batched = np.maximum(mu + step * subgrad, 0.0)
-            scalar = np.array(
-                [max(mu[i] + step * subgrad[i], 0.0) for i in range(size)]
-            )
-            assert np.array_equal(batched, scalar)
+    def bound(self, caching):
+        return -np.inf
+
+    def swap_bounds(self, caching, outs, ins):
+        return np.full(outs.size, -np.inf)
+
+
+class TestPinnedSolves:
+    """The oracle's outputs on seeded subproblems, pinned by digests."""
 
     @pytest.mark.parametrize("polish", [True, False])
-    def test_full_ascent_parity_random_instances(self, polish):
-        """The batched dual ascent on random subproblems, pinned.
-
-        This is the end-to-end guarantee: same dual history (every
-        iterate), same multipliers, same primal solution as the
-        reference oracle — so ``repro-trace diff`` and the byte-identity
-        anchors stay safe.
-        """
-        assert solution_digest(_full_ascent_solutions(polish)) == BATCHED_DIGESTS[
-            f"full-ascent-{polish}"
-        ]
+    def test_random_instances(self, polish):
+        """Thirteen random subproblems: plain, priced with cap slack,
+        seeded with an incumbent, and last one where polish moves."""
+        solutions = _random_instance_solutions(polish)
+        assert solution_digest(solutions) == DIGESTS[f"random-{polish}"]
+        if polish:
+            unpolished = _polish_case(polish=False)
+            assert solutions[-1].cost < unpolished.cost
+            assert not np.array_equal(solutions[-1].caching, unpolished.caching)
 
     def test_screened_city_parity_warm_start(self):
-        """The batched ascent on a dense city instance where the
-        weak-duality screen fires, pinned: polish on, and a second call
-        warm-started from the first call's multipliers and cache set."""
+        """A dense city instance where the weak-duality screen fires,
+        pinned: polish on, and a second call warm-started with the first
+        call's cache set as its incumbent."""
         with perf.collecting() as registry:
             solutions = _screened_city_solutions()
-        assert solution_digest(solutions) == BATCHED_DIGESTS["screened-city"]
+        assert solution_digest(solutions) == DIGESTS["screened-city"]
         assert registry.snapshot()["counters"]["subproblem.recoveries_screened"] > 0
 
 
-#: Digests (:func:`conftest.solution_digest`) of the batched oracle's
-#: outputs on this module's seeded cases, recorded from the validating
-#: reference oracle, which the batched kernel matched bit for bit.
-BATCHED_DIGESTS = {
-    "full-ascent-True": "af2d3880b2160ed8808d8248fea462065244cd0a1462a9c54378433d26cc306e",
-    "full-ascent-False": "af2d3880b2160ed8808d8248fea462065244cd0a1462a9c54378433d26cc306e",
-    "screened-city": "a38a2bc8aa85acd282d7c32e4e28acc7884022d0e678840c61c67f4091897159",
-    "dead-zero-demand-True": "8ebee91ed33248399104c072d8c74dfd33a8a04d6169190d42d926c92c9a37f7",
-    "dead-zero-demand-False": "8ebee91ed33248399104c072d8c74dfd33a8a04d6169190d42d926c92c9a37f7",
-    "dead-saturated-True": "cb8259a2e3808536fa129348dfb99a2dae48afa6319a4231a84229e2ab1cdc1c",
-    "dead-saturated-False": "cb8259a2e3808536fa129348dfb99a2dae48afa6319a4231a84229e2ab1cdc1c",
-    "dead-costly-link-True": "14a00ff8256f7cba0115d3431d86ad8e4af51665a106c5578746076dc0fb028a",
-    "dead-costly-link-False": "14a00ff8256f7cba0115d3431d86ad8e4af51665a106c5578746076dc0fb028a",
-    "dead-priced-True": "94e8093f39c6ed81e6353c03015712815a5c3bf63860b1435edac3b01b35c034",
-    "dead-priced-False": "94e8093f39c6ed81e6353c03015712815a5c3bf63860b1435edac3b01b35c034",
-    "dead-warm-dead-True": "cfd358c7125ca6a40a90565eb0872243c4acfa50e6c12955c803473c3bdb4885",
-    "dead-warm-dead-False": "cfd358c7125ca6a40a90565eb0872243c4acfa50e6c12955c803473c3bdb4885",
-    "dead-none-live-True": "a22843d810e03998eddb1c9ca637127aa8cf9222308c4d9042159c7378d65578",
-    "dead-none-live-False": "a22843d810e03998eddb1c9ca637127aa8cf9222308c4d9042159c7378d65578",
+#: Digests (:func:`conftest.solution_digest`) of the oracle's outputs on
+#: this module's seeded cases, recorded with the code from which the
+#: paper's multiplier ascent was deleted: the deletion left them as
+#: they were.
+DIGESTS = {
+    "random-True": "66b3b4473c8d052a7a93446cdc3817e05f01731e4a5f3a509d6e7451cb6ae5e4",
+    "random-False": "6730e25005f5f00a7e199d04aea313d46a048166fe9da03f8b23c4926bf62be2",
+    "screened-city": "fc3a2a7621ff238aa5409afbc2d1d09e9c5ebbef2d2b5320846b223629d2291a",
+    "dead-zero-demand": "0fb8a0f60bec677b35f01b5e52ed1568ebacc8a9b881b0e5b55e8d2f022af091",
+    "dead-saturated": "e84184b4f299dd9e153e6103fd772e06979dfd2d2d4ed1718714758e14aa65b0",
+    "dead-costly-link": "a169d2886ec1baeac7f5b2c705d57d5e8772ca8beeb3e93dbb41989ab0cecc10",
+    "dead-priced": "2f12cee5c27078ae82b80888af7a130ebdcc90514757fff01da88ce70ce2fd32",
+    "dead-none-live": "e31ab4e45eaf5e86657c3545ea3e55c15a135777cb79f364f09a6eb7176ed0d6",
 }
 
+#: Seed of :func:`_polish_case`: the first draw of the random family's
+#: generator on which polish swaps a file and lowers the cost.
+POLISH_SEED = 206
 
-def _full_ascent_solutions(polish, oracle="batched"):
-    """Twelve random subproblems: plain, priced with cap slack, and
-    warm-started."""
+
+def _random_subproblem(rng):
+    """A small random subproblem of SBS 0 and the others' aggregate."""
+    problem = random_problem(
+        rng,
+        num_sbs=2,
+        num_groups=int(rng.integers(2, 7)),
+        num_files=int(rng.integers(2, 9)),
+    )
+    shape = (problem.num_groups, problem.num_files)
+    aggregate = np.clip(rng.uniform(size=shape) * 1.2 - 0.1, 0.0, None)
+    return problem, aggregate
+
+
+def _polish_case(polish):
+    problem, aggregate = _random_subproblem(np.random.default_rng(POLISH_SEED))
+    return solve_subproblem(problem, 0, aggregate, SubproblemConfig(polish=polish))
+
+
+def _random_instance_solutions(polish):
+    """Twelve random subproblems, plain, priced with cap slack, and
+    seeded with a random incumbent, then :func:`_polish_case`."""
     rng = np.random.default_rng(2024)
     solutions = []
     for case in range(12):
-        problem = random_problem(
-            rng,
-            num_sbs=2,
-            num_groups=int(rng.integers(2, 7)),
-            num_files=int(rng.integers(2, 9)),
-        )
-        shape = (problem.num_groups, problem.num_files)
-        aggregate = np.clip(rng.uniform(size=shape) * 1.2 - 0.1, 0.0, None)
+        problem, aggregate = _random_subproblem(rng)
+        shape = aggregate.shape
         kwargs = {}
         if case % 3 == 1:
             kwargs["prices"] = np.abs(rng.normal(0.0, 0.05, size=shape))
             kwargs["cap_slack"] = 0.1
         if case % 3 == 2:
-            kwargs["initial_multipliers"] = np.abs(rng.normal(0.0, 0.2, size=shape))
-        config = SubproblemConfig(oracle=oracle, polish=polish, max_iter=30)
+            incumbent = np.zeros(problem.num_files)
+            size = min(int(problem.cache_capacity[0]), problem.num_files)
+            incumbent[rng.choice(problem.num_files, size=size, replace=False)] = 1.0
+            kwargs["candidate_caching"] = incumbent
+        config = SubproblemConfig(polish=polish, max_iter=30)
         solutions.append(solve_subproblem(problem, 0, aggregate, config, **kwargs))
+    solutions.append(_polish_case(polish))
     return solutions
 
 
-def _screened_city_solutions(oracle="batched"):
+def _screened_city_solutions():
     """Two SBSs of a dense city instance, each solved twice, the second
-    time warm-started from the first solve."""
+    time with the first solve's cache set as the incumbent."""
     problem = generate_city_instance(6, 40, 500, rng=14).to_dense()
     shape = (problem.num_groups, problem.num_files)
     rng = np.random.default_rng(7)
@@ -433,14 +356,8 @@ def _screened_city_solutions(oracle="batched"):
         aggregate = np.zeros(shape)
         previous = None
         for _ in range(2):
-            warm = {}
-            if previous is not None:
-                warm = {
-                    "initial_multipliers": previous.multipliers,
-                    "candidate_caching": previous.caching,
-                }
-            config = SubproblemConfig(oracle=oracle, polish=True)
-            previous = solve_subproblem(problem, sbs, aggregate, config, **warm)
+            seed = {} if previous is None else {"candidate_caching": previous.caching}
+            previous = solve_subproblem(problem, sbs, aggregate, **seed)
             solutions.append(previous)
             aggregate = np.clip(aggregate + rng.uniform(0.0, 0.3, size=shape), 0.0, 1.0)
     return solutions
@@ -475,38 +392,34 @@ def _dead_item_case(rng, kind):
         kwargs["prices"] = np.where(free, -1.0, np.where(dead, 200.0 * problem.demand, 0.0))
         kwargs["cap_slack"] = 0.2
         aggregate = np.where(rng.random(shape) < 0.3, 1.0, aggregate)
-    elif kind == "warm-dead":
-        problem = dataclasses.replace(problem, demand=np.where(dead, 0.0, problem.demand))
-        aggregate = np.where(rng.random(shape) < 0.3, 1.0, aggregate)
-        kwargs["initial_multipliers"] = rng.uniform(0.0, 0.5, size=shape) * (
-            rng.random(shape) < 0.6
-        )
     elif kind == "none-live":
         aggregate = np.full(shape, 1.0)
     return problem, aggregate, kwargs
 
 
-def _dead_item_solutions(kind, polish, oracle="batched"):
+def _dead_item_solutions(kind, polish):
     """Six subproblems of one dead-item class."""
     rng = np.random.default_rng(sum(map(ord, kind)))
     solutions = []
     for _ in range(6):
         problem, aggregate, kwargs = _dead_item_case(rng, kind)
-        config = SubproblemConfig(oracle=oracle, polish=polish, max_iter=40)
+        config = SubproblemConfig(max_iter=40, polish=polish)
         solutions.append(solve_subproblem(problem, 0, aggregate, config, **kwargs))
     return solutions
 
 
 class TestDeadItemParity:
-    """The batched ascent on live items only matches the reference that
-    ran the full view, bit for bit, whatever makes items dead."""
+    """The oracle on live items only, pinned, whatever makes items dead.
 
-    KINDS = ("zero-demand", "saturated", "costly-link", "priced", "warm-dead", "none-live")
+    Polish moves nothing on these cases: with it on and off the outputs
+    match the same digest."""
+
+    KINDS = ("zero-demand", "saturated", "costly-link", "priced", "none-live")
 
     @pytest.mark.parametrize("polish", [True, False])
     @pytest.mark.parametrize("kind", KINDS)
-    def test_dead_items_match_legacy(self, kind, polish, monkeypatch):
-        # The live set the batched kernel computes, as it computes it.
+    def test_dead_items_pinned(self, kind, polish, monkeypatch):
+        # The live set the kernel computes, as it computes it.
         live_items, live_sets = subproblem._live_items, []
 
         def spy(*args):
@@ -515,11 +428,11 @@ class TestDeadItemParity:
 
         monkeypatch.setattr(subproblem, "_live_items", spy)
         solutions = _dead_item_solutions(kind, polish)
-        assert solution_digest(solutions) == BATCHED_DIGESTS[f"dead-{kind}-{polish}"]
+        assert solution_digest(solutions) == DIGESTS[f"dead-{kind}"]
         assert len(live_sets) == len(solutions)
         for live in live_sets:
             if kind == "none-live":
                 # One dead item stands in for the empty live set.
                 assert live.size == 1
-            elif kind != "warm-dead":
+            else:
                 assert live.size < 6 * 8

@@ -75,7 +75,7 @@ class TestCostHistory:
         assert summary["final_cost"] == 80.0
 
 
-STATS = {"dual_gap": 0.25, "mu_norm": 2.0}
+STATS = {"dual_gap": 0.25}
 WHERE = {"sbs": 1, "iteration": 0, "phase": 0}
 
 

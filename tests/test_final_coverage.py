@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.cost import CostModel, LinearCostModel
 from repro.core.distributed import DistributedConfig, solve_distributed
-from repro.core.subproblem import SubproblemConfig, solve_subproblem
+from repro.core.subproblem import solve_subproblem
 from repro.experiments.reporting import ascii_chart, format_headline_gaps
 from repro.experiments.runner import SweepPoint, SweepResult
 from repro.experiments.schemes import SCHEMES
@@ -31,23 +31,6 @@ class TestIncumbentSeeding:
         )
         assert result.cost <= incumbent_cost + 1e-9
 
-    def test_candidate_with_warm_multipliers(self, tiny_problem):
-        """Multipliers are the batched oracle's to carry."""
-        batched = SubproblemConfig(oracle="batched")
-        aggregate = np.zeros((3, 4))
-        first = solve_subproblem(tiny_problem, 0, aggregate, batched)
-        assert first.multipliers is not None
-        second = solve_subproblem(
-            tiny_problem,
-            0,
-            aggregate,
-            batched,
-            initial_multipliers=first.multipliers,
-            candidate_caching=first.caching,
-        )
-        # Re-solving the identical subproblem can only match or improve.
-        assert second.cost <= first.cost + 1e-9
-
     def test_monotone_descent_over_many_iterations(self, tiny_problem):
         """The incumbent-seeding guarantee at system level: even with a
         long run and zero accuracy threshold, phase costs never rise."""
@@ -62,14 +45,6 @@ class TestIncumbentSeeding:
         with pytest.raises(ValidationError):
             solve_subproblem(
                 tiny_problem, 0, np.zeros((3, 4)), candidate_caching=np.ones(7)
-            )
-
-    def test_bad_multiplier_shape_rejected(self, tiny_problem):
-        from repro.exceptions import ValidationError
-
-        with pytest.raises(ValidationError):
-            solve_subproblem(
-                tiny_problem, 0, np.zeros((3, 4)), initial_multipliers=np.ones(5)
             )
 
 

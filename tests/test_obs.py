@@ -164,13 +164,12 @@ class TestDistributedTrace:
         # Every SBS booked the same basic-composition budget.
         assert len(set(summary.epsilon_by_party.values())) == 1
 
-    def test_iteration_events_carry_dual_gap_and_mu_norm(self, tmp_path):
+    def test_iteration_events_carry_dual_gap(self, tmp_path):
         _, events = traced_run(tmp_path)
         iterations = [event for event in events if event["type"] == "iteration"]
         assert iterations
         for event in iterations:
             assert event["dual_gap_max"] >= 0.0
-            assert event["mu_norm_max"] >= event["mu_norm_mean"] >= 0.0
 
     def test_phase_events_match_history(self, tmp_path):
         result, events = traced_run(tmp_path)

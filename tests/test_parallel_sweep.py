@@ -5,7 +5,6 @@ import pytest
 
 from repro import obs
 from repro.core.distributed import DistributedConfig
-from repro.core.subproblem import SubproblemConfig
 from repro.exceptions import ValidationError
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import _CellTask, _evaluate_cells, run_sweep
@@ -40,14 +39,9 @@ class TestBitIdentity:
 
     def test_legacy_engine_matches_default_sweep(self):
         """The pre-optimization engine (no dedup, serial) gives the
-        default engine's numbers bit for bit, on the paper's batched
-        oracle as on the default one."""
-        batched = DistributedConfig(
-            accuracy=1e-3, max_iterations=2, subproblem=SubproblemConfig(oracle="batched")
-        )
-        for config in (batched, CONFIG):
-            reference = _sweep(workers=1, dedup=False, seeds=(7,), distributed_config=config)
-            assert _sweep(seeds=(7,), distributed_config=config) == reference
+        default engine's numbers bit for bit."""
+        reference = _sweep(workers=1, dedup=False, seeds=(7,), distributed_config=CONFIG)
+        assert _sweep(seeds=(7,), distributed_config=CONFIG) == reference
 
     def test_parallel_without_dedup_matches_serial(self):
         assert _sweep(workers=1, dedup=False) == _sweep(workers=2, dedup=False)

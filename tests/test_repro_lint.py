@@ -561,7 +561,7 @@ class TestHotPathRule:
 
 class TestSelfLint:
     #: Codes with committed ratchet entries in ``.repro-lint-baseline.json``:
-    #: REPRO304 accepted scalar loops (polish swap chain, exhaustive
+    #: REPRO304 accepted scalar loops (polish passes and adds, exhaustive
     #: reference oracle, chunk dispatch) and REPRO601 single-threaded
     #: setup/teardown writes to module globals (registry/recorder
     #: activation, per-worker-process ledgers).

@@ -64,7 +64,7 @@ class TestRoundTrip:
         meta = {
             "action": "phase_done",
             "noise_l1": 0.1 + 0.2,
-            "stats": {"dual_gap": 1e-17, "mu_norm": 3.141592653589793},
+            "stats": {"dual_gap": 1e-17, "solve_seconds": 3.141592653589793},
             "delivered": True,
         }
         frame = _array_frame(array=None, meta=meta, kind=MessageKind.CONTROL)
