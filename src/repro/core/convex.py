@@ -12,8 +12,8 @@ instance and the solver machinery it needs:
 * :func:`solve_convex_routing` — one SBS's best-response routing for a
   *convex* local cost, by projected gradient descent in traffic space
   (``z = lambda * y``), where the feasible set ``{0 <= z <= caps_z,
-  sum(z) <= B_n}`` is exactly the capped simplex of
-  :func:`repro.solvers.projection.project_capped_simplex`.
+  sum(z) <= B_n}`` is exactly the capped simplex that
+  :func:`project_capped_simplex` projects onto.
 
 With ``gamma = 0`` the model reduces to the linear one and the solver
 recovers the fractional-knapsack solution — both facts are pinned by the
@@ -29,11 +29,10 @@ import numpy as np
 
 from .._validation import as_binary_array, as_float_array, check_nonnegative_float
 from ..exceptions import ValidationError
-from ..solvers.projection import project_capped_simplex
 from .cost import bs_serving_cost, sbs_serving_cost
 from .problem import ProblemInstance
 
-__all__ = ["CongestionCostModel", "solve_convex_routing"]
+__all__ = ["CongestionCostModel", "project_capped_simplex", "solve_convex_routing"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -164,3 +163,51 @@ def _local_value(
     linear = float(np.sum(-margin[:, np.newaxis] * z_matrix))
     scale = max(float(problem.bandwidth[sbs]), 1.0)
     return linear + model.gamma * float(z.sum()) ** 2 / scale
+
+
+def project_capped_simplex(
+    point: np.ndarray,
+    radius: float,
+    cap: Optional[np.ndarray] = None,
+    *,
+    tol: float = 1e-10,
+    max_iter: int = 200,
+) -> np.ndarray:
+    """Projection onto ``{z : 0 <= z <= cap, sum(z) <= radius}``.
+
+    Solved by bisection on the dual variable of the sum constraint: the
+    projection is ``clip(point - theta, 0, cap)`` where ``theta >= 0`` is
+    the smallest value making the budget hold.  If the unconstrained clip
+    already satisfies the budget, ``theta = 0``.
+    """
+    v = np.asarray(point, dtype=np.float64)
+    shape = v.shape
+    v = v.ravel()
+    if cap is None:
+        cap_vec = np.ones_like(v)
+    else:
+        cap_vec = np.broadcast_to(np.asarray(cap, dtype=np.float64), shape).ravel().copy()
+    if np.any(cap_vec < 0):
+        raise ValidationError("caps must be nonnegative")
+    if radius < 0:
+        raise ValidationError(f"budget radius must be nonnegative, got {radius}")
+
+    def clipped(theta: float) -> np.ndarray:
+        return np.clip(v - theta, 0.0, cap_vec)
+
+    if clipped(0.0).sum() <= radius + tol:
+        return clipped(0.0).reshape(shape)
+    low, high = 0.0, float(np.max(v))
+    for _ in range(max_iter):
+        mid = 0.5 * (low + high)
+        if clipped(mid).sum() > radius:
+            low = mid
+        else:
+            high = mid
+        if high - low < tol:
+            break
+    result = clipped(high)
+    total = result.sum()
+    if total > radius and total > 0:
+        result *= radius / total
+    return result.reshape(shape)

@@ -623,7 +623,7 @@ def solve_subproblem(
     if seed is not None:
         kernel.consider(seed, *kernel.evaluate(seed))
     bound, dual_history, converged = _price_bisection(kernel, config)
-    perf.count("subgradient.iterations", len(dual_history))
+    perf.count("subproblem.price_probes", len(dual_history))
     if config.polish:
         kernel.polish()
     routing = np.zeros(view.num_items)

@@ -4,8 +4,6 @@ The paper relies on a generic LP toolkit (PuLP); this package provides
 the equivalent machinery plus the specialized combinatorial solvers that
 exploit the problem's structure:
 
-* :mod:`~repro.solvers.projection` — Euclidean projections for projected
-  (sub)gradient methods.
 * :mod:`~repro.solvers.fractional_knapsack` — exact greedy solver for the
   routing subproblem's LP structure.
 * :mod:`~repro.solvers.simplex` / :mod:`~repro.solvers.lp` — two-phase
@@ -20,12 +18,6 @@ from .branch_and_bound import MILPResult, solve_mixed_binary_lp
 from .fractional_knapsack import KnapsackResult, solve_fractional_knapsack
 from .lp import LPResult, solve_lp
 from .mincostflow import FlowNetwork, FlowResult, min_cost_flow
-from .projection import (
-    project_box,
-    project_capped_simplex,
-    project_nonnegative,
-    project_simplex,
-)
 from .simplex import SimplexResult, simplex_solve
 
 __all__ = [
@@ -38,10 +30,6 @@ __all__ = [
     "FlowNetwork",
     "FlowResult",
     "min_cost_flow",
-    "project_box",
-    "project_capped_simplex",
-    "project_nonnegative",
-    "project_simplex",
     "SimplexResult",
     "simplex_solve",
 ]

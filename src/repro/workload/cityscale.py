@@ -22,7 +22,10 @@ requests a few hundred contents — so this module builds a
 
 Nothing dense-shaped is ever allocated except the ``(U, N)`` distance
 matrix used for the nearest-SBS query, which is linear in the topology,
-not in the catalogue.
+not in the catalogue, and the transient ``(U, 2 * files_per_group)``
+matrix of sampling keys (and its draws), the size of the CSR demand the
+function returns: every group's support is drawn, and every demand row
+apportioned, in whole-array passes.
 """
 
 from __future__ import annotations
@@ -119,23 +122,33 @@ def generate_city_instance(
     cdf = np.cumsum(popularity)
     cdf[-1] = 1.0
     volumes = generator.uniform(lo, hi, size=num_groups)
-    rows_files = []
-    rows_values = []
-    counts_per_group = np.zeros(num_groups, dtype=np.int64)
-    for group in range(num_groups):
-        draws = np.searchsorted(cdf, generator.random(2 * support_target))
-        support = np.unique(draws)[:support_target]
-        total = max(int(round(volumes[group])), support.size)
-        # Most-popular-first volumes land on the lowest file ids — the
-        # global head — because ``support`` is ascending and the global
-        # popularity is rank-ordered.
-        values = zipf_counts(support.size, exponent=demand_exponent, total=total)
-        rows_files.append(support)
-        rows_values.append(values)
-        counts_per_group[group] = support.size
-    demand_files = np.concatenate(rows_files)
-    demand_values = np.concatenate(rows_values)
-    demand_indptr = np.concatenate(([0], np.cumsum(counts_per_group)))
+    # One draw for every group's keys: the generator fills the matrix
+    # row after row, the same stream as one call per group.  Sorting a
+    # row first makes its draws ascending (``searchsorted`` is
+    # monotone), so the row's distinct files are where a draw differs
+    # from its left neighbour, and its first ``support_target`` of them
+    # are ``np.unique(draws)[:support_target]``.
+    keys = generator.random((num_groups, 2 * support_target))
+    keys.sort(axis=1)
+    draws = np.searchsorted(cdf, keys)
+    distinct = np.ones(draws.shape, dtype=bool)
+    np.not_equal(draws[:, 1:], draws[:, :-1], out=distinct[:, 1:])
+    keep = distinct & (np.cumsum(distinct, axis=1) <= support_target)
+    demand_files = draws[keep]
+    sizes = keep.sum(axis=1)
+    demand_indptr = np.concatenate(([0], np.cumsum(sizes)))
+    totals = np.maximum(np.rint(volumes).astype(np.int64), sizes)
+    # Most-popular-first volumes land on the lowest file ids — the
+    # global head — because each support is ascending and the global
+    # popularity is rank-ordered.  Rows of one support size share one
+    # Zipf shape, so each size is apportioned in one call.
+    demand_values = np.empty(demand_files.size, dtype=np.float64)
+    for size in np.unique(sizes):
+        rows = np.flatnonzero(sizes == size)
+        slots = demand_indptr[rows][:, np.newaxis] + np.arange(size)
+        demand_values[slots] = zipf_counts(
+            int(size), exponent=demand_exponent, total=totals[rows]
+        )
 
     total_volume = float(demand_values.sum())
     if bandwidth is None:

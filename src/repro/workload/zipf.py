@@ -9,7 +9,7 @@ integer view counts matching that shape.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -32,7 +32,9 @@ def zipf_popularity(num_items: int, exponent: float = 1.0) -> np.ndarray:
     return weights / weights.sum()
 
 
-def largest_remainder_round(weights: np.ndarray, total: int, *, minimum: int = 1) -> np.ndarray:
+def largest_remainder_round(
+    weights: np.ndarray, total: Union[int, np.ndarray], *, minimum: int = 1
+) -> np.ndarray:
     """Integer apportionment of ``total`` across ``weights``, sum-exact.
 
     Every entry gets at least ``minimum``; the rest of the budget is
@@ -42,6 +44,11 @@ def largest_remainder_round(weights: np.ndarray, total: int, *, minimum: int = 1
     non-increasing too: floors of a sorted vector stay sorted, and among
     equal floors the fractional remainders inherit the ordering, so the
     ``+1`` corrections land head-first.
+
+    ``total`` may also be a 1-D vector of totals: the result then has
+    one row per total, each equal to the scalar call on that total (the
+    arithmetic is elementwise per row, and the floors are integers, so
+    their row sums are exact in any order).
     """
     weights = np.asarray(weights, dtype=np.float64)
     if weights.ndim != 1 or weights.size == 0:
@@ -50,27 +57,32 @@ def largest_remainder_round(weights: np.ndarray, total: int, *, minimum: int = 1
         raise ValidationError("weights must be finite and nonnegative")
     if minimum < 0:
         raise ValidationError(f"minimum must be nonnegative, got {minimum}")
-    if total < minimum * weights.size:
+    totals = np.asarray(total)
+    if totals.ndim > 1:
+        raise ValidationError("total must be a scalar or a 1-D vector of totals")
+    short = totals < minimum * weights.size
+    if np.any(short):
         raise ValidationError(
-            f"total {total} cannot cover the minimum of {minimum} for "
+            f"total {totals[short].min()} cannot cover the minimum of {minimum} for "
             f"{weights.size} item(s)"
         )
-    spare = total - minimum * weights.size
+    spare = np.atleast_1d(totals - minimum * weights.size)
     mass = float(weights.sum())
     if mass <= 0:
-        raw = np.full(weights.size, spare / weights.size)
+        raw = np.repeat((spare / weights.size)[:, np.newaxis], weights.size, axis=1)
     else:
-        raw = weights / mass * spare
+        raw = (weights / mass)[np.newaxis, :] * spare[:, np.newaxis]
     floors = np.floor(raw)
     remainders = raw - floors
-    leftover = int(round(spare - floors.sum()))
+    leftover = np.rint(spare - floors.sum(axis=1)).astype(np.int64)
     counts = floors.astype(np.int64) + minimum
-    if leftover > 0:
-        # Stable sort on the negated remainder: ties go to the smaller
-        # index, i.e. the more popular item.
-        order = np.argsort(-remainders, kind="stable")
-        counts[order[:leftover]] += 1
-    return counts.astype(np.float64)
+    # Stable sort on the negated remainder: ties go to the smaller index,
+    # i.e. the more popular item.  Each row's first ``leftover`` get +1.
+    order = np.argsort(-remainders, axis=1, kind="stable")
+    bump = np.arange(weights.size)[np.newaxis, :] < leftover[:, np.newaxis]
+    counts[np.arange(counts.shape[0])[:, np.newaxis], order] += bump
+    counts = counts.astype(np.float64)
+    return counts if totals.ndim else counts[0]
 
 
 def zipf_counts(
@@ -79,7 +91,7 @@ def zipf_counts(
     exponent: float = 1.0,
     head_count: float = 140_000.0,
     jitter: float = 0.0,
-    total: Optional[int] = None,
+    total: Union[int, np.ndarray, None] = None,
     rng: Union[int, np.random.Generator, None] = None,
 ) -> np.ndarray:
     """Integer view counts with a Zipf shape and a fixed head value.
@@ -94,7 +106,8 @@ def zipf_counts(
     returned counts sum to exactly ``total`` with every item at least 1
     (plain per-entry rounding can miss the requested volume and zero out
     the tail).  ``head_count`` is ignored in that mode — the head follows
-    from the shape and the volume.
+    from the shape and the volume.  A 1-D vector of totals returns one
+    such row per total, each equal to the scalar call's.
     """
     popularity = zipf_popularity(num_items, exponent)
     counts = popularity / popularity[0] * float(head_count)
@@ -107,12 +120,14 @@ def zipf_counts(
         counts = np.sort(counts)[::-1]
         counts = counts / counts[0] * float(head_count)
     if total is not None:
-        if total < num_items:
+        if np.any(np.asarray(total) < num_items):
             raise ValidationError(
                 f"total {total} must be at least num_items {num_items} so every "
                 "item keeps a count of one"
             )
-        return largest_remainder_round(counts, int(total), minimum=1)
+        if np.ndim(total) == 0:
+            total = int(total)
+        return largest_remainder_round(counts, total, minimum=1)
     return np.maximum(np.round(counts), 1.0)
 
 

@@ -126,7 +126,7 @@ class TestSolverInstrumentation:
             solve_subproblem(problem, 0, aggregate)
         counters = registry.snapshot()["counters"]
         assert counters["subproblem.solves"] == 1
-        assert counters["subgradient.iterations"] >= 1
+        assert counters["subproblem.price_probes"] >= 1
         # The oracle solves whole rows of knapsacks at a time, so it
         # counts rows, not scalar calls.
         assert counters["knapsack.batched_rows"] >= 1
@@ -144,7 +144,7 @@ class TestSolverInstrumentation:
             solution = solve_subproblem(problem, 0, aggregate, SubproblemConfig(polish=False))
         counters = registry.snapshot()["counters"]
         assert counters["subproblem.solves"] == 1
-        assert counters["subgradient.iterations"] == len(solution.dual_history) >= 1
+        assert counters["subproblem.price_probes"] == len(solution.dual_history) >= 1
         assert 1 <= counters["knapsack.batched_rows"] <= 2
         assert "knapsack.calls" not in counters
 

@@ -1,4 +1,4 @@
-"""Tests for Euclidean projections, incl. hypothesis property checks."""
+"""Tests for the capped-simplex projection, incl. hypothesis property checks."""
 
 import numpy as np
 import pytest
@@ -6,88 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.core.convex import project_capped_simplex
 from repro.exceptions import ValidationError
-from repro.solvers.projection import (
-    project_box,
-    project_capped_simplex,
-    project_nonnegative,
-    project_simplex,
-)
 
 finite_floats = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 vectors = arrays(np.float64, st.integers(1, 12), elements=finite_floats)
-
-
-class TestNonnegative:
-    def test_basic(self):
-        np.testing.assert_allclose(project_nonnegative([-1.0, 0.5]), [0.0, 0.5])
-
-    @given(vectors)
-    def test_idempotent(self, v):
-        once = project_nonnegative(v)
-        np.testing.assert_allclose(project_nonnegative(once), once)
-
-    @given(vectors)
-    def test_never_negative(self, v):
-        assert project_nonnegative(v).min() >= 0.0
-
-
-class TestBox:
-    def test_basic(self):
-        out = project_box([-1.0, 0.5, 2.0], 0.0, 1.0)
-        np.testing.assert_allclose(out, [0.0, 0.5, 1.0])
-
-    def test_inverted_bounds_rejected(self):
-        with pytest.raises(ValidationError):
-            project_box([0.5], 1.0, 0.0)
-
-    def test_broadcast_bounds(self):
-        out = project_box([[2.0, -2.0]], [0.0, -1.0], [1.0, 0.0])
-        np.testing.assert_allclose(out, [[1.0, -1.0]])
-
-    @given(vectors)
-    def test_within_bounds(self, v):
-        out = project_box(v, -1.0, 1.0)
-        assert out.min() >= -1.0 and out.max() <= 1.0
-
-
-class TestSimplex:
-    def test_already_on_simplex(self):
-        v = np.array([0.25, 0.75])
-        np.testing.assert_allclose(project_simplex(v), v)
-
-    def test_uniform_from_large(self):
-        out = project_simplex(np.array([5.0, 5.0]))
-        np.testing.assert_allclose(out, [0.5, 0.5])
-
-    def test_radius(self):
-        out = project_simplex(np.array([3.0, 1.0]), radius=2.0)
-        assert out.sum() == pytest.approx(2.0)
-
-    def test_bad_radius(self):
-        with pytest.raises(ValidationError):
-            project_simplex(np.array([1.0]), radius=0.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            project_simplex(np.array([]))
-
-    @given(vectors)
-    @settings(max_examples=50)
-    def test_on_simplex(self, v):
-        out = project_simplex(v)
-        assert out.min() >= -1e-12
-        assert out.sum() == pytest.approx(1.0, abs=1e-9)
-
-    @given(vectors)
-    @settings(max_examples=30)
-    def test_is_closest_point(self, v):
-        """Projection is closer than random simplex points."""
-        out = project_simplex(v)
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            other = rng.dirichlet(np.ones(v.size))
-            assert np.sum((v - out) ** 2) <= np.sum((v - other) ** 2) + 1e-9
 
 
 class TestCappedSimplex:

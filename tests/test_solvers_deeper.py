@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from repro.core.convex import project_capped_simplex
 from repro.exceptions import ValidationError
 from repro.solvers.branch_and_bound import solve_mixed_binary_lp
 from repro.solvers.fractional_knapsack import solve_fractional_knapsack
-from repro.solvers.projection import project_capped_simplex
 from repro.solvers.simplex import simplex_solve
 
 
